@@ -22,10 +22,9 @@ load.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
+from repro import jsonlog, telemetry
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis.rules import analyzer_fingerprint
 from repro.core.cache import CACHE_FORMAT, default_cache_dir, \
@@ -35,13 +34,15 @@ from repro.core.cache import CACHE_FORMAT, default_cache_dir, \
 class LintCache:
     """Config-digest-addressed store of :class:`DiagnosticReport`."""
 
-    __slots__ = ("directory", "_mem", "_loaded", "_fingerprint")
+    __slots__ = ("directory", "torn_lines", "_mem", "_loaded",
+                 "_fingerprint")
 
     FILENAME = "lint.jsonl"
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self.directory = Path(directory) if directory is not None \
             else default_cache_dir()
+        self.torn_lines = 0
         self._mem: dict[str, DiagnosticReport] = {}
         self._loaded = False
         self._fingerprint: str | None = None
@@ -59,25 +60,20 @@ class LintCache:
     # ------------------------------------------------------------------
     def _load(self) -> None:
         self._loaded = True
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return
         fp = self.fingerprint
         afp = analyzer_fingerprint()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        records, torn = jsonlog.read(self.path, CACHE_FORMAT)
+        for rec in records:
+            if rec.get("fp") != fp or rec.get("analyzer") != afp:
+                continue    # stale model or stale analyzer: re-analyze
             try:
-                rec = json.loads(line)
-                if rec.get("format") != CACHE_FORMAT or rec.get("fp") != fp \
-                        or rec.get("analyzer") != afp:
-                    continue    # stale model or stale analyzer: re-analyze
-                self._mem[rec["key"]] = \
+                self._mem[str(rec["key"])] = \
                     DiagnosticReport.from_dict(rec["report"])
             except (ValueError, KeyError, TypeError):
-                continue            # corrupt/truncated line: skip
+                torn += 1
+        if torn:
+            self.torn_lines += torn
+            telemetry.count("lint.torn_lines", torn)
 
     def get(self, digest: str) -> DiagnosticReport | None:
         if not self._loaded:
@@ -91,19 +87,11 @@ class LintCache:
             self._mem[digest] = report
             return
         self._mem[digest] = report
-        rec = {"format": CACHE_FORMAT, "fp": self.fingerprint,
-               "analyzer": analyzer_fingerprint(),
-               "key": digest, "report": report.to_dict()}
-        line = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-        self.directory.mkdir(parents=True, exist_ok=True)
-        # single O_APPEND write: whole-line atomicity under concurrency,
-        # same policy as ResultCache._append
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
+        jsonlog.append(self.path, {"format": CACHE_FORMAT,
+                                   "fp": self.fingerprint,
+                                   "analyzer": analyzer_fingerprint(),
+                                   "key": digest,
+                                   "report": report.to_dict()})
 
     def __len__(self) -> int:
         if not self._loaded:

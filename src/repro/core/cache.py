@@ -13,10 +13,8 @@ two components:
   fingerprint, so stale rows self-invalidate instead of silently serving
   results from an older model.
 
-Storage is a JSON-lines file (one record per line, append-only, written
-with single atomic ``write`` calls), fronted by an LRU-bounded in-memory
-dict.  Corrupt or truncated lines — e.g. from a run killed mid-write —
-are skipped on load, never fatal.
+Storage is an append-only JSONL log (:mod:`repro.jsonlog`), fronted by
+an LRU-bounded in-memory dict.
 
 The cache duck-types the plain-``dict`` protocol the runner always used
 (``cache.get(config)`` / ``cache[config] = row``), so every ``cache=``
@@ -33,7 +31,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
-from repro import telemetry
+from repro import jsonlog, telemetry
 from repro.core.experiment import ExperimentConfig
 from repro.core.persistence import config_to_dict, row_from_dict, row_to_dict
 from repro.core.runner import Row
@@ -178,35 +176,26 @@ class ResultCache:
     def _load(self) -> None:
         """Read the JSONL file, keeping current-fingerprint rows.
 
-        Tolerates corrupt/truncated lines and records whose config no
-        longer validates (e.g. a preset that was since removed) — those
-        are simply skipped.
+        Records of another fingerprint are expected invalidation and
+        skipped silently; current records whose row no longer decodes
+        (e.g. a preset that was since removed) count as torn.
         """
         self._loaded = True
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return
         fp = self.fingerprint
-        corrupt = 0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        records, corrupt = jsonlog.read(self.path, CACHE_FORMAT)
+        records.reverse()
+        while records:
+            # pop, not iterate: each parsed record is freed as its row
+            # is decoded, so records and rows are never all alive at once
+            rec = records.pop()
+            if rec.get("fp") != fp:
+                continue  # expected invalidation, not corruption
             try:
-                rec = json.loads(line)
-            except ValueError:
-                corrupt += 1  # torn write / non-JSON garbage
-                continue
-            try:
-                if (rec.get("format") != CACHE_FORMAT
-                        or rec.get("fp") != fp):
-                    continue  # expected invalidation, not corruption
-                digest = rec["key"]
+                digest = str(rec["key"])
                 row = row_from_dict(rec["row"])
             except (ValueError, KeyError, TypeError, ConfigurationError,
                     AttributeError):
-                corrupt += 1  # current-format record we cannot decode
+                corrupt += 1
                 continue
             self._remember(digest, row)
         if corrupt:
@@ -218,19 +207,9 @@ class ResultCache:
             telemetry.count("cache.torn_lines", corrupt)
 
     def _append(self, digest: str, row: Row) -> None:
-        rec = {"format": CACHE_FORMAT, "fp": self.fingerprint,
-               "key": digest, "row": row_to_dict(row)}
-        line = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-        self.directory.mkdir(parents=True, exist_ok=True)
-        # One O_APPEND write per record: concurrent appenders interleave
-        # whole lines, and a killed process leaves at most one truncated
-        # line, which _load() skips.
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
+        jsonlog.append(self.path, {"format": CACHE_FORMAT,
+                                   "fp": self.fingerprint, "key": digest,
+                                   "row": row_to_dict(row)})
 
     # ------------------------------------------------------------------
     def get(self, key: Any, default: Row | None = None) -> Row | None:
@@ -287,58 +266,43 @@ class ResultCache:
         killed processes, and superseded records when a key was stored
         more than once (every ``put`` appends).  ``compact`` rewrites
         the file keeping only the **last** record per (fingerprint, key)
-        pair, dropping everything unparseable; with
+        pair.  Torn lines and records missing a fingerprint, key or row
+        are dropped and counted as ``dropped_torn``; records of another
+        on-disk format are dropped uncounted.  With
         ``keep_stale=False`` records from other model fingerprints are
         dropped too (they can never be served by this build).
 
-        The rewrite is atomic — records stream to a temporary file in
-        the same directory, then ``os.replace`` swaps it in — so a
-        reader or concurrent appender sees either the old file or the
-        new one, never a half-written hybrid.  Returns counters:
+        The rewrite is atomic (:func:`repro.jsonlog.rewrite`), so a
+        reader sees either the old file or the new one, never a
+        half-written hybrid.  Returns counters:
         ``kept``, ``dropped_torn``, ``dropped_duplicates``,
         ``dropped_stale``, ``bytes_before``, ``bytes_after``.
         """
         stats = {"kept": 0, "dropped_torn": 0, "dropped_duplicates": 0,
                  "dropped_stale": 0, "bytes_before": 0, "bytes_after": 0}
         try:
-            text = self.path.read_text()
+            stats["bytes_before"] = self.path.stat().st_size
         except OSError:
             return stats  # nothing on disk: already as compact as it gets
-        stats["bytes_before"] = len(text.encode())
+        records, stats["dropped_torn"] = jsonlog.read(self.path,
+                                                      CACHE_FORMAT)
         fp = self.fingerprint
-        #: (fp, key) -> last good line for it, in first-seen order.
-        latest: "OrderedDict[tuple[str, str], str]" = OrderedDict()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                record_fp = str(rec["fp"])
-                key = str(rec["key"])
-                ok = rec.get("format") == CACHE_FORMAT and "row" in rec
-            except (ValueError, KeyError, TypeError):
-                ok = False
-            if not ok:
+        #: (fp, key) -> last record for it, in first-seen order.
+        latest: dict[tuple[str, str], dict[str, Any]] = {}
+        for rec in records:
+            if "fp" not in rec or "key" not in rec or "row" not in rec:
                 stats["dropped_torn"] += 1
                 continue
+            record_fp, key = str(rec["fp"]), str(rec["key"])
             if not keep_stale and record_fp != fp:
                 stats["dropped_stale"] += 1
                 continue
             if (record_fp, key) in latest:
                 stats["dropped_duplicates"] += 1
-            latest[(record_fp, key)] = line
+            latest[(record_fp, key)] = rec
         stats["kept"] = len(latest)
-        body = "".join(line + "\n" for line in latest.values())
-        stats["bytes_after"] = len(body.encode())
-        tmp = self.path.with_name(self.path.name + ".compact.tmp")
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            os.write(fd, body.encode())
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, self.path)
+        jsonlog.rewrite(self.path, latest.values())
+        stats["bytes_after"] = self.path.stat().st_size
         # Reload so the memory layer reflects exactly what survived.
         self._mem.clear()
         self._loaded = False

@@ -18,19 +18,14 @@ which configs are **quarantined** — recorded straight into
 ``SweepResult.errors`` without burning another attempt.  A later
 success clears a config's strike count, so transient failures (a
 worker OOM-killed once) do not poison the config forever.
-
-Like the result cache, the journal is written with single ``O_APPEND``
-writes and tolerates torn or corrupt lines on load.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Any
 
-from repro import telemetry
+from repro import jsonlog, telemetry
 from repro.core.cache import config_digest
 from repro.core.experiment import ExperimentConfig
 
@@ -48,10 +43,11 @@ class SweepJournal:
 
     FILENAME = "sweep-journal.jsonl"
 
-    __slots__ = ("path", "_state", "_loaded")
+    __slots__ = ("path", "torn_lines", "_state", "_loaded")
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        self.torn_lines = 0
         #: (sweep name, config digest) -> aggregated status
         self._state: dict[tuple[str, str], dict[str, Any]] = {}
         self._loaded = False
@@ -71,25 +67,18 @@ class SweepJournal:
     # ------------------------------------------------------------------
     def _load(self) -> None:
         self._loaded = True
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            return
-        # Bytes, not text: a line torn mid-multibyte UTF-8 sequence must
-        # cost only that line, not fail the whole load.
-        for raw_line in raw.splitlines():
-            raw_line = raw_line.strip()
-            if not raw_line:
-                continue
+        records, torn = jsonlog.read(self.path, JOURNAL_FORMAT)
+        for rec in records:
             try:
-                rec = json.loads(raw_line.decode())
-                if rec.get("format") != JOURNAL_FORMAT:
-                    continue
-                key = (rec["sweep"], rec["key"])
+                key = (str(rec["sweep"]), str(rec["key"]))
                 status = rec["status"]
-            except (UnicodeDecodeError, ValueError, KeyError, TypeError):
-                continue  # torn write or foreign line: replay what's intact
+            except KeyError:
+                torn += 1
+                continue
             self._apply(key, status, rec)
+        if torn:
+            self.torn_lines += torn
+            telemetry.count("journal.torn_lines", torn)
 
     def _apply(self, key: tuple[str, str], status: str, rec: dict) -> None:
         entry = self._state.setdefault(key, _fresh_entry())
@@ -102,16 +91,6 @@ class SweepJournal:
             entry["error"] = str(rec.get("error", ""))
             entry["message"] = str(rec.get("message", ""))
             entry["pid"] = rec.get("pid")
-
-    def _append(self, rec: dict) -> None:
-        line = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
 
     # ------------------------------------------------------------------
     def status(self, sweep: str, config: ExperimentConfig) -> dict | None:
@@ -159,7 +138,7 @@ class SweepJournal:
                 rec["pid"] = pid
         telemetry.count("journal.done" if ok else "journal.failed")
         self._apply((sweep, digest), rec["status"], rec)
-        self._append(rec)
+        jsonlog.append(self.path, rec)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<SweepJournal {self.path} entries={len(self._state)}>"

@@ -133,10 +133,6 @@ def simulate_config(config: ExperimentConfig) -> tuple[bool, Any]:
         return False, exc
 
 
-#: Backward-compatible alias (pre-service name).
-_pool_run = simulate_config
-
-
 #: Completion callback: (config, ok, Row-or-exception) -> None.
 ResultCallback = Callable[[ExperimentConfig, bool, Any], None]
 

@@ -15,10 +15,9 @@ Terminal states never transition again; illegal transitions raise
 record.
 
 The **ledger** (``service-jobs.jsonl`` beside the persistent result
-cache) makes jobs survive the server process: every submit appends the
-full spec, every state change appends a transition, both with the same
-single-``O_APPEND``-write, torn-line-tolerant idiom as the cache and
-journal.  A restarted server replays the ledger and re-enqueues every
+cache, a :mod:`repro.jsonlog` log) makes jobs survive the server
+process: every submit appends the full spec, every state change appends
+a transition.  A restarted server replays the ledger and re-enqueues every
 job whose last recorded state is non-terminal — completed rows then come
 straight from the content-addressed cache, so a resume costs only the
 configs that never finished.
@@ -27,14 +26,13 @@ configs that never finished.
 from __future__ import annotations
 
 import itertools
-import json
-import os
 import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro import jsonlog, telemetry
 from repro.core.experiment import ExperimentConfig
 from repro.core.persistence import config_from_dict, config_to_dict
 from repro.errors import ConfigurationError, ServiceError
@@ -263,17 +261,13 @@ class JobLedger:
     persistence: the ledger still answers queries from memory, jobs just
     do not survive the process.
 
-    ``fault_hook`` is the chaos-harness seam: when set, every encoded
-    record line passes through it before hitting the file.  The hook may
-    return a mutated (e.g. torn) line, or raise
-    :class:`~repro.faults.service.SimulatedKill` to emulate the process
-    dying mid-append.  ``None`` return means "write the line unchanged".
+    ``fault_hook`` is the chaos-harness seam of
+    :func:`repro.jsonlog.append`, applied to every record line.
 
     ``replay()`` additionally exposes two tolerance counters —
-    ``torn_lines`` (lines that failed UTF-8 decode or JSON parse, e.g.
-    a crash mid-``write``) and ``duplicate_transitions`` (a terminal
-    transition recorded twice across a crash/restart boundary) — so
-    operators can observe corruption that the replay survived.
+    ``torn_lines`` and ``duplicate_transitions`` (a terminal transition
+    recorded twice across a crash/restart boundary) — so operators can
+    observe corruption that the replay survived.
     """
 
     __slots__ = ("path", "fault_hook", "last_append_at",
@@ -309,21 +303,8 @@ class JobLedger:
     def _append(self, record: dict[str, Any]) -> None:
         if self.path is None:
             return
-        record = {"format": LEDGER_FORMAT, **record}
-        line = json.dumps(record, sort_keys=True,
-                          separators=(",", ":")) + "\n"
-        data = line.encode()
-        if self.fault_hook is not None:
-            mutated = self.fault_hook(data)
-            if mutated is not None:
-                data = mutated
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
+        jsonlog.append(self.path, {"format": LEDGER_FORMAT, **record},
+                       fault_hook=self.fault_hook)
         self.last_append_at = time.time()
 
     def record_submit(self, job: JobRecord) -> None:
@@ -339,41 +320,28 @@ class JobLedger:
     def replay(self) -> dict[str, tuple[JobSpec, str]]:
         """Rebuild ``job_id -> (spec, last recorded state)`` from disk.
 
-        Torn or foreign lines are skipped (and counted in
-        ``torn_lines`` when they fail to decode or parse — a line
-        truncated mid-multibyte UTF-8 sequence is a decode error, not a
-        crash); a transition for an unknown job id (its submit line was
-        lost) is ignored rather than fatal.  A terminal transition for
-        an already-terminal job — the signature of a crash between the
-        append and the ack, replayed on restart — keeps the *first*
-        terminal state and bumps ``duplicate_transitions``.
+        Torn and foreign lines are skipped as :mod:`repro.jsonlog`
+        defines them, and so is a submit whose spec no longer decodes
+        (counted torn); a transition for an unknown job id (its submit
+        line was lost) is ignored rather than fatal.  A terminal
+        transition for an already-terminal job — the signature of a
+        crash between the append and the ack, replayed on restart —
+        keeps the *first* terminal state and bumps
+        ``duplicate_transitions``.
         """
         state: dict[str, tuple[JobSpec, str]] = {}
         self.torn_lines = 0
         self.duplicate_transitions = 0
         if self.path is None:
             return state
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            return state
-        for raw_line in raw.splitlines():
-            raw_line = raw_line.strip()
-            if not raw_line:
-                continue
-            try:
-                record = json.loads(raw_line.decode())
-            except (UnicodeDecodeError, ValueError):
-                self.torn_lines += 1
-                continue
-            if not isinstance(record, dict) \
-                    or record.get("format") != LEDGER_FORMAT:
-                continue
+        records, self.torn_lines = jsonlog.read(self.path, LEDGER_FORMAT)
+        for record in records:
             event = record.get("event")
             if event == "submitted":
                 try:
                     spec = JobSpec.from_dict(record["job"])
                 except (ServiceError, KeyError, TypeError):
+                    self.torn_lines += 1
                     continue
                 state[spec.job_id] = (spec, QUEUED)
             elif event == "state":
@@ -387,6 +355,8 @@ class JobLedger:
                     self.duplicate_transitions += 1
                     continue
                 state[str(job_id)] = (known[0], str(new))
+        if self.torn_lines:
+            telemetry.count("ledger.torn_lines", self.torn_lines)
         return state
 
     def incomplete(self) -> list[JobSpec]:

@@ -2,28 +2,22 @@
 
 Metric names form a **stable vocabulary** (documented in DESIGN.md):
 reports, CI gates, and future dashboards key on them, so renaming one is
-a breaking change.  The registry does two things per event:
-
-* update an in-memory aggregate (so a live ``RunContext`` can summarize
-  itself without re-reading its own file);
-* append one JSONL record to ``metrics.jsonl`` with a single ``O_APPEND``
-  ``write`` — the same torn-line-tolerant idiom as the result cache, so
-  concurrent appenders interleave whole lines and a killed run loses at
-  most one truncated record.
-
-Readers rebuild aggregates with :func:`read_metrics`; both sides skip
-corrupt lines instead of failing.
+a breaking change.  The registry updates an in-memory aggregate per
+event (so a live ``RunContext`` can summarize itself without re-reading
+its own file) and appends one record to ``metrics.jsonl`` (a durable
+JSONL log, see :mod:`repro.jsonlog`).  :func:`read_metrics` rebuilds
+the aggregates from the file.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+from repro import jsonlog
 
 #: On-disk metric record format version.
 METRICS_FORMAT = 1
@@ -110,14 +104,7 @@ class MetricsRegistry:
                                "name": name, "kind": kind, "v": value}
         if labels:
             rec["labels"] = labels
-        line = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
+        jsonlog.append(self.path, rec)
 
     # ------------------------------------------------------------------
     def count(self, name: str, n: float = 1,
@@ -149,34 +136,28 @@ class MetricsRegistry:
         return f"<MetricsRegistry {self.path} metrics={len(self._aggregates)}>"
 
 
-def read_metrics(path: str | Path) -> dict[str, MetricAggregate]:
+def read_metrics(path: str | Path,
+                 ) -> tuple[dict[str, MetricAggregate], int]:
     """Rebuild per-name aggregates from a ``metrics.jsonl`` file.
 
-    Tolerates a missing file (empty dict) and skips torn/corrupt lines,
-    mirroring the writer's crash-tolerance contract.
+    Returns ``(aggregates, torn line count)``; a record missing its
+    name, kind or numeric value counts as torn too.
     """
     aggregates: dict[str, MetricAggregate] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return aggregates
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    records, torn = jsonlog.read(path, METRICS_FORMAT)
+    for rec in records:
         try:
-            rec = json.loads(line)
-            if rec.get("format") != METRICS_FORMAT:
-                continue
-            name = rec["name"]
+            name = str(rec["name"])
             kind = rec["kind"]
             value = float(rec["v"])
         except (ValueError, KeyError, TypeError):
-            continue  # torn write: keep what is intact
+            torn += 1
+            continue
         if kind not in KINDS:
+            torn += 1
             continue
         agg = aggregates.get(name)
         if agg is None:
             agg = aggregates[name] = MetricAggregate(name, kind)
         agg.update(value)
-    return aggregates
+    return aggregates, torn

@@ -3,7 +3,7 @@
 The report is assembled from the three files every run writes: the
 manifest (provenance + status), ``metrics.jsonl`` aggregates (cache
 efficiency, gate wall time, engine picks, pool resilience, fault
-events, torn cache lines), and ``summary.json`` (the rows — sorted here
+events, torn store lines), and ``summary.json`` (the rows — sorted here
 into the slowest-configs table).  Everything renders as text for humans
 and as one JSON object for tooling.
 """
@@ -133,6 +133,8 @@ class RunReport:
     rows: list[Any]
     spans: list[dict[str, Any]]
     directory: Path
+    #: Torn lines skipped while reading this run's metrics and spans.
+    torn_lines: int = 0
 
     # -- metric lookups ------------------------------------------------
     def metric(self, metric_name: str, default: float = 0.0) -> float:
@@ -162,9 +164,10 @@ class RunReport:
              results_dir: str | Path | None = None) -> "RunReport":
         directory = run_directory(run_id, results_dir)
         manifest = manifest_mod.read_manifest(directory)
-        aggregates = read_metrics(
+        aggregates, torn_metrics = read_metrics(
             directory / manifest_mod.METRICS_FILENAME)
-        spans = read_spans(directory / manifest_mod.SPANS_FILENAME)
+        spans, torn_spans = read_spans(
+            directory / manifest_mod.SPANS_FILENAME)
         rows: list[Any] = []
         summary = directory / manifest_mod.SUMMARY_FILENAME
         if summary.exists():
@@ -172,7 +175,8 @@ class RunReport:
 
             rows = list(load_sweep(summary).rows)
         return cls(manifest=manifest, aggregates=aggregates, rows=rows,
-                   spans=spans, directory=directory)
+                   spans=spans, directory=directory,
+                   torn_lines=torn_metrics + torn_spans)
 
     # -- output --------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -187,6 +191,7 @@ class RunReport:
             "slowest": [row_to_dict(r) for r in self.slowest()],
             "fault_events": self.fault_events(),
             "n_spans": len(self.spans),
+            "torn_lines": self.torn_lines,
         }
 
     def chrome_trace(self) -> dict[str, Any]:
@@ -221,6 +226,13 @@ class RunReport:
         if torn:
             cache_line += f"; {torn:.0f} torn line(s) skipped on load"
         lines.append(cache_line)
+        torn_bits = [f"{store} {self.metric(f'{store}.torn_lines'):.0f}"
+                     for store in ("journal", "lint", "ledger")
+                     if self.metric(f"{store}.torn_lines")]
+        if self.torn_lines:
+            torn_bits.append(f"telemetry {self.torn_lines}")
+        if torn_bits:
+            lines.append("  torn lines skipped: " + ", ".join(torn_bits))
 
         for gate in ("lint", "advise"):
             agg = self.aggregates.get(f"gate.{gate}.seconds")

@@ -15,13 +15,14 @@ to the per-rank traces ``repro profile --trace`` writes.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
+
+from repro import jsonlog
 
 #: On-disk span record format version.
 SPANS_FORMAT = 1
@@ -104,14 +105,7 @@ class SpanRecorder:
         }
         if span.attrs:
             rec["attrs"] = _json_safe(span.attrs)
-        line = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
+        jsonlog.append(self.path, rec)
 
     def emit(self, name: str, start_s: float, end_s: float,
              parent: Span | None = None, **attrs: Any) -> Span:
@@ -169,30 +163,16 @@ def _json_safe(attrs: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-def read_spans(path: str | Path) -> list[dict[str, Any]]:
+def read_spans(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     """Load span records from ``spans.jsonl`` (ordered as written).
 
-    Missing file → empty list; torn/corrupt lines are skipped.
+    Returns ``(spans, torn line count)``; a record missing its name or
+    timing counts as torn too.
     """
-    spans: list[dict[str, Any]] = []
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return spans
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(rec, dict) or rec.get("format") != SPANS_FORMAT:
-            continue
-        if any(key not in rec for key in ("name", "start_s", "dur_s")):
-            continue
-        spans.append(rec)
-    return spans
+    records, torn = jsonlog.read(path, SPANS_FORMAT)
+    spans = [rec for rec in records
+             if all(key in rec for key in ("name", "start_s", "dur_s"))]
+    return spans, torn + len(records) - len(spans)
 
 
 def spans_to_chrome_trace(spans: list[dict[str, Any]],

@@ -124,13 +124,6 @@ class TestLintCache:
         monkeypatch.setattr(stale, "_fingerprint", "different")
         assert stale.get("digest-a") is None
 
-    def test_corrupt_lines_skipped(self, tmp_path):
-        cache = LintCache(tmp_path)
-        cache.put("digest-a", self.report())
-        with open(cache.path, "a") as fh:
-            fh.write("{truncated\n")
-        assert LintCache(tmp_path).get("digest-a") is not None
-
     def test_clear(self, tmp_path):
         cache = LintCache(tmp_path)
         cache.put("digest-a", self.report())

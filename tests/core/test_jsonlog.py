@@ -1,0 +1,151 @@
+"""The shared JSONL-log primitive and every store that reads through it.
+
+One torn-input policy for all seven readers: a line that fails to
+decode, fails to parse, or is not a JSON object is skipped and counted;
+an object of another format is skipped silently; every intact record
+survives; nothing raises.
+"""
+
+import json
+
+import pytest
+
+from repro import jsonlog
+from repro.analysis.cache import LintCache
+from repro.analysis.diagnostics import DiagnosticReport
+from repro.core.cache import ResultCache
+from repro.core.experiment import ExperimentConfig
+from repro.core.journal import SweepJournal
+from repro.core.runner import Row
+from repro.service.jobs import JobLedger, JobRecord, JobSpec
+from repro.telemetry.metrics import MetricsRegistry, read_metrics
+from repro.telemetry.spans import SpanRecorder, read_spans
+
+
+def _config(i):
+    return ExperimentConfig(app="ffvc", n_ranks=(1, 2, 4)[i], n_threads=2)
+
+
+# Each store: file name, writer of intact record ``i`` (0, 1, 2), and a
+# reader returning (ids of the intact records that survived, torn count).
+def _cache_write(d, i):
+    ResultCache(d).put(_config(i), Row(_config(i), 1.0 + i, 2.0, 3.0, 0.1))
+
+
+def _cache_read(d):
+    cache = ResultCache(d)
+    return {i for i in range(3) if _config(i) in cache}, cache.torn_lines
+
+
+def _compact_read(d):
+    stats = ResultCache(d).compact()
+    survived, torn_after = _cache_read(d)
+    assert torn_after == 0  # the rewritten file is clean
+    return survived, stats["dropped_torn"]
+
+
+def _journal_write(d, i):
+    SweepJournal(d / SweepJournal.FILENAME).record("s", _config(i), ok=True)
+
+
+def _journal_read(d):
+    journal = SweepJournal(d / SweepJournal.FILENAME)
+    survived = {i for i in range(3)
+                if journal.status("s", _config(i)) is not None}
+    return survived, journal.torn_lines
+
+
+def _lint_write(d, i):
+    LintCache(d).put(f"digest-{i}", DiagnosticReport(subject=f"s{i}"))
+
+
+def _lint_read(d):
+    cache = LintCache(d)
+    survived = {i for i in range(3) if cache.get(f"digest-{i}") is not None}
+    return survived, cache.torn_lines
+
+
+def _ledger_write(d, i):
+    spec = JobSpec(job_id=f"job-{i}", name=f"n{i}", engine="analytic",
+                   configs=(_config(i),))
+    JobLedger(d / JobLedger.FILENAME).record_submit(JobRecord(spec))
+
+
+def _ledger_read(d):
+    ledger = JobLedger(d / JobLedger.FILENAME)
+    replayed = ledger.replay()
+    return {int(job_id[4:]) for job_id in replayed}, ledger.torn_lines
+
+
+def _metrics_write(d, i):
+    MetricsRegistry(d / "metrics.jsonl").count(f"m{i}")
+
+
+def _metrics_read(d):
+    aggregates, torn = read_metrics(d / "metrics.jsonl")
+    return {int(name[1:]) for name in aggregates}, torn
+
+
+def _spans_write(d, i):
+    with SpanRecorder(d / "spans.jsonl").span(f"s{i}"):
+        pass
+
+
+def _spans_read(d):
+    spans, torn = read_spans(d / "spans.jsonl")
+    return {int(span["name"][1:]) for span in spans}, torn
+
+
+READERS = {
+    "cache-load": (ResultCache.FILENAME, _cache_write, _cache_read),
+    "cache-compact": (ResultCache.FILENAME, _cache_write, _compact_read),
+    "journal": (SweepJournal.FILENAME, _journal_write, _journal_read),
+    "lint-cache": (LintCache.FILENAME, _lint_write, _lint_read),
+    "ledger-replay": (JobLedger.FILENAME, _ledger_write, _ledger_read),
+    "read_metrics": ("metrics.jsonl", _metrics_write, _metrics_read),
+    "read_spans": ("spans.jsonl", _spans_write, _spans_read),
+}
+
+# (bad bytes appended after record 0, torn count, survivors).  The
+# mid-UTF-8 tail has no newline, so record 1 merges into the torn line.
+INPUTS = {
+    "mid-utf8-tail": (b'{"format":1,"name":"caf\xc3', 1, {0, 2}),
+    "partial-json": (b'{"format": 1, "key": "tru\n', 1, {0, 1, 2}),
+    "list-line": (b"[1,2]\n", 1, {0, 1, 2}),
+    "scalar-line": (b"7\n", 1, {0, 1, 2}),
+    "wrong-format": (b'{"format": 99, "key": "x", "name": "x"}\n', 0,
+                     {0, 1, 2}),
+}
+
+
+@pytest.mark.parametrize("bad", INPUTS)
+@pytest.mark.parametrize("reader", READERS)
+def test_torn_input_is_counted_and_skipped(tmp_path, reader, bad):
+    filename, write, read = READERS[reader]
+    data, torn, survivors = INPUTS[bad]
+    write(tmp_path, 0)
+    with open(tmp_path / filename, "ab") as fh:
+        fh.write(data)
+    write(tmp_path, 1)
+    write(tmp_path, 2)
+    assert read(tmp_path) == (survivors, torn)
+
+
+def test_append_bytes_match_the_canonical_line(tmp_path):
+    path = tmp_path / "sub" / "log.jsonl"
+    record = {"format": 1, "b": [1.5, None], "a": "é", "n": float("nan")}
+    jsonlog.append(path, record)
+    expected = json.dumps(record, sort_keys=True,
+                          separators=(",", ":")) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+def test_rewrite_round_trips_appended_bytes(tmp_path):
+    path = tmp_path / "log.jsonl"
+    for i in range(3):
+        jsonlog.append(path, {"format": 1, "i": i, "x": 0.1 * i})
+    before = path.read_bytes()
+    records, torn = jsonlog.read(path, 1)
+    jsonlog.rewrite(path, records)
+    assert torn == 0 and path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["log.jsonl"]

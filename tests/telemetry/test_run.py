@@ -33,7 +33,7 @@ class TestRecording:
         assert manifest["status"] == "completed"
         assert manifest["n_rows"] == 2
         assert manifest["resumed_from"] is None
-        aggs = read_metrics(run_dir / "metrics.jsonl")
+        aggs, _ = read_metrics(run_dir / "metrics.jsonl")
         assert aggs["run.opened"].total == 1
         assert aggs["sweep.rows"].last == 2
 
@@ -64,7 +64,7 @@ class TestRecording:
             outer.attach_sweep(inner)
         run_dir = _only_run_dir(results_dir)  # exactly one directory
         names = [s["name"] for s in
-                 read_spans(run_dir / "spans.jsonl")]
+                 read_spans(run_dir / "spans.jsonl")[0]]
         assert names.count("sweep") == 2  # outer root + nested-as-span
 
     def test_failed_sweep_leaves_failed_manifest(self, results_dir):
@@ -113,7 +113,7 @@ class TestResume:
         lines_after = len(
             (run_dir / "metrics.jsonl").read_text().splitlines())
         assert lines_after > lines_before  # appended, not truncated
-        aggs = read_metrics(run_dir / "metrics.jsonl")
+        aggs, _ = read_metrics(run_dir / "metrics.jsonl")
         assert aggs["run.opened"].total == 2
         assert aggs["run.resumed"].total == 1
         # the second pass was served from the cache
