@@ -7,8 +7,8 @@ Everything the paper's evaluation section does is a function here:
 * :mod:`~repro.core.runner` — executes sweeps into result tables;
 * :mod:`~repro.core.cache` — persistent content-addressed result cache
   (config digest x model fingerprint);
-* :mod:`~repro.core.parallel` — process-pool sweep fan-out with per-row
-  error capture;
+* :mod:`~repro.core.parallel` — sweep dispatch with per-row error
+  capture, over the one worker pool in :mod:`~repro.core.scheduler`;
 * :mod:`~repro.core.metrics` — speedup / efficiency / best-config helpers;
 * :mod:`~repro.core.analysis` — roofline placement and bottleneck
   attribution;

@@ -1,46 +1,40 @@
-"""Process-pool fan-out for sweep execution, with failure containment.
+"""Sweep fan-out: configs in, one outcome per config out, in order.
 
-Sweep points are independent simulations, so a sweep is embarrassingly
-parallel.  :func:`run_configs` dispatches the cache-missing, de-duplicated
-subset of a config list over a ``ProcessPoolExecutor`` and reassembles
-results in the original order, so ``run_sweep(..., workers=N)`` is
-row-for-row identical to the serial path.
+:func:`run_configs` is the one dispatch call behind ``run_sweep`` for
+both engines.  It serves cache hits, de-duplicates the misses, and
+scores them: analytic misses in one vectorized
+:func:`~repro.analytic.engine.score_configs` pass, event misses serially
+in the parent or, with ``workers > 1``, on one in-process
+:class:`~repro.core.scheduler.Scheduler` (the same process pool, watchdog
+and fallback the sweep service runs on).  Rows come back in the input
+order, so ``run_sweep(..., workers=N)`` is row-for-row identical to the
+serial path.
 
-Design points:
-
-* **cache first** — lookups (and stores) happen in the parent process
-  only; workers never touch the cache file, so there are no concurrent
-  writers;
-* **dedup** — identical configs within one sweep are simulated once and
-  fanned back out to every position they occupy;
-* **per-row error capture** — a worker wraps each simulation and ships
-  the exception back as a value (with its traceback string and worker
-  pid attached), so one failing config cannot kill a 100-point sweep;
-* **incremental completion** — results are stored to the cache (and
-  reported via ``on_result``) *as they arrive*, not after the whole
-  batch, so a sweep killed mid-run keeps every finished row and can be
-  resumed (see ``run_sweep(..., resume=True)``);
-* **pool resilience** — a crashed worker (``BrokenProcessPool``) or a
-  stuck pool (no completion within :attr:`RetryPolicy.timeout_s`) loses
-  only the in-flight configs; survivors are retried on a fresh pool with
-  exponential backoff and, as the last resort, re-dispatched serially in
-  the parent;
-* **graceful fallback** — ``workers <= 1``, a single missing config, or
-  an unavailable pool (sandboxed environments without ``fork``/semaphores)
-  all degrade to the serial loop.
+* **cache first** — lookups and stores happen in the parent process
+  only; workers never touch the cache file;
+* **per-row error capture** — :func:`simulate_config` ships a failing
+  config's exception back as a value (with its traceback and worker
+  pid), so one bad config cannot kill a 100-point sweep;
+* **incremental completion** — each fresh completion is checkpointed
+  (:func:`~repro.core.runner.record_completion`) as it lands, so a
+  killed sweep keeps every finished row and can be resumed.
 """
 
 from __future__ import annotations
 
 import os
-import time
 import traceback
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro import telemetry
 from repro.core.experiment import ExperimentConfig
-from repro.core.runner import Row, run_config
+from repro.core.runner import (
+    Row,
+    cache_key,
+    record_completion,
+    run_config,
+)
 
 #: Attribute names used to piggyback worker context on captured exceptions
 #: (plain attributes survive pickling back to the parent).
@@ -84,17 +78,35 @@ class SweepError:
             attempts=attempts,
         )
 
+    @classmethod
+    def from_quarantine(cls, config: ExperimentConfig,
+                        entry: dict[str, Any]) -> "SweepError":
+        """The error for a config the sweep journal quarantined
+        (``entry`` as returned by :meth:`SweepJournal.quarantined
+        <repro.core.journal.SweepJournal.quarantined>`)."""
+        return cls(
+            config=config,
+            error=entry["error"] or "Quarantined",
+            message=(entry["message"] or "repeated failure")
+            + f" (quarantined after {entry['fails']} attempts)",
+            worker_pid=entry["pid"],
+            attempts=int(entry["fails"]),
+        )
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How hard :func:`run_configs` fights for a parallel sweep.
+    """How hard the :class:`~repro.core.scheduler.Scheduler` fights for
+    each event-engine execution.
 
-    ``timeout_s`` is a *progress* timeout: if no future completes within
-    the window, the pool is declared stuck and its pending configs are
-    retried.  ``max_attempts`` bounds pool passes (crashed or stuck pools
-    trigger a retry after an exponentially growing ``backoff_s`` pause);
-    whatever still isn't done after the last pass runs serially in the
-    parent, so a broken pool can degrade throughput but never results.
+    ``timeout_s`` is the per-execution watchdog: an attempt running
+    longer is abandoned, its pool recycled, and the config retried
+    after an exponentially growing ``backoff_s`` pause, up to
+    ``max_attempts`` attempts in all; the last timeout becomes the
+    config's captured error.  ``None`` disables the watchdog (one
+    attempt).  A crashed or unusable pool is not retried: the rest of
+    the sweep runs in-process, so a broken pool can degrade throughput
+    but never lose a row.
     """
 
     max_attempts: int = 3
@@ -121,9 +133,8 @@ def simulate_config(config: ExperimentConfig) -> tuple[bool, Any]:
     Returns ``(True, Row)`` or ``(False, exception)`` — exceptions travel
     back as values (annotated with the traceback and worker pid) so the
     parent controls error policy.  This is the one sweep-point
-    entrypoint every pool shares: the sweep fan-out here and the
-    service's :mod:`repro.service.scheduler` dispatch the same function,
-    so a row is bit-identical whichever path produced it.
+    entrypoint for every event-engine execution — serial, pool or
+    service — so a row is bit-identical whichever path produced it.
     """
     try:
         return True, run_config(config)
@@ -137,98 +148,40 @@ def simulate_config(config: ExperimentConfig) -> tuple[bool, Any]:
 ResultCallback = Callable[[ExperimentConfig, bool, Any], None]
 
 
-def _one_pool_pass(
-    configs: list[ExperimentConfig],
-    workers: int,
-    note: ResultCallback,
-    policy: RetryPolicy,
-) -> list[ExperimentConfig]:
-    """One ProcessPoolExecutor pass; returns the configs it lost.
+def _run_on_scheduler(configs: list[ExperimentConfig], workers: int,
+                      note: ResultCallback,
+                      retry: RetryPolicy | None) -> None:
+    """Simulate ``configs`` on one in-process Scheduler — one event loop,
+    no socket — passing each completion to ``note`` as it lands."""
+    import asyncio
 
-    Completions are consumed as they happen (completion order), so the
-    parent checkpoints rows even if the pool dies a moment later.  A
-    ``BrokenProcessPool`` (worker crashed) or a progress timeout ends the
-    pass early; pending configs become the survivors to retry.
-    """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
+    from repro.core.scheduler import Scheduler
 
-    # Workers never open their own run directories: the parent records
-    # the sweep, so telemetry is suppressed at pool start (works for both
-    # fork and spawn start methods).
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(configs)),
-                               initializer=telemetry.suppress_in_worker)
-    pending: dict[Any, ExperimentConfig] = {}
+    async def drive() -> None:
+        scheduler = Scheduler(workers=workers, retry=retry)
+
+        async def one(config: ExperimentConfig) -> None:
+            _source, ok, value = await scheduler.obtain("", config, "event")
+            note(config, ok, value)
+
+        try:
+            await asyncio.gather(*map(one, configs))
+        except BaseException:
+            scheduler.close(wait=False)
+            raise
+        scheduler.close()
+
     try:
-        pending = {pool.submit(simulate_config, c): c for c in configs}
-        while pending:
-            done, _ = wait(pending, timeout=policy.timeout_s,
-                           return_when=FIRST_COMPLETED)
-            if not done:
-                # no completion inside the window: the pool is stuck
-                return _abandon(pool, pending)
-            for fut in done:
-                config = pending.pop(fut)
-                try:
-                    ok, value = fut.result()
-                except BrokenProcessPool:
-                    # this config's worker died; the whole pool is toast
-                    pending[fut] = config
-                    return _abandon(pool, pending)
-                except Exception:  # noqa: BLE001 - pool-level failure
-                    # result unpickling / executor internals: lose only
-                    # this config, keep draining the rest
-                    pending[fut] = config
-                    return _abandon(pool, pending)
-                note(config, ok, value)
-    finally:
-        if not pending:
-            pool.shutdown(wait=True)
-    return []
+        asyncio.get_running_loop()
+    except RuntimeError:
+        asyncio.run(drive())
+        return
+    # This thread already runs a loop (a notebook) and asyncio.run
+    # refuses to nest, so the sweep's loop runs on a helper thread.
+    from concurrent.futures import ThreadPoolExecutor
 
-
-def _abandon(pool, pending: dict) -> list[ExperimentConfig]:
-    """Tear a broken/stuck pool down without waiting on wedged workers."""
-    for fut in pending:
-        fut.cancel()
-    pool.shutdown(wait=False, cancel_futures=True)
-    return list(pending.values())
-
-
-def _run_unique(
-    unique: list[ExperimentConfig],
-    workers: int,
-    note: ResultCallback,
-    policy: RetryPolicy,
-) -> None:
-    """Simulate each unique config, parallel if possible, resilient
-    to worker crashes and stuck pools; every config is eventually
-    reported through ``note`` exactly once."""
-    remaining = list(unique)
-    if workers > 1 and len(remaining) > 1:
-        usable = True
-        delay = policy.backoff_s
-        for attempt in range(policy.max_attempts):
-            if not remaining:
-                return
-            if attempt > 0 and delay > 0:
-                telemetry.count("pool.restarts")
-                telemetry.count("pool.retries", len(remaining))
-                time.sleep(delay)
-                delay *= 2
-            try:
-                remaining = _one_pool_pass(remaining, workers, note, policy)
-            except (ImportError, OSError, PermissionError):
-                usable = False   # no usable pool here — go serial
-                telemetry.count("pool.unavailable")
-                break
-            if len(remaining) <= 1:
-                break            # a single survivor is cheaper serially
-        if usable and not remaining:
-            return
-        telemetry.count("pool.serial_fallback", len(remaining))
-    for c in remaining:
-        note(c, *simulate_config(c))
+    with ThreadPoolExecutor(1) as host:
+        host.submit(asyncio.run, drive()).result()
 
 
 def run_configs(
@@ -236,27 +189,31 @@ def run_configs(
     *,
     workers: int = 1,
     cache=None,
-    on_result: ResultCallback | None = None,
     retry: RetryPolicy | None = None,
+    engine: str = "event",
+    journal=None,
+    sweep: str = "",
 ) -> list[Row | Exception]:
-    """Simulate ``configs``, returning one outcome per input, in order.
+    """Score ``configs``, returning one outcome per input, in order.
 
     Each outcome is the :class:`Row`, or the exception that config raised.
     ``cache`` may be a plain dict or a
-    :class:`~repro.core.cache.ResultCache`; hits skip dispatch entirely
-    and fresh rows are stored back from the parent process **as each
-    config completes** (so an interrupted sweep keeps its finished rows).
-    ``on_result`` observes every fresh completion (cache hits excluded)
-    in completion order — the journaling hook for resumable sweeps.
-    ``retry`` tunes the pool-resilience policy (see :class:`RetryPolicy`).
+    :class:`~repro.core.cache.ResultCache`; hits (under the engine's
+    :func:`~repro.core.runner.cache_key`) skip dispatch entirely.  Each
+    unique miss is scored once and checkpointed as it completes — its
+    row stored in ``cache``, then its outcome recorded in ``journal``
+    under ``sweep`` — in completion order.
+    ``engine="event"`` misses run serially or, with ``workers > 1``, on
+    a process pool under ``retry`` (see :class:`RetryPolicy`); analytic
+    and ``auto`` misses go to one batched scorer call.
     """
-    policy = retry if retry is not None else RetryPolicy()
     outcomes: list[Row | Exception | None] = [None] * len(configs)
 
     # 1. serve cache hits; collect positions of each unique missing config
     pending: dict[ExperimentConfig, list[int]] = {}
     for i, config in enumerate(configs):
-        row = cache.get(config) if cache is not None else None
+        row = cache.get(cache_key(config, engine)) \
+            if cache is not None else None
         if row is not None:
             outcomes[i] = row
         else:
@@ -265,16 +222,27 @@ def run_configs(
     if not pending:
         return outcomes  # type: ignore[return-value]
 
-    # 2. simulate the unique misses; checkpoint each as it completes
+    # 2. score the unique misses; checkpoint each as it completes
+    event = engine == "event"
+
     def note(config: ExperimentConfig, ok: bool, value: Any) -> None:
-        telemetry.count("sweep.rows_completed" if ok
-                        else "sweep.rows_failed")
-        if ok and cache is not None:
-            cache[config] = value
+        if event:
+            telemetry.count("sweep.rows_completed" if ok
+                            else "sweep.rows_failed")
+        record_completion(cache, journal, sweep, config, engine, ok, value)
         for i in pending[config]:
             outcomes[i] = value
-        if on_result is not None:
-            on_result(config, ok, value)
 
-    _run_unique(list(pending), workers, note, policy)
+    misses = list(pending)
+    if not event:
+        from repro.analytic.engine import score_configs
+
+        telemetry.count("engine.analytic.scored", len(misses))
+        for config, outcome in zip(misses, score_configs(misses)):
+            note(config, not isinstance(outcome, Exception), outcome)
+    elif workers > 1 and len(misses) > 1:
+        _run_on_scheduler(misses, min(workers, len(misses)), note, retry)
+    else:
+        for config in misses:
+            note(config, *simulate_config(config))
     return outcomes  # type: ignore[return-value]

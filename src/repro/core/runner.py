@@ -2,19 +2,22 @@
 
 ``run_config``/``run_sweep`` accept a ``cache`` (a plain dict for
 process-lifetime memoization, or a persistent
-:class:`~repro.core.cache.ResultCache`) and ``run_sweep`` additionally
-accepts ``workers=N`` to fan the sweep out over a process pool (see
-:mod:`repro.core.parallel`).  Parallel execution preserves the exact
-serial row ordering and values.  With a persistent cache, finished rows
-are checkpointed as they complete and ``run_sweep(..., resume=True)``
-restarts an interrupted sweep where it stopped (see
-:mod:`repro.core.journal`).
+:class:`~repro.core.cache.ResultCache`).  ``run_sweep`` gates each
+config, then makes one dispatch call for both engines
+(:func:`repro.core.parallel.run_configs`); ``workers=N`` runs the
+event-engine misses on the process pool of
+:class:`repro.core.scheduler.Scheduler`, with the exact serial row
+ordering and values.  :func:`record_completion` checkpoints every fresh
+completion, whichever path produced it, so with a persistent cache
+``run_sweep(..., resume=True)`` restarts an interrupted sweep where it
+stopped (see :mod:`repro.core.journal`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro import telemetry
@@ -115,53 +118,41 @@ class SweepResult:
         return min(self.rows, key=lambda r: r.elapsed)
 
 
-def _preflight(config: ExperimentConfig, cache) -> None:
-    """Static pre-flight lint before spending simulation time.
+def _gate(kind: str, config: ExperimentConfig, cache,
+          advise: str | None = None) -> None:
+    """Run one static gate on ``config`` before spending simulation time.
 
-    Raises :class:`~repro.errors.LintError` on error-severity findings;
-    a no-op when disabled via ``--no-lint`` / ``REPRO_NO_LINT=1`` (the
-    environment variable travels into sweep worker processes).  When the
-    result cache is persistent, lint verdicts share its directory.
-    """
-    from repro.analysis import analyzer
+    ``kind="lint"`` is the pre-flight lint: it raises
+    :class:`~repro.errors.LintError` on error-severity findings and is a
+    no-op when disabled via ``--no-lint`` / ``REPRO_NO_LINT=1`` (the
+    environment variable travels into sweep worker processes).
 
-    if not analyzer.preflight_enabled():
-        return
-    lint_cache = None
-    directory = getattr(cache, "directory", None)
-    if directory is not None:
-        from repro.analysis.cache import lint_cache_for
-
-        lint_cache = lint_cache_for(directory)
-    t0 = time.perf_counter()
-    try:
-        with telemetry.span("gate.lint", config=config.label()):
-            analyzer.preflight(config, lint_cache)
-    except Exception:
-        telemetry.count("gate.lint.blocked")
-        raise
-    finally:
-        telemetry.observe("gate.lint.seconds", time.perf_counter() - t0)
-
-
-def _advise_preflight(config: ExperimentConfig, cache,
-                      mode: str | None) -> None:
-    """Opt-in static performance gate before spending simulation time.
-
-    ``mode=None`` defers to the global :func:`repro.analysis.advisor.
-    advise_mode` (``REPRO_ADVISE``, worker-propagating); ``"off"`` is a
-    no-op.  ``"warn"`` raises :class:`~repro.errors.AdviseError` on
+    ``kind="advise"`` is the opt-in performance gate.  ``advise=None``
+    defers to the global :func:`repro.analysis.advisor.advise_mode`
+    (``REPRO_ADVISE``, worker-propagating); ``"off"`` is a no-op.
+    ``"warn"`` raises :class:`~repro.errors.AdviseError` on
     error-severity findings (infeasible placements); ``"error"``
-    additionally blocks on warnings.  Unlike the lint gate this runs for
-    every engine — the advisor consumes only the closed-form model, so
-    the analytic path is gated too.
-    """
-    from repro.analysis import advisor
+    additionally blocks on warnings.  Unlike the lint gate it runs for
+    every engine — the advisor consumes only the closed-form model.
 
-    mode = advisor.advise_mode() if mode is None else \
-        advisor.check_mode(mode)
-    if mode == "off":
-        return
+    Both record a ``gate.<kind>`` span, a ``gate.<kind>.seconds``
+    histogram and a ``gate.<kind>.blocked`` count; when the result
+    cache is persistent, verdicts share its directory.
+    """
+    if kind == "lint":
+        from repro.analysis import analyzer
+
+        if not analyzer.preflight_enabled():
+            return
+        check, attrs = analyzer.preflight, {}
+    else:
+        from repro.analysis import advisor
+
+        mode = advisor.advise_mode() if advise is None else \
+            advisor.check_mode(advise)
+        if mode == "off":
+            return
+        check, attrs = partial(advisor.advise_gate, mode=mode), {"mode": mode}
     lint_cache = None
     directory = getattr(cache, "directory", None)
     if directory is not None:
@@ -170,27 +161,41 @@ def _advise_preflight(config: ExperimentConfig, cache,
         lint_cache = lint_cache_for(directory)
     t0 = time.perf_counter()
     try:
-        with telemetry.span("gate.advise", config=config.label(),
-                            mode=mode):
-            advisor.advise_gate(config, lint_cache, mode=mode)
+        with telemetry.span(f"gate.{kind}", config=config.label(), **attrs):
+            check(config, lint_cache)
     except Exception:
-        telemetry.count("gate.advise.blocked")
+        telemetry.count(f"gate.{kind}.blocked")
         raise
     finally:
-        telemetry.observe("gate.advise.seconds", time.perf_counter() - t0)
+        telemetry.observe(f"gate.{kind}.seconds", time.perf_counter() - t0)
 
 
 def cache_key(config: ExperimentConfig, engine: str):
     """Cache key for one config under one engine.
 
     Event rows keep the bare-config key (backward compatible with every
-    cache written before engines existed); analytic rows are tagged so
-    the two scoring paths can never alias in the content-addressed
-    cache.
+    cache written before engines existed); analytic rows (``auto`` rows
+    are analytic rows) are tagged so the two scoring paths can never
+    alias in the content-addressed cache.
     """
     if engine == "event":
         return config
-    return (config, f"engine={engine}")
+    return (config, "engine=analytic")
+
+
+def record_completion(cache, journal, sweep: str, config: ExperimentConfig,
+                      engine: str, ok: bool, value) -> None:
+    """Checkpoint one fresh completion, whichever path produced it.
+
+    A row is stored in ``cache`` under its :func:`cache_key`; the
+    outcome (success or the captured exception) is appended to the
+    sweep ``journal`` that ``resume`` and quarantine consult.  Either
+    may be ``None``.
+    """
+    if ok and cache is not None:
+        cache[cache_key(config, engine)] = value
+    if journal is not None:
+        journal.record(sweep, config, ok, exc=None if ok else value)
 
 
 def run_config(config: ExperimentConfig, cache=None, *,
@@ -246,7 +251,7 @@ def _run_config_impl(config: ExperimentConfig, cache=None, *,
 
     analytic_engine.check_engine(engine)
     telemetry.count(f"engine.pick.{engine}")
-    _advise_preflight(config, cache, advise)
+    _gate("advise", config, cache, advise)
     faulty = fault_plan is not None and not getattr(fault_plan, "empty", False)
     if faulty and engine != "event":
         from repro.errors import ConfigurationError
@@ -274,7 +279,7 @@ def _run_config_impl(config: ExperimentConfig, cache=None, *,
         row = cache.get(config)
         if row is not None:
             return row
-    _preflight(config, cache)
+    _gate("lint", config, cache)
     cluster = catalog.by_name(config.processor, n_nodes=config.n_nodes)
     app = by_name(config.app)
     placement = JobPlacement(
@@ -332,9 +337,10 @@ def run_sweep(name: str, configs: list[ExperimentConfig],
         Optional result cache shared across sweeps (dict or
         :class:`~repro.core.cache.ResultCache`).
     workers:
-        ``> 1`` fans the cache-missing configs out over a process pool;
-        row order and values are identical to the serial run.  ``<= 1``
-        (or an environment without a usable pool) runs serially.
+        ``> 1`` fans the cache-missing event-engine configs out over a
+        process pool; row order and values are identical to the serial
+        run.  ``<= 1`` runs serially in this process; an environment
+        without a usable pool runs in-process too.
     errors:
         ``"raise"`` (default) re-raises the first failing config's
         exception; ``"capture"`` records failures as
@@ -351,7 +357,7 @@ def run_sweep(name: str, configs: list[ExperimentConfig],
         deterministically broken config cannot wedge the restart loop.
     retry:
         Optional :class:`~repro.core.parallel.RetryPolicy` tuning pool
-        resilience (progress timeout, retry attempts, backoff).
+        resilience (per-execution watchdog, retry attempts, backoff).
     engine:
         ``"event"`` (default) simulates each config; ``"analytic"``
         scores the whole sweep in one closed-form batch pass (workers
@@ -408,6 +414,7 @@ def _run_sweep_impl(name: str, configs: list[ExperimentConfig],
     from repro.analytic import engine as analytic_engine
     from repro.core.journal import SweepJournal
     from repro.core.parallel import SweepError, run_configs
+    from repro.errors import AdviseError
 
     journal = SweepJournal.for_cache(cache)
     if resume and journal is None:
@@ -419,33 +426,16 @@ def _run_sweep_impl(name: str, configs: list[ExperimentConfig],
         )
 
     quarantine: dict[ExperimentConfig, SweepError] = {}
-    if resume:
-        for config in configs:
-            if config in quarantine:
-                continue
-            entry = journal.quarantined(name, config, QUARANTINE_AFTER)
-            if entry is not None:
-                quarantine[config] = SweepError(
-                    config=config,
-                    error=entry["error"] or "Quarantined",
-                    message=(entry["message"] or "repeated failure")
-                    + f" (quarantined after {entry['fails']} attempts)",
-                    worker_pid=entry["pid"],
-                    attempts=entry["fails"],
-                )
-
-    def note(config: ExperimentConfig, ok: bool, value) -> None:
-        if journal is not None:
-            journal.record(name, config, ok,
-                           exc=None if ok else value)
-
-    from repro.errors import AdviseError
-
     for config in configs:
         if config in quarantine:
             continue
+        entry = journal.quarantined(name, config, QUARANTINE_AFTER) \
+            if resume else None
+        if entry is not None:
+            quarantine[config] = SweepError.from_quarantine(config, entry)
+            continue
         try:
-            _advise_preflight(config, cache, advise)
+            _gate("advise", config, cache, advise)
         except AdviseError as exc:
             if errors == "raise":
                 raise
@@ -456,12 +446,9 @@ def _run_sweep_impl(name: str, configs: list[ExperimentConfig],
     to_run = [c for c in configs if c not in quarantine]
     with telemetry.span("dispatch", engine=engine, configs=len(to_run),
                         workers=workers):
-        if engine == "event":
-            outcome_list = run_configs(to_run, workers=workers,
-                                       cache=cache, on_result=note,
-                                       retry=retry)
-        else:
-            outcome_list = _score_analytic(to_run, cache, note)
+        outcome_list = run_configs(to_run, workers=workers, cache=cache,
+                                   retry=retry, engine=engine,
+                                   journal=journal, sweep=name)
     outcomes = iter(outcome_list)
     sweep = SweepResult(name)
     aligned: list = []
@@ -485,34 +472,3 @@ def _run_sweep_impl(name: str, configs: list[ExperimentConfig],
         with telemetry.span("cross-validate", configs=len(configs)):
             analytic_engine.cross_validate(name, configs, aligned, cache)
     return sweep
-
-
-def _score_analytic(configs: list[ExperimentConfig], cache,
-                    note) -> list:
-    """Batch-score configs analytically, honoring the cache + journal.
-
-    Returns one :class:`Row` or Exception per config, in order.  Cached
-    rows (under their engine-tagged keys) are served without scoring;
-    only the misses enter the batch pass.
-    """
-    from repro.analytic import engine as analytic_engine
-
-    outcomes: list = [None] * len(configs)
-    misses: list[tuple[int, ExperimentConfig]] = []
-    for i, config in enumerate(configs):
-        key = cache_key(config, "analytic")
-        row = cache.get(key) if cache is not None else None
-        if row is not None:
-            outcomes[i] = row
-        else:
-            misses.append((i, config))
-    if misses:
-        telemetry.count("engine.analytic.scored", len(misses))
-        scored = analytic_engine.score_configs([c for _, c in misses])
-        for (i, config), outcome in zip(misses, scored):
-            outcomes[i] = outcome
-            ok = not isinstance(outcome, Exception)
-            if ok and cache is not None:
-                cache[cache_key(config, "analytic")] = outcome
-            note(config, ok, outcome)
-    return outcomes

@@ -23,7 +23,8 @@ sweep jobs over a local unix socket; the server
 
 Layers: :mod:`.protocol` (wire frames), :mod:`.jobs` (specs, state
 machine, ledger), :mod:`.fairshare` (weighted fair-share run-slot
-queue), :mod:`.scheduler` (dedup/batch/shard execution),
+queue), :mod:`repro.core.scheduler` (dedup/batch/shard execution,
+shared with parallel library sweeps),
 :mod:`.server` (the asyncio daemon), :mod:`.client` (blocking SDK).
 """
 

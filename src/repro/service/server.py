@@ -1,7 +1,7 @@
 """The sweep service daemon: asyncio unix-socket server for sweep jobs.
 
 One :class:`SweepService` owns one socket, one
-:class:`~repro.service.scheduler.Scheduler` (dedup + worker pool), one
+:class:`~repro.core.scheduler.Scheduler` (dedup + worker pool), one
 :class:`~repro.service.jobs.JobLedger`, and a registry of jobs.  Each
 client connection is a coroutine speaking :mod:`repro.service.protocol`
 frames; each job is a coroutine streaming per-row events to any number
@@ -34,6 +34,7 @@ share it.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import signal
 import threading
@@ -47,6 +48,7 @@ from repro import telemetry
 from repro.core.experiment import ExperimentConfig
 from repro.core.parallel import RetryPolicy, SweepError
 from repro.core.runner import Row
+from repro.core.scheduler import Scheduler
 from repro.errors import ProtocolError, ServiceError
 from repro.service import protocol
 from repro.service.client import default_socket_path
@@ -63,7 +65,6 @@ from repro.service.jobs import (
     JobSpec,
     new_job_id,
 )
-from repro.service.scheduler import Scheduler
 from repro.telemetry.run import RunContext
 
 #: Environment override for the admission cap (``repro serve`` flag
@@ -117,8 +118,9 @@ class SweepService:
         failed + journaled so quarantine accrues.  ``None`` disables
         the watchdog.
     retry:
-        :class:`~repro.core.parallel.RetryPolicy` for watchdog
-        retries (default: the PR-4 policy defaults).
+        :class:`~repro.core.parallel.RetryPolicy` bounding watchdog
+        retries (attempts, backoff); ``exec_timeout_s`` replaces its
+        ``timeout_s``.
     results_dir:
         Telemetry results root for per-job run directories (default:
         the usual ``$REPRO_RESULTS_DIR`` / ``./results`` resolution).
@@ -146,9 +148,11 @@ class SweepService:
         self.results_dir = Path(results_dir) if results_dir is not None \
             else None
         self.drain_timeout_s = drain_timeout_s
-        self.scheduler = Scheduler(cache, workers=workers,
-                                   exec_timeout_s=exec_timeout_s,
-                                   retry=retry, simulate_fn=simulate_fn)
+        self.scheduler = Scheduler(
+            cache, workers=workers, start_method="spawn",
+            retry=dataclasses.replace(retry or RetryPolicy(),
+                                      timeout_s=exec_timeout_s),
+            simulate_fn=simulate_fn)
         self.ledger = JobLedger.for_cache(cache)
         self.jobs: dict[str, JobRecord] = {}
         self.draining = False
@@ -546,19 +550,12 @@ class SweepService:
             if entry is not None:
                 job.n_failed += 1
                 job.n_quarantined += 1
-                message = ((entry["message"] or "repeated failure")
-                           + f" (quarantined after {entry['fails']} "
-                             f"attempts)")
-                errors.append(SweepError(
-                    config=config,
-                    error=entry["error"] or "Quarantined",
-                    message=message, worker_pid=entry["pid"],
-                    attempts=int(entry["fails"])))
+                err = SweepError.from_quarantine(config, entry)
+                errors.append(err)
                 if run_ctx is not None:
                     run_ctx.metrics.count("service.quarantined")
                 await self._publish(job, protocol.row_error_frame(
-                    i, entry["error"] or "Quarantined", message,
-                    quarantined=True))
+                    i, err.error, err.message, quarantined=True))
             else:
                 runnable.append((i, config))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from pathlib import Path
+from threading import get_ident
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -35,16 +36,22 @@ ENV_RESULTS_DIR = "REPRO_RESULTS_DIR"
 
 _OFF_VALUES = frozenset({"off", "0", "no", "false"})
 
-#: Suppression depth: > 0 silences telemetry regardless of the
-#: environment (worker processes, ``repro reproduce`` replays).
+#: Process-wide suppression: > 0 silences telemetry regardless of the
+#: environment (pool worker processes, see :func:`suppress_in_worker`).
 _suppressed = 0
+
+#: Thread id -> depth of :func:`suppressed` blocks open on that thread.
+#: Empty on every hot path that suppresses nothing, so the check stays
+#: one module-global read.
+_suppressed_threads: dict[int, int] = {}
 
 _active: "RunContext | None" = None
 
 
 def enabled() -> bool:
-    """Is telemetry recording anything in this process right now?"""
-    if _suppressed:
+    """Is telemetry recording anything on this thread right now?"""
+    if _suppressed or (_suppressed_threads
+                       and get_ident() in _suppressed_threads):
         return False
     return os.environ.get(ENV_TELEMETRY, "").strip().lower() \
         not in _OFF_VALUES
@@ -77,7 +84,8 @@ def runs_root(results_dir: str | Path | None = None) -> Path:
 
 def current_run() -> "RunContext | None":
     """The active run, or ``None`` (disabled, suppressed, or no run)."""
-    if _suppressed:
+    if _suppressed or (_suppressed_threads
+                       and get_ident() in _suppressed_threads):
         return None
     return _active
 
@@ -102,14 +110,21 @@ def deactivate(ctx: "RunContext") -> None:
 
 @contextmanager
 def suppressed() -> Iterator[None]:
-    """Silence telemetry for a block (used by ``repro reproduce`` so a
-    replay never records itself into the run it is checking)."""
-    global _suppressed
-    _suppressed += 1
+    """Silence telemetry on the calling thread for a block (used by
+    ``repro reproduce`` so a replay never records itself into the run
+    it is checking, and by the scheduler's worker threads).
+
+    Other threads keep recording: a sweep's loop thread still counts
+    its completions while a fallback thread simulates silently.
+    """
+    tid = get_ident()
+    _suppressed_threads[tid] = _suppressed_threads.get(tid, 0) + 1
     try:
         yield
     finally:
-        _suppressed -= 1
+        depth = _suppressed_threads.pop(tid) - 1
+        if depth:
+            _suppressed_threads[tid] = depth
 
 
 def suppress_in_worker() -> None:

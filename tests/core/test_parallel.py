@@ -5,8 +5,13 @@ indistinguishable from the serial run — same rows, same order, same
 bytes — for any config list, including duplicates and shuffles.
 """
 
+import asyncio
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +54,8 @@ def _canon(row) -> bytes:
 
 
 class TestParallelIdentity:
-    def test_parallel_rows_byte_identical_to_serial(self):
+    @pytest.mark.parametrize("engine", ["event", "analytic"])
+    def test_parallel_rows_byte_identical_to_serial(self, engine):
         """Property: for seeded shuffles/duplications of a mixed F1+F2
         list, workers=4 reproduces the serial rows byte-for-byte."""
         rng = random.Random(20210907)
@@ -59,8 +65,8 @@ class TestParallelIdentity:
             rng.shuffle(configs)
             # duplicate a few points — dedup must fan results back out
             configs += rng.sample(configs, k=3)
-            serial = run_sweep("s", configs)
-            parallel = run_sweep("s", configs, workers=4)
+            serial = run_sweep("s", configs, engine=engine)
+            parallel = run_sweep("s", configs, workers=4, engine=engine)
             assert serial.rows == parallel.rows
             # canonical-serialization bytes: identical config, order, and
             # every float bit (pickle bytes would differ on string
@@ -95,6 +101,37 @@ class TestParallelIdentity:
         configs = mixed_configs()[:3]
         sweep = run_sweep("fallback", configs, workers=4)
         assert len(sweep.rows) == 3
+
+    def test_parallel_sweep_inside_running_loop(self):
+        """A notebook already runs an event loop on the calling thread;
+        a parallel sweep must still work there."""
+        configs = mixed_configs()[:3]
+
+        async def in_notebook():
+            return run_sweep("nb", configs, workers=2)
+
+        assert asyncio.run(in_notebook()).rows == \
+            run_sweep("nb", configs).rows
+
+    def test_serial_and_analytic_sweeps_leave_asyncio_unimported(
+            self, tmp_path):
+        """Only a parallel event sweep pays for the event loop."""
+        code = (
+            "import sys\n"
+            "from repro.core.experiment import ExperimentConfig\n"
+            "from repro.core.runner import run_sweep\n"
+            "cs = [ExperimentConfig(app='ffvc', n_ranks=1, n_threads=t)\n"
+            "      for t in (1, 2)]\n"
+            "run_sweep('serial', cs, workers=1)\n"
+            "run_sweep('analytic', cs, workers=2, engine='analytic')\n"
+            "print('asyncio' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1

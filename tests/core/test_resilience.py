@@ -7,6 +7,7 @@ identical to the uninterrupted run.
 
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -86,28 +87,41 @@ class TestErrorDiagnostics:
         assert err.details() == str(err)
 
 
+class _RecordingJournal:
+    """Stands in for a SweepJournal: remembers each recorded completion."""
+
+    def __init__(self, on_record=None):
+        self.seen = []
+        self.on_record = on_record
+
+    def record(self, sweep, config, ok, exc=None):
+        self.seen.append((config, ok))
+        if self.on_record is not None:
+            self.on_record()
+
+
 class TestOnResultCallback:
+    """Every fresh completion is checkpointed, in completion order."""
+
     def test_fresh_completions_reported_in_completion_order(self):
-        seen = []
-        run_configs(CONFIGS[:3], cache=None,
-                    on_result=lambda c, ok, v: seen.append((c, ok)))
-        assert [c for c, _ in seen] == CONFIGS[:3]
-        assert all(ok for _, ok in seen)
+        journal = _RecordingJournal()
+        run_configs(CONFIGS[:3], cache=None, journal=journal)
+        assert [c for c, _ in journal.seen] == CONFIGS[:3]
+        assert all(ok for _, ok in journal.seen)
 
     def test_cache_hits_not_reported(self):
         memo = {}
         run_configs(CONFIGS[:2], cache=memo)
-        seen = []
-        run_configs(CONFIGS[:2], cache=memo,
-                    on_result=lambda c, ok, v: seen.append(c))
-        assert seen == []
+        journal = _RecordingJournal()
+        run_configs(CONFIGS[:2], cache=memo, journal=journal)
+        assert journal.seen == []
 
     def test_rows_checkpointed_into_cache_at_completion(self):
         memo = {}
         sizes = []
-        run_configs(CONFIGS[:3], cache=memo,
-                    on_result=lambda c, ok, v: sizes.append(len(memo)))
-        # by the time each completion is observed, its row is cached
+        run_configs(CONFIGS[:3], cache=memo, journal=_RecordingJournal(
+            on_record=lambda: sizes.append(len(memo))))
+        # by the time each completion is journaled, its row is cached
         assert sizes == [1, 2, 3]
 
 
@@ -115,7 +129,8 @@ class TestWorkerCrashRecovery:
     @fork_only
     def test_broken_pool_recovers_all_rows(self, tmp_path, monkeypatch):
         """A worker hard-killed mid-sweep (BrokenProcessPool) loses only
-        its in-flight config; retries recover every row."""
+        the pool: the rest of the sweep runs in-process, every row
+        identical to the serial run."""
         marker = tmp_path / "crashed-once"
         real = par.run_config
 
@@ -127,23 +142,17 @@ class TestWorkerCrashRecovery:
 
         monkeypatch.setattr(par, "run_config", flaky)
         out = par.run_configs(CONFIGS, workers=2, retry=FAST)
-        assert all(isinstance(o, Row) for o in out)
         assert marker.exists()
+        assert out == par.run_configs(CONFIGS)
 
     @fork_only
     def test_persistently_crashing_worker_exhausts_to_serial(
             self, monkeypatch):
-        """A config that always kills its worker ends up re-dispatched
-        serially in the parent — where its os._exit would kill the test
-        process, so the serial fallback must be reached with the *real*
-        function. We verify by counting pool passes."""
+        """A config that kills every worker it lands on still yields its
+        row: after the first crash nothing is sent to a pool again, and
+        the in-process fallback (where the crash does not fire) runs it
+        with the real function."""
         real = par.run_config
-        passes = []
-        real_pass = par._one_pool_pass
-
-        def counting_pass(configs, workers, note, policy):
-            passes.append(len(configs))
-            return real_pass(configs, workers, note, policy)
 
         def flaky(config):
             # crash only in workers (parent pid differs)
@@ -153,11 +162,54 @@ class TestWorkerCrashRecovery:
 
         parent = os.getpid()
         monkeypatch.setattr(par, "run_config", flaky)
-        monkeypatch.setattr(par, "_one_pool_pass", counting_pass)
         out = par.run_configs(CONFIGS, workers=2, retry=FAST)
         assert all(isinstance(o, Row) for o in out)
-        assert len(passes) >= 2          # pool retried before going serial
-        assert passes[0] == len(CONFIGS)
+        assert [o.config for o in out] == CONFIGS
+
+    @fork_only
+    def test_stalled_worker_is_recycled_and_sweep_completes(
+            self, tmp_path, monkeypatch):
+        """A worker that stops making progress trips the per-execution
+        watchdog (``RetryPolicy.timeout_s``): the pool is recycled and
+        the config retried on a fresh one."""
+        attempts = tmp_path / "attempts"
+        real = par.run_config
+
+        def stall_once(config):
+            if config.n_threads == 3:
+                with open(attempts, "a") as fh:
+                    fh.write("x")
+                if attempts.read_text() == "x":
+                    time.sleep(4.0)    # first attempt: a wedged worker
+            return real(config)
+
+        monkeypatch.setattr(par, "run_config", stall_once)
+        policy = RetryPolicy(max_attempts=3, backoff_s=0.01, timeout_s=1.0)
+        t0 = time.perf_counter()
+        out = par.run_configs(CONFIGS, workers=2, retry=policy)
+        assert time.perf_counter() - t0 < 4.0   # did not wait out the stall
+        assert attempts.read_text() == "xx"     # killed once, retried once
+        assert out == par.run_configs(CONFIGS)
+
+    @fork_only
+    def test_interrupt_propagates_and_keeps_finished_rows(
+            self, tmp_path, monkeypatch):
+        """A KeyboardInterrupt during a parallel sweep propagates, and
+        every row finished before it stays checkpointed in the cache."""
+        real = par.run_config
+
+        def interrupt_last(config):
+            if config.n_threads == 4:
+                time.sleep(1.0)    # let the other three finish first
+                raise KeyboardInterrupt
+            return real(config)
+
+        monkeypatch.setattr(par, "run_config", interrupt_last)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep("ki", list(CONFIGS), ResultCache(tmp_path),
+                      workers=2)
+        survivors = ResultCache(tmp_path)
+        assert [c in survivors for c in CONFIGS] == [True] * 3 + [False]
 
 
 class TestJournal:

@@ -1,6 +1,7 @@
 """Tests for RunContext / run_scope: recording, nesting, resume."""
 
 import json
+import threading
 
 import pytest
 
@@ -88,6 +89,69 @@ class TestRecording:
         with state.suppressed():
             run_sweep("dark", CFGS, {}, engine="analytic")
         assert not (results_dir / "runs").exists()
+
+    def test_suppression_is_scoped_to_its_thread(self, results_dir):
+        """A thread inside ``suppressed()`` (a scheduler fallback
+        worker) must not silence the counts another thread records into
+        the active run at the same time."""
+        from repro.telemetry import state
+
+        inside, release = threading.Event(), threading.Event()
+
+        def quiet_worker():
+            with state.suppressed():
+                telemetry.count("probe.dropped")
+                inside.set()
+                release.wait(10.0)
+
+        worker = threading.Thread(target=quiet_worker)
+        with telemetry.run_scope(kind="sweep", name="threads",
+                                 configs=CFGS, engine="analytic"):
+            worker.start()
+            assert inside.wait(10.0)
+            telemetry.count("probe.counted")
+            assert telemetry.enabled()
+            release.set()
+            worker.join(10.0)
+        assert not worker.is_alive()
+        aggs, _ = read_metrics(_only_run_dir(results_dir) / "metrics.jsonl")
+        assert aggs["probe.counted"].total == 1
+        assert "probe.dropped" not in aggs
+
+    def test_suppression_depth_survives_thread_contention(self,
+                                                          results_dir):
+        """Many threads nesting ``suppressed()`` at once: each sees only
+        its own depth, and every depth unwinds to nothing."""
+        import sys
+
+        from repro.telemetry import state
+
+        wrong = []
+
+        def churn():
+            for _ in range(200):
+                with state.suppressed():
+                    with state.suppressed():
+                        if state.enabled():
+                            wrong.append("inner block recording")
+                    if state.enabled():
+                        wrong.append("outer block recording")
+                if not state.enabled():
+                    wrong.append("still silenced after both blocks")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert state._suppressed_threads == {}
 
 
 class TestResume:
