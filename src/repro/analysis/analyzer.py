@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.analysis import checks
 from repro.analysis.deadlock import find_deadlocks
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
-from repro.analysis.trace import DEFAULT_MAX_OPS, trace_program
+from repro.analysis.trace import DEFAULT_MAX_OPS, ProgramTrace, trace_program
 from repro.errors import LintError, ReproError
 from repro.runtime.executor import Job
 
@@ -55,6 +55,16 @@ def analyze_program(factory: Callable[[int, int], Iterator],
     network's threshold (as :func:`analyze_job` does) to permit
     eager-buffered cyclic sends exactly where the runtime does.
     """
+    return _analyze_program(factory, n_ranks, communicators,
+                            eager_threshold, subject, max_ops)[0]
+
+
+def _analyze_program(factory: Callable[[int, int], Iterator],
+                     n_ranks: int,
+                     communicators: dict[str, tuple[int, ...]] | None,
+                     eager_threshold: float, subject: str, max_ops: int,
+                     ) -> tuple[DiagnosticReport, dict[int, ProgramTrace]]:
+    """:func:`analyze_program`, also returning the traces it built."""
     report = DiagnosticReport(subject)
     comms: dict[str, tuple[int, ...]] = {"world": tuple(range(n_ranks))}
     for name, members in (communicators or {}).items():
@@ -81,27 +91,25 @@ def analyze_program(factory: Callable[[int, int], Iterator],
         # running it after structural errors would only cascade noise
         report.extend(find_deadlocks(
             traces, eager_threshold=eager_threshold, communicators=comms))
-    return report
+    return report, traces
 
 
 def analyze_job(job: Job,
                 max_ops: int = DEFAULT_MAX_OPS) -> DiagnosticReport:
     """Statically check an assembled job against its own cluster."""
-    report = analyze_program(
-        job.program, job.placement.n_ranks,
-        communicators=job.communicators,
-        eager_threshold=float(
-            job.cluster.network.rendezvous_threshold_bytes),
-        subject=job.name, max_ops=max_ops,
+    report, traces = _analyze_program(
+        job.program, job.placement.n_ranks, job.communicators,
+        float(job.cluster.network.rendezvous_threshold_bytes),
+        job.name, max_ops,
     )
-    report.extend(_check_kernel_refs(job))
+    report.extend(_check_kernel_refs(job, traces))
     return report
 
 
-def _check_kernel_refs(job: Job) -> list[Diagnostic]:
+def _check_kernel_refs(job: Job, traces: dict[int, ProgramTrace],
+                       ) -> list[Diagnostic]:
     """Every Compute must name a registered kernel (the runtime fails
     mid-run with SimulationError; the analyzer fails before it)."""
-    from repro.analysis.trace import trace_rank
     from repro.runtime import program as ops
 
     known = set(job.kernels)
@@ -109,8 +117,7 @@ def _check_kernel_refs(job: Job) -> list[Diagnostic]:
     seen: set[str] = set()
     n = job.placement.n_ranks
     for rank in (0, n - 1) if n > 1 else (0,):
-        trace = trace_rank(job.program, rank, n)
-        for rec in trace.ops:
+        for rec in traces[rank].ops:
             if isinstance(rec.op, ops.Compute) and \
                     rec.op.kernel not in known and \
                     rec.op.kernel not in seen:

@@ -19,7 +19,7 @@ from repro.machine.topology import Cluster
 from repro.runtime import program as ops
 from repro.runtime.event import Engine
 from repro.runtime.mpi import Request, SimMPI
-from repro.runtime.openmp import DATA_POLICIES, region_time
+from repro.runtime.openmp import DATA_POLICIES, RegionTiming, region_time
 from repro.runtime.placement import JobPlacement
 from repro.runtime.trace import RankTrace
 
@@ -360,7 +360,7 @@ class _Executor:
 
     __slots__ = ("job", "placement", "engine", "mpi", "compiled",
                  "total_flops", "total_dram_bytes", "_storage_busy",
-                 "io_bytes", "perf", "faults")
+                 "io_bytes", "perf", "faults", "regions", "n_regions")
 
     def __init__(self, job: Job) -> None:
         self.job = job
@@ -381,6 +381,10 @@ class _Executor:
         self.total_dram_bytes = 0.0
         self._storage_busy = 0.0
         self.io_bytes = 0.0
+        #: (rank, op) -> unscaled timing.  Exact: the cluster, placement,
+        #: data policy and compiled kernels are fixed for the run.
+        self.regions: dict[tuple[int, ops.Compute], RegionTiming] = {}
+        self.n_regions = 0
 
     def storage_transfer(self, size_bytes: float) -> float:
         """Completion time of one file transfer started now.
@@ -396,23 +400,27 @@ class _Executor:
         return max(now + spec.transfer_seconds(size_bytes),
                    self._storage_busy + spec.open_latency_s)
 
-    def time_compute(self, rank: int, op: ops.Compute):
-        try:
-            ck = self.compiled[op.kernel]
-        except KeyError:
-            raise SimulationError(
-                f"rank {rank} references unregistered kernel {op.kernel!r}; "
-                f"known: {sorted(self.compiled)}"
-            ) from None
-        timing = region_time(
-            ck,
-            op,
-            self.placement.thread_cores(rank),
-            self.job.cluster,
-            self.placement.threads_per_domain,
-            self.placement.home_domain(rank),
-            self.job.data_policy,
-        )
+    def time_compute(self, rank: int, op: ops.Compute) -> RegionTiming:
+        self.n_regions += 1
+        timing = self.regions.get((rank, op))
+        if timing is None:
+            try:
+                ck = self.compiled[op.kernel]
+            except KeyError:
+                raise SimulationError(
+                    f"rank {rank} references unregistered kernel "
+                    f"{op.kernel!r}; known: {sorted(self.compiled)}"
+                ) from None
+            timing = self.regions[(rank, op)] = region_time(
+                ck,
+                op,
+                self.placement.thread_cores(rank),
+                self.job.cluster,
+                self.placement.threads_per_domain,
+                self.placement.home_domain(rank),
+                self.job.data_policy,
+            )
+        # Slowdowns apply per call: a straggler window opens mid-run.
         if self.job.node_slowdown:
             factor = self.job.node_slowdown.get(
                 self.placement.node_of(rank), 1.0)
@@ -476,6 +484,8 @@ def run_job(job: Job) -> RunResult:
     from repro import telemetry
 
     telemetry.count("executor.jobs")
+    telemetry.count("executor.regions", ex.n_regions)
+    telemetry.count("executor.region_hits", ex.n_regions - len(ex.regions))
     if failed or stalled:
         telemetry.count("executor.degraded")
 

@@ -13,6 +13,7 @@ The load-bearing properties:
 """
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.faults import CrashRank, FaultPlan, MessageFault, Straggler
 from repro.kernels import presets
 from repro.machine import catalog
+from repro.perf.profile import NullSink
 from repro.runtime import (
     Allreduce,
     Compute,
@@ -35,11 +37,11 @@ KERNELS = {"triad": presets.stream_triad()}
 N_RANKS = 4
 
 
-def ring_program(rank, size):
+def ring_program(rank, size, iterations=3):
     """Compute + ring halo exchange + allreduce, a few iterations."""
     right = (rank + 1) % size
     left = (rank - 1) % size
-    for _ in range(3):
+    for _ in range(iterations):
         yield Compute("triad", iters=500_000)
         if rank % 2 == 0:
             yield Send(dst=right, tag=0, size_bytes=4096)
@@ -50,11 +52,11 @@ def ring_program(rank, size):
         yield Allreduce(size_bytes=8)
 
 
-def make_job(plan=None, perf_sink=None):
+def make_job(plan=None, perf_sink=None, program=ring_program):
     cluster = catalog.a64fx()
     pl = JobPlacement(cluster, N_RANKS, 2)
     return Job(cluster=cluster, placement=pl, kernels=KERNELS,
-               program=ring_program, options=PRESETS["kfast"],
+               program=program, options=PRESETS["kfast"],
                fault_plan=plan, perf_sink=perf_sink)
 
 
@@ -123,6 +125,38 @@ class TestStraggler:
             Straggler(0, 3.0, start=baseline.elapsed * 10),))))
         assert signature(res)[:5] == signature(baseline)[:5]
         assert res.fault_stats.straggled_regions == 0
+
+    def test_window_opening_mid_run_scales_only_later_regions(self):
+        """The executor reuses one timing per (rank, op) within a run,
+        so the straggler factor must apply per call, on the unscaled
+        timing: rank 0's regions before ``start`` keep their baseline
+        duration exactly, and every one at or after it takes exactly
+        twice as long (not 4x, 8x, ... as a memo of scaled timings
+        would make the later repeats)."""
+
+        class Regions(NullSink):
+            def __init__(self):
+                self.rank0 = []          # (start, seconds) per region
+
+            def on_compute(self, rank, op, timing, ck, start):
+                if rank == 0:
+                    self.rank0.append((start, timing.seconds))
+
+        program = functools.partial(ring_program, iterations=8)
+        before, after = Regions(), Regions()
+        baseline = run_job(make_job(perf_sink=before, program=program))
+        start = baseline.elapsed / 2
+        res = run_job(make_job(
+            FaultPlan(stragglers=(Straggler(0, 2.0, start=start),)),
+            perf_sink=after, program=program))
+
+        assert len(after.rank0) == len(before.rank0)
+        late = [t0 >= start for t0, _ in after.rank0]
+        assert sum(late) >= 2 and not all(late)
+        for (_, base), (_, got), is_late in zip(before.rank0, after.rank0,
+                                                late):
+            assert got == (base * 2.0 if is_late else base)
+        assert res.fault_stats.straggled_regions == sum(late)
 
 
 class TestCrash:
