@@ -159,10 +159,10 @@ def _advise_fresh(config: ExperimentConfig) -> DiagnosticReport:
         ))
         return report
     try:
-        placement = analytic._placement(
+        placement = analytic._placement_table(
             config.processor, config.n_nodes, config.n_ranks,
             config.n_threads, config.allocation, config.binding,
-        )
+        ).placement
     except PlacementError as exc:
         report.add(Diagnostic(
             check="perf-placement-infeasible", severity="error",

@@ -3,9 +3,10 @@
 ``repro.analytic`` scores sweep configurations without discrete-event
 simulation: rank programs are summarized into placement-independent
 :class:`~repro.analytic.profile.AppProfile` objects (closed-form per-app
-arithmetic, with symbolic replay as the fallback/oracle), and a single
-NumPy pass applies the ECM roofline plus analytic communication terms to
-every (config x processor) point of a batch.  See DESIGN.md ("Engine
+arithmetic, with symbolic replay as the fallback/oracle), and the scorer
+applies the ECM roofline plus analytic communication terms to every
+config of a batch from memo tables keyed by kernel set and by placement,
+so a design grid pays for each placement once.  See DESIGN.md ("Engine
 selection") for the model's assumptions and known divergences.
 """
 

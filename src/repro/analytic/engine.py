@@ -1,15 +1,16 @@
 """Batched closed-form scoring of sweep configurations.
 
 Instead of replaying rank programs event by event, the analytic engine
-scores a whole batch of configurations in one NumPy array pass:
+scores each config of a batch from memo tables:
 
-1. every config is *compiled to entries* — one entry per (rank class,
-   compute group, thread context), carrying the per-iteration resource
-   times the ECM model (:func:`repro.kernels.timing.phase_time`) assigns
-   on that context's NUMA domain;
-2. a single vectorized pass applies the roofline
-   ``T_iter = max(T_compute, T_L1, T_L2, T_DRAM) + T_gather_latency``
-   across all entries of all configs at once;
+1. **placement tables** (:class:`_PlacementTable`) — per rank, the
+   thread count and the NUMA contexts its threads occupy with their
+   bandwidth shares, and the communicator profiles: everything that
+   depends only on the placement, shared by every app, data set and
+   preset scored on it;
+2. **group criticals** (:func:`_group_critical`) — the slowest context
+   of one compute group under the roofline
+   ``T_iter = max(T_compute, T_L1, T_L2, T_DRAM) + T_gather_latency``;
 3. per-group worst-context folds, the analytic communication terms
    (LogGP collectives via :func:`repro.runtime.collectives.collective_time`,
    point-to-point waits via :meth:`Cluster.transfer_time`), and the
@@ -25,7 +26,7 @@ arrival skew at synchronization points, and storage contention between
 ranks.  Those need ``engine="event"`` (see DESIGN.md).
 
 Determinism: scoring is pure float arithmetic over deterministically
-ordered profiles, so repeated runs are bit-identical.
+ordered profiles, summed left to right, so repeated runs are bit-identical.
 
 Assumes homogeneous nodes (every NUMA domain identical), which the
 placement layer already enforces and every cataloged cluster satisfies:
@@ -40,10 +41,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
-import numpy as np
-
 from repro import telemetry
-from repro.analytic.profile import AppProfile, RankClass
+from repro.analytic.profile import AppProfile, ComputeGroup, RankClass
 from repro.compile.compiler import CompiledKernel, Compiler
 from repro.compile.options import PRESETS
 from repro.core.experiment import ExperimentConfig
@@ -51,11 +50,15 @@ from repro.core.runner import Row
 from repro.errors import ConfigurationError, EngineDisagreement, SimulationError
 from repro.kernels.timing import phase_time
 from repro.machine import catalog
-from repro.machine.numa import NumaDomain
 from repro.machine.topology import Cluster
 from repro.miniapps import by_name
 from repro.runtime import program as ops
-from repro.runtime.collectives import collective_time, profile_communicator
+from repro.runtime.affinity import ProcessAllocation, ThreadBinding
+from repro.runtime.collectives import (
+    CommProfile,
+    collective_time,
+    profile_communicator,
+)
 from repro.runtime.openmp import _thread_iters, fork_join_overhead
 from repro.runtime.placement import JobPlacement
 
@@ -101,16 +104,19 @@ def check_engine(engine: str) -> str:
 # ----------------------------------------------------------------------
 # memoized model inputs (all keyed on hashable config fields)
 # ----------------------------------------------------------------------
+#: One NUMA context of a rank's threads: ``(L2 working-set shrink,
+#: l2_share, mem_share)``.
+Context = tuple[float, float, float]
+#: A rank's thread count and its NUMA contexts, in domain order.
+RankContexts = tuple[int, tuple[Context, ...]]
+#: The critical context of one compute group: ``(t_iter, DRAM bytes per
+#: iteration there, flops per iteration, context index)``.
+Critical = tuple[float, float, float, int]
+
+
 @lru_cache(maxsize=64)
 def _cluster(processor: str, n_nodes: int) -> Cluster:
     return catalog.by_name(processor, n_nodes=n_nodes)
-
-
-@lru_cache(maxsize=1024)
-def _placement(processor: str, n_nodes: int, n_ranks: int, n_threads: int,
-               allocation: str, binding: str) -> JobPlacement:
-    return JobPlacement(_cluster(processor, n_nodes), n_ranks, n_threads,
-                        allocation=allocation, binding=binding)
 
 
 @lru_cache(maxsize=256)
@@ -173,62 +179,163 @@ def _phase_consts(app: str, dataset: str, preset: str, processor: str,
             pt.dram_bytes, pt.flops)
 
 
+@lru_cache(maxsize=1024)
+def _interned(value: RankContexts) -> RankContexts:
+    """One shared copy per distinct value: a design grid has thousands of
+    rank-context entries but a few dozen distinct values."""
+    return value
+
+
+class _PlacementTable:
+    """Placement-only terms of one ``(processor, n_nodes, n_ranks,
+    n_threads, allocation, binding)`` point.
+
+    Filled on first use and shared by every app, data set and preset
+    scored on the placement: rank contexts keyed by ``(data_policy,
+    rep_rank, serial)`` and communicator profiles keyed by the member
+    ranks.  Both are bounded by the placement's size and go with the
+    table when :func:`_placement_table` evicts it.
+    """
+
+    __slots__ = ("cluster", "placement", "_contexts", "_comm_profiles")
+
+    def __init__(self, cluster: Cluster, placement: JobPlacement) -> None:
+        self.cluster = cluster
+        self.placement = placement
+        self._contexts: dict[tuple[str, int, bool], RankContexts] = {}
+        self._comm_profiles: dict[tuple[int, ...], CommProfile] = {}
+
+    def contexts(self, data_policy: str, rep_rank: int,
+                 serial: bool) -> RankContexts:
+        """Thread count and NUMA contexts of one rank's region threads
+        (the master thread only for a ``serial`` region)."""
+        key = (data_policy, rep_rank, serial)
+        hit = self._contexts.get(key)
+        if hit is not None:
+            return hit
+        cluster, placement = self.cluster, self.placement
+        census = placement.threads_per_domain
+        addrs = placement.thread_cores(rep_rank)
+        if serial:
+            addrs = addrs[:1]
+        home_key = placement.home_domain(rep_rank)
+        home_bw = cluster.node.chips[home_key[1]].domains[home_key[2]] \
+            .memory.per_stream_bandwidth(max(1, census.get(home_key, 1)))
+        # the rank's own thread count in each domain it occupies
+        # (shared-L2 footprint scale)
+        here: dict[tuple[int, int, int], int] = {}
+        for a in addrs:
+            k = (a.node, a.chip, a.domain)
+            here[k] = here.get(k, 0) + 1
+        contexts: list[Context] = []
+        for k, n_here in sorted(here.items()):
+            dom = cluster.node.chips[k[1]].domains[k[2]]
+            active = max(1, census.get(k, 1))
+            shrink = max(0.3, 1.0 / n_here ** 0.5) \
+                if dom.l2.shared and n_here > 1 else 1.0
+            # serial-init: data lives in the master thread's home domain
+            mem = home_bw * cluster.node.chips[k[1]].remote_access_fraction \
+                if data_policy == "serial-init" and k != home_key \
+                else dom.memory.per_stream_bandwidth(active)
+            contexts.append((shrink, dom.l2_bandwidth_share(active), mem))
+        hit = self._contexts[key] = _interned((len(addrs), tuple(contexts)))
+        return hit
+
+    def comm_profile(self, members: tuple[int, ...]) -> CommProfile:
+        prof = self._comm_profiles.get(members)
+        if prof is None:
+            thread_cores = self.placement.thread_cores
+            prof = self._comm_profiles[members] = profile_communicator(
+                self.cluster, tuple(thread_cores(r)[0] for r in members))
+        return prof
+
+
+@lru_cache(maxsize=1024)
+def _placement_table(processor: str, n_nodes: int, n_ranks: int,
+                     n_threads: int, allocation: ProcessAllocation,
+                     binding: ThreadBinding) -> _PlacementTable:
+    cluster = _cluster(processor, n_nodes)
+    return _PlacementTable(cluster, JobPlacement(
+        cluster, n_ranks, n_threads, allocation=allocation, binding=binding))
+
+
+@lru_cache(maxsize=8192)
+def _group_critical(app: str, dataset: str, preset: str, processor: str,
+                    kernel: str, ws_scale: float,
+                    contexts: tuple[Context, ...]) -> Critical:
+    """The slowest NUMA context of one compute group.
+
+    ``t_iter = max(max(t_compute, t_l1), max(l2_num / l2_share,
+    dram_num / mem_share)) + t_latency`` per context; the first of equal
+    contexts wins.  Flops per iteration, which depend on neither share,
+    are read from the last context.
+    """
+    best_t, best_dram, best_j, flops = 0.0, 0.0, -1, 0.0
+    for j, (shrink, l2_share, mem_share) in enumerate(contexts):
+        t_comp, t_l1, l2_num, dram_num, t_lat, dram_it, flops = \
+            _phase_consts(app, dataset, preset, processor, kernel,
+                          ws_scale * shrink)
+        t = max(max(t_comp, t_l1),
+                max(l2_num / l2_share, dram_num / mem_share)) + t_lat
+        if best_j < 0 or t > best_t:
+            best_t, best_dram, best_j = t, dram_it, j
+    return best_t, best_dram, flops, best_j
+
+
+@lru_cache(maxsize=2048)
+def _collective_s(kind: str, size_bytes: float, p: int,
+                  prof: CommProfile) -> float:
+    try:
+        op_cls = _COLLECTIVE_CLASSES[kind]
+    except KeyError:
+        raise SimulationError(
+            f"no analytic model for collective {kind!r}"
+        ) from None
+    return collective_time(op_cls(size_bytes=size_bytes), p, prof)
+
+
+_MEMOS = (_cluster, _compiled, _profile, _communicator_ranks,
+          _phase_consts, _interned, _placement_table, _group_critical,
+          _collective_s)
+
+
 def clear_memos() -> None:
     """Drop every engine memo (tests monkeypatching the catalog use this)."""
-    for fn in (_cluster, _placement, _compiled, _profile,
-               _communicator_ranks, _phase_consts):
+    for fn in _MEMOS:
         fn.cache_clear()
 
 
 # ----------------------------------------------------------------------
-# per-config compilation to struct-of-arrays entries
+# per-group and per-class terms (shared by the scorer and the breakdown)
 # ----------------------------------------------------------------------
-@dataclass
-class _Group:
-    """One compute group awaiting the batch pass (entry slice + scalars)."""
-
-    start: int
-    end: int
-    max_iters: float        # critical-thread iterations, all regions
-    iters: float            # total iterations (work accounting)
-    overhead_s: float       # fork/join + chunk overhead, all regions
-    flops_per_iter: float
-    class_idx: int
-    kernel: str             # kernel name (advisor attribution)
-    schedule: str           # OpenMP schedule of the parallel region
-    serial: bool            # single-thread region
-    regions: int            # parallel regions per group execution
-
-
-@dataclass
-class _Compiled:
-    """One config compiled to entries, plus its per-class scalar terms."""
-
-    config: ExperimentConfig
-    groups: list[_Group]
-    class_ranks: list[int]          # ranks per class
-    class_rep_ranks: list[int]      # representative rank per class
-    class_comm_s: list[float]       # collective + p2p seconds per class
-    class_other_s: list[float]      # sleep + file I/O seconds per class
-    class_comm_items: list[tuple[tuple[str, float], ...]]
-    n_ranks: int
+def _group_cost(kernels: tuple[str, str, str, str], ctx: RankContexts,
+                g: ComputeGroup) -> tuple[float, float, Critical]:
+    """Seconds of one compute group on its critical context, the
+    fork/join + chunk overhead share of them, and the critical context
+    (:func:`_group_critical`) of the ``(app, dataset, preset,
+    processor)`` kernel set."""
+    n_threads, contexts = ctx
+    unit_max, chunk_s = _thread_iters(1.0, n_threads, g.schedule,
+                                      g.imbalance)
+    per_region = chunk_s if g.serial else \
+        fork_join_overhead(n_threads, len(contexts)) + chunk_s
+    overhead_s = per_region * g.regions
+    crit = _group_critical(*kernels, g.kernel, g.working_set_scale, contexts)
+    return crit[0] * (unit_max * g.iters) + overhead_s, overhead_s, crit
 
 
-def _class_comm_items(cluster: Cluster, placement: JobPlacement,
-                      profile: AppProfile, cls: RankClass,
-                      comm_ranks: dict[str, tuple[int, ...]],
-                      comm_profiles: dict[str, Any],
-                      ) -> list[tuple[str, float]]:
-    """Itemized collective + p2p wait time of one rank class.
+def _class_comm(table: _PlacementTable, cls: RankClass, n_ranks: int,
+                comm_ranks: dict[str, tuple[int, ...]]
+                ) -> tuple[float, list[float]]:
+    """Collective + p2p wait time of one rank class, and its items.
 
-    Returns ``(label, seconds)`` pairs — one per collective group and one
-    per exchange — whose sum is the class's communication term.  The
-    itemization feeds :func:`config_breakdown` (and through it the
-    advisor's collective-domination rule); :func:`_compile_config` sums
-    it, so the scoring pass and the breakdown share one arithmetic.
+    One item per collective group and one per non-overlapped exchange,
+    in that order; the total is their left-to-right sum.  Labels are
+    :func:`config_breakdown`'s, off the scoring path.
     """
-    items: list[tuple[str, float]] = []
+    placement, cluster = table.placement, table.cluster
     rep_addr = placement.thread_cores(cls.rep_rank)[0]
+    items: list[float] = []
     for g in cls.collectives:
         try:
             members = comm_ranks[g.comm]
@@ -236,213 +343,99 @@ def _class_comm_items(cluster: Cluster, placement: JobPlacement,
             raise SimulationError(
                 f"profile references unknown communicator {g.comm!r}"
             ) from None
-        prof = comm_profiles.get(g.comm)
-        if prof is None:
-            addrs = tuple(placement.thread_cores(r)[0] for r in members)
-            prof = profile_communicator(cluster, addrs)
-            comm_profiles[g.comm] = prof
-        try:
-            op_cls = _COLLECTIVE_CLASSES[g.kind]
-        except KeyError:
-            raise SimulationError(
-                f"no analytic model for collective {g.kind!r}"
-            ) from None
-        items.append((
-            f"{g.kind}[{g.comm}] x{g.count} @{g.size_bytes}B",
-            g.count * collective_time(
-                op_cls(size_bytes=g.size_bytes), len(members), prof),
-        ))
-    n = profile.n_ranks
+        items.append(g.count * _collective_s(
+            g.kind, g.size_bytes, len(members), table.comm_profile(members)))
     for ex in cls.exchanges:
         if ex.overlapped:
             continue    # wait hidden under the interleaved compute
         wait = 0.0
         for offset, nbytes in ex.partners:
             dst_addr = placement.thread_cores(
-                (cls.rep_rank + offset) % n)[0]
+                (cls.rep_rank + offset) % n_ranks)[0]
             wait = max(wait,
                        cluster.transfer_time(rep_addr, dst_addr, nbytes))
-        items.append((
-            f"p2p exchange x{ex.count} ({len(ex.partners)} partners)",
-            ex.count * wait,
-        ))
-    return items
+        items.append(ex.count * wait)
+    total = 0.0
+    for s in items:
+        total += s
+    return total, items
 
 
-def _mem_share(cluster: Cluster, dom: NumaDomain, key: tuple,
-               active: int, home_key: tuple, home_active: int,
-               data_policy: str) -> float:
-    if data_policy == "serial-init" and key != home_key:
-        home_dom = cluster.node.chips[home_key[1]].domains[home_key[2]]
-        chip = cluster.node.chips[key[1]]
-        return (home_dom.memory.per_stream_bandwidth(home_active)
-                * chip.remote_access_fraction)
-    return dom.memory.per_stream_bandwidth(active)
-
-
-def _compile_config(config: ExperimentConfig,
-                    columns: list[list[float]]) -> _Compiled:
-    """Turn one config into batch entries appended onto ``columns``."""
-    cluster = _cluster(config.processor, config.n_nodes)
-    placement = _placement(config.processor, config.n_nodes,
-                           config.n_ranks, config.n_threads,
-                           config.allocation, config.binding)
-    profile = _profile(config.app, config.dataset, config.n_ranks)
-    comm_ranks = _communicator_ranks(config.app, config.n_ranks)
-    census = placement.threads_per_domain
-    key = (config.app, config.dataset, config.options_preset,
-           config.processor)
-
-    groups: list[_Group] = []
-    class_ranks: list[int] = []
-    class_rep_ranks: list[int] = []
-    class_comm: list[float] = []
-    class_other: list[float] = []
-    class_comm_items: list[tuple[tuple[str, float], ...]] = []
-    comm_profiles: dict[str, Any] = {}
+def _class_other(cluster: Cluster, cls: RankClass) -> float:
+    """Sleep + file I/O seconds of one rank class."""
     storage = cluster.storage
+    io_ops = cls.file_reads + cls.file_writes
+    io_bytes = cls.file_read_bytes + cls.file_write_bytes
+    return (cls.sleep_s + io_ops * storage.open_latency_s
+            + io_bytes / storage.per_node_bandwidth)
 
-    for class_idx, cls in enumerate(profile.classes):
-        addrs = placement.thread_cores(cls.rep_rank)
-        home_key = placement.home_domain(cls.rep_rank)
-        home_active = max(1, census.get(home_key, 1))
 
-        for g in cls.compute:
-            use_addrs = addrs[:1] if g.serial else addrs
-            n_threads = len(use_addrs)
-            # distinct NUMA domains this group's threads occupy, with the
-            # rank's own thread count in each (shared-L2 footprint scale)
-            contexts: dict[tuple, int] = {}
-            for a in use_addrs:
-                k = (a.node, a.chip, a.domain)
-                contexts[k] = contexts.get(k, 0) + 1
-
-            unit_max, chunk_s = _thread_iters(1.0, n_threads, g.schedule,
-                                              g.imbalance)
-            per_region = chunk_s if g.serial else \
-                fork_join_overhead(n_threads, len(contexts)) + chunk_s
-
-            start = len(columns[0])
-            for ctx_key, rank_threads_here in sorted(contexts.items()):
-                dom = cluster.node.chips[ctx_key[1]].domains[ctx_key[2]]
-                active = max(1, census.get(ctx_key, 1))
-                ws = g.working_set_scale
-                if dom.l2.shared and rank_threads_here > 1:
-                    ws *= max(0.3, 1.0 / rank_threads_here ** 0.5)
-                consts = _phase_consts(*key, g.kernel, ws)
-                mem = _mem_share(cluster, dom, ctx_key, active,
-                                 home_key, home_active, config.data_policy)
-                l2 = dom.l2_bandwidth_share(active)
-                row = consts + (l2, mem)
-                for col, v in zip(columns, row):
-                    col.append(v)
-            groups.append(_Group(
-                start=start, end=len(columns[0]),
-                max_iters=unit_max * g.iters, iters=g.iters,
-                overhead_s=per_region * g.regions,
-                flops_per_iter=consts[6],
-                class_idx=class_idx,
-                kernel=g.kernel, schedule=g.schedule, serial=g.serial,
-                regions=g.regions,
-            ))
-
-        class_ranks.append(cls.n_ranks)
-        class_rep_ranks.append(cls.rep_rank)
-        items = _class_comm_items(
-            cluster, placement, profile, cls, comm_ranks, comm_profiles)
-        class_comm_items.append(tuple(items))
-        class_comm.append(sum(s for _, s in items))
-        io_ops = cls.file_reads + cls.file_writes
-        io_bytes = cls.file_read_bytes + cls.file_write_bytes
-        class_other.append(
-            cls.sleep_s
-            + io_ops * storage.open_latency_s
-            + io_bytes / storage.per_node_bandwidth
-        )
-
-    return _Compiled(config=config, groups=groups, class_ranks=class_ranks,
-                     class_rep_ranks=class_rep_ranks,
-                     class_comm_s=class_comm, class_other_s=class_other,
-                     class_comm_items=class_comm_items,
-                     n_ranks=config.n_ranks)
+def _model(config: ExperimentConfig) -> tuple[
+        _PlacementTable, AppProfile, dict[str, tuple[int, ...]],
+        tuple[str, str, str, str]]:
+    """Placement table, profile, communicators and kernel-set key of one
+    config, looked up in the order their errors take precedence."""
+    table = _placement_table(config.processor, config.n_nodes,
+                             config.n_ranks, config.n_threads,
+                             config.allocation, config.binding)
+    return (table, _profile(config.app, config.dataset, config.n_ranks),
+            _communicator_ranks(config.app, config.n_ranks),
+            (config.app, config.dataset, config.options_preset,
+             config.processor))
 
 
 # ----------------------------------------------------------------------
-# the batch pass
+# scoring
 # ----------------------------------------------------------------------
 def score_configs(configs: list[ExperimentConfig]
                   ) -> list[Row | Exception]:
     """Score a batch of configs; returns a Row or Exception per config.
 
-    Entries from every config share one vectorized roofline pass;
-    exceptions (bad decompositions, unknown kernels, placement errors)
+    Exceptions (bad decompositions, unknown kernels, placement errors)
     are captured per config so one broken point cannot sink a batch —
     callers decide whether to raise or record them.
     """
     with telemetry.span("score.analytic.batch", configs=len(configs)):
-        return _score_configs_batch(configs)
+        results: list[Row | Exception] = []
+        for config in configs:
+            try:
+                results.append(_score(config))
+            except Exception as exc:  # noqa: BLE001 - per-config capture
+                results.append(exc)
+        return results
 
 
-def _score_configs_batch(configs: list[ExperimentConfig]
-                         ) -> list[Row | Exception]:
-    results: list[Any] = [None] * len(configs)
-    compiled: list[tuple[int, _Compiled]] = []
-    # entry columns: t_comp, t_l1, l2_num, dram_num, t_lat,
-    #                dram_bytes/iter, flops/iter, l2_share, mem_share
-    columns: list[list[float]] = [[] for _ in range(9)]
-    for i, config in enumerate(configs):
-        mark = len(columns[0])
-        try:
-            compiled.append((i, _compile_config(config, columns)))
-        except Exception as exc:  # noqa: BLE001 - per-config error capture
-            results[i] = exc
-            # discard any partial entries this config appended
-            for col in columns:
-                del col[mark:]
-
-    if compiled:
-        t_comp, t_l1, l2_num, dram_num, t_lat, dram_it, _flops_it, \
-            l2_share, mem_share = (np.asarray(c, dtype=float)
-                                   for c in columns)
-        t_iter = np.maximum(
-            np.maximum(t_comp, t_l1),
-            np.maximum(l2_num / l2_share, dram_num / mem_share),
-        ) + t_lat
-
-    for i, comp in compiled:
-        n_classes = len(comp.class_ranks)
-        compute_s = [0.0] * n_classes
-        flops_c = [0.0] * n_classes
-        dram_c = [0.0] * n_classes
-        for g in comp.groups:
-            seg = t_iter[g.start:g.end]
-            j = int(np.argmax(seg)) if g.end > g.start else 0
-            worst = float(seg[j]) if g.end > g.start else 0.0
-            compute_s[g.class_idx] += worst * g.max_iters + g.overhead_s
+def _score(config: ExperimentConfig) -> Row:
+    table, profile, comm_ranks, kernels = _model(config)
+    policy = config.data_policy
+    elapsed = total_flops = total_dram = comm_ranks_s = 0.0
+    for cls in profile.classes:
+        compute_s = flops = dram = 0.0
+        for g in cls.compute:
+            seconds, _, crit = _group_cost(
+                kernels, table.contexts(policy, cls.rep_rank, g.serial), g)
+            compute_s += seconds
             # work accounting mirrors the event engine: DRAM volume of
             # the critical context, FLOPs of the full iteration count
-            dram_c[g.class_idx] += float(dram_it[g.start + j]) * g.iters
-            flops_c[g.class_idx] += g.flops_per_iter * g.iters
-
-        totals = [compute_s[c] + comp.class_comm_s[c] + comp.class_other_s[c]
-                  for c in range(n_classes)]
-        elapsed = max(totals, default=0.0)
-        total_flops = sum(r * f for r, f in zip(comp.class_ranks, flops_c))
-        total_dram = sum(r * d for r, d in zip(comp.class_ranks, dram_c))
-        comm_mean = sum(r * s for r, s in
-                        zip(comp.class_ranks, comp.class_comm_s)) \
-            / comp.n_ranks
-        results[i] = Row(
-            config=comp.config,
-            elapsed=elapsed,
-            gflops=(total_flops / elapsed / 1e9) if elapsed > 0 else 0.0,
-            dram_gbytes_per_s=(total_dram / elapsed / 1e9)
-            if elapsed > 0 else 0.0,
-            comm_fraction=min(1.0, comm_mean / elapsed)
-            if elapsed > 0 else 0.0,
-            engine="analytic",
-        )
-    return results
+            dram += crit[1] * g.iters
+            flops += crit[2] * g.iters
+        comm_s = _class_comm(table, cls, config.n_ranks, comm_ranks)[0]
+        elapsed = max(elapsed,
+                      compute_s + comm_s + _class_other(table.cluster, cls))
+        total_flops += cls.n_ranks * flops
+        total_dram += cls.n_ranks * dram
+        comm_ranks_s += cls.n_ranks * comm_s
+    comm_mean = comm_ranks_s / config.n_ranks
+    return Row(
+        config=config,
+        elapsed=elapsed,
+        gflops=(total_flops / elapsed / 1e9) if elapsed > 0 else 0.0,
+        dram_gbytes_per_s=(total_dram / elapsed / 1e9)
+        if elapsed > 0 else 0.0,
+        comm_fraction=min(1.0, comm_mean / elapsed)
+        if elapsed > 0 else 0.0,
+        engine="analytic",
+    )
 
 
 def score_config(config: ExperimentConfig) -> Row:
@@ -504,12 +497,13 @@ class ClassCost:
 class ConfigBreakdown:
     """Itemized closed-form cost model of one configuration.
 
-    The same entries the batch scorer folds into a single
-    :class:`~repro.core.runner.Row`, kept apart: per-group ECM phase
-    times on the critical thread context, per-class communication items,
-    and the class totals whose max is the elapsed time.  This is what
-    the static advisor (:mod:`repro.analysis.advisor`) reasons over —
-    by construction every number it cites is the scoring engine's own.
+    The same per-group and per-class terms the scorer folds into a
+    single :class:`~repro.core.runner.Row`, kept apart: per-group ECM
+    phase times on the critical thread context, per-class communication
+    items, and the class totals whose max is the elapsed time.  This is
+    what the static advisor (:mod:`repro.analysis.advisor`) reasons
+    over — by construction every number it cites is the scoring
+    engine's own.
     """
 
     config: ExperimentConfig
@@ -527,62 +521,53 @@ class ConfigBreakdown:
 
 
 def config_breakdown(config: ExperimentConfig) -> ConfigBreakdown:
-    """Compile one config and keep the per-group/per-class terms apart.
+    """Model one config and keep the per-group/per-class terms apart.
 
     Raises the same exceptions as :func:`score_config` (placement,
     decomposition, unknown-kernel errors); never runs the event
     executor.
     """
-    columns: list[list[float]] = [[] for _ in range(9)]
-    comp = _compile_config(config, columns)
-    (t_comp, t_l1, l2_num, dram_num, t_lat,
-     _dram_it, _flops_it, l2_share, mem_share) = columns
-
-    n_classes = len(comp.class_ranks)
-    compute_s = [0.0] * n_classes
+    table, profile, comm_ranks, kernels = _model(config)
+    classes: list[ClassCost] = []
     groups: list[GroupCost] = []
-    for g in comp.groups:
-        best_j, best_t = -1, 0.0
-        for j in range(g.start, g.end):
-            t = max(t_comp[j], t_l1[j],
-                    l2_num[j] / l2_share[j],
-                    dram_num[j] / mem_share[j]) + t_lat[j]
-            if best_j < 0 or t > best_t:
-                best_j, best_t = j, t
-        if best_j < 0:      # group compiled to no contexts
-            per_iter = dict.fromkeys(ECM_PHASES + ("latency",), 0.0)
-            bound = "compute"
-        else:
-            j = best_j
+    for class_idx, cls in enumerate(profile.classes):
+        compute_s = 0.0
+        for g in cls.compute:
+            ctx = table.contexts(config.data_policy, cls.rep_rank, g.serial)
+            seconds, overhead_s, (iter_s, _, _, j) = _group_cost(
+                kernels, ctx, g)
+            compute_s += seconds
+            shrink, l2_share, mem_share = ctx[1][j]
+            t_comp, t_l1, l2_num, dram_num, t_lat, _, _ = _phase_consts(
+                *kernels, g.kernel, g.working_set_scale * shrink)
             per_iter = {
-                "compute": t_comp[j], "l1": t_l1[j],
-                "l2": l2_num[j] / l2_share[j],
-                "dram": dram_num[j] / mem_share[j],
-                "latency": t_lat[j],
+                "compute": t_comp, "l1": t_l1,
+                "l2": l2_num / l2_share, "dram": dram_num / mem_share,
+                "latency": t_lat,
             }
             bound = max(ECM_PHASES, key=per_iter.__getitem__)
             if per_iter["latency"] > per_iter[bound]:
                 bound = "latency"
-        seconds = best_t * g.max_iters + g.overhead_s
-        compute_s[g.class_idx] += seconds
-        groups.append(GroupCost(
-            class_idx=g.class_idx, kernel=g.kernel, schedule=g.schedule,
-            serial=g.serial, iters=g.iters, regions=g.regions,
-            contexts=g.end - g.start, seconds=seconds,
-            overhead_s=g.overhead_s, iter_s=best_t, bound=bound,
-            per_iter=per_iter,
+            groups.append(GroupCost(
+                class_idx=class_idx, kernel=g.kernel, schedule=g.schedule,
+                serial=g.serial, iters=g.iters, regions=g.regions,
+                contexts=len(ctx[1]), seconds=seconds,
+                overhead_s=overhead_s, iter_s=iter_s, bound=bound,
+                per_iter=per_iter,
+            ))
+        comm_s, items = _class_comm(table, cls, config.n_ranks, comm_ranks)
+        labels = [f"{g.kind}[{g.comm}] x{g.count} @{g.size_bytes}B"
+                  for g in cls.collectives] + \
+            [f"p2p exchange x{ex.count} ({len(ex.partners)} partners)"
+             for ex in cls.exchanges if not ex.overlapped]
+        classes.append(ClassCost(
+            class_idx=class_idx, rep_rank=cls.rep_rank, n_ranks=cls.n_ranks,
+            compute_s=compute_s, comm_s=comm_s,
+            other_s=_class_other(table.cluster, cls),
+            comm_items=tuple(zip(labels, items)),
         ))
-
-    classes = tuple(
-        ClassCost(class_idx=c, rep_rank=comp.class_rep_ranks[c],
-                  n_ranks=comp.class_ranks[c], compute_s=compute_s[c],
-                  comm_s=comp.class_comm_s[c],
-                  other_s=comp.class_other_s[c],
-                  comm_items=comp.class_comm_items[c])
-        for c in range(n_classes)
-    )
     elapsed = max((c.total_s for c in classes), default=0.0)
-    return ConfigBreakdown(config=config, classes=classes,
+    return ConfigBreakdown(config=config, classes=tuple(classes),
                            groups=tuple(groups), elapsed=elapsed)
 
 

@@ -123,9 +123,10 @@ def _add_exec_flags(parser: argparse.ArgumentParser,
         "--engine", default="event",
         choices=["event", "analytic", "auto"],
         help="scoring engine: 'event' simulates, 'analytic' scores the "
-             "whole sweep in one closed-form batch pass (~100x faster, "
-             "no fault/protocol effects), 'auto' scores analytically "
-             "and cross-checks a seeded sample against the simulator")
+             "sweep in closed form from memoized kernel and placement "
+             "tables (~100x faster, no fault/protocol effects), 'auto' "
+             "scores analytically and cross-checks a seeded sample "
+             "against the simulator")
     parser.add_argument(
         "--no-telemetry", action="store_true",
         help="do not record this invocation as a run directory "

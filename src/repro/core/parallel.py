@@ -2,8 +2,8 @@
 
 :func:`run_configs` is the one dispatch call behind ``run_sweep`` for
 both engines.  It serves cache hits, de-duplicates the misses, and
-scores them: analytic misses in one vectorized
-:func:`~repro.analytic.engine.score_configs` pass, event misses serially
+scores them: analytic misses in one
+:func:`~repro.analytic.engine.score_configs` call, event misses serially
 in the parent or, with ``workers > 1``, on one in-process
 :class:`~repro.core.scheduler.Scheduler` (the same process pool, watchdog
 and fallback the sweep service runs on).  Rows come back in the input

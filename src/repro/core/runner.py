@@ -360,7 +360,7 @@ def run_sweep(name: str, configs: list[ExperimentConfig],
         resilience (per-execution watchdog, retry attempts, backoff).
     engine:
         ``"event"`` (default) simulates each config; ``"analytic"``
-        scores the whole sweep in one closed-form batch pass (workers
+        scores the whole sweep in one closed-form batch call (workers
         are irrelevant — there is no per-config simulation to fan out);
         ``"auto"`` scores analytically, then re-simulates a seeded
         sample with the event executor and raises

@@ -14,7 +14,8 @@ execution per engine-tagged config digest** across every caller:
   sharded over a process pool (:func:`repro.core.parallel
   .simulate_config`), **analytic**-engine configs are micro-batched —
   every request that arrives while the scorer is busy is swept into the
-  next vectorized :func:`repro.analytic.engine.score_configs` call;
+  next :func:`repro.analytic.engine.score_configs` call, so a burst of
+  jobs costs one hop to the scoring thread, not one per config;
 * fresh completions are checkpointed by
   :func:`~repro.core.runner.record_completion` — cache plus journal
   under the requesting sweep's name — so resume and quarantine see
@@ -71,7 +72,7 @@ def _simulate_suppressed(config: ExperimentConfig) -> tuple[bool, Any]:
 
 
 def _score_batch(configs: list[ExperimentConfig]) -> list[Any]:
-    """Thread worker: one vectorized analytic pass over a micro-batch."""
+    """Thread worker: score one analytic micro-batch."""
     from repro.analytic.engine import score_configs
 
     with telemetry.suppressed():
@@ -318,7 +319,7 @@ class Scheduler:
             f"(watchdog, {attempts} attempt(s))")
         return False, timeout_exc
 
-    # -- analytic engine: micro-batch through the vectorized scorer ----
+    # -- analytic engine: micro-batch onto the scoring thread ----------
     async def _execute_analytic(self,
                                 config: ExperimentConfig
                                 ) -> tuple[bool, Any]:
@@ -335,7 +336,7 @@ class Scheduler:
 
         Each pass takes *everything* queued at that moment as one batch,
         so requests arriving while the scorer is busy coalesce into the
-        next vectorized call instead of going one-by-one.
+        next call instead of each paying its own thread hop.
         """
         loop = asyncio.get_running_loop()
         while self._analytic_pending:

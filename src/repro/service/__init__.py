@@ -10,7 +10,7 @@ sweep jobs over a local unix socket; the server
   content-addressed :class:`~repro.core.cache.ResultCache` serves warm
   rows without any dispatch at all;
 * **batches and shards** — analytic-engine rows are micro-batched
-  through the vectorized closed-form scorer, event-engine rows fan out
+  onto the closed-form scorer's thread, event-engine rows fan out
   over a process pool;
 * **streams** — each client receives per-row results the moment they
   complete, tagged with the submission index so the final

@@ -162,9 +162,9 @@ class TestRuleCoverage:
                        for g in breakdown.groups)
         breakdown = dataclasses.replace(breakdown, groups=groups)
         cluster = analytic._cluster(CFG.processor, CFG.n_nodes)
-        placement = analytic._placement(
+        placement = analytic._placement_table(
             CFG.processor, CFG.n_nodes, CFG.n_ranks, CFG.n_threads,
-            CFG.allocation, CFG.binding)
+            CFG.allocation, CFG.binding).placement
         profile = analytic._profile(CFG.app, CFG.dataset, CFG.n_ranks)
         report = DiagnosticReport(CFG.label())
         advisor._check_boundedness(report, cluster, placement,
@@ -287,18 +287,37 @@ class TestAdviseCache:
 # ----------------------------------------------------------------------
 # the breakdown the advisor reasons from
 # ----------------------------------------------------------------------
+#: Every app on a shared-L2 and a private-L2 processor, with both data
+#: policies (serial-init exercises the remote-home memory shares).
+BREAKDOWN_CFGS = [
+    dataclasses.replace(CFG, app=app, processor=processor,
+                        data_policy=policy)
+    for app in SUITE
+    for processor in ("A64FX", "ThunderX2")
+    for policy in ("first-touch", "serial-init")
+]
+
+
 class TestBreakdownConsistency:
+    """The breakdown and the scorer share one per-group function and one
+    accumulation order, so their numbers agree exactly."""
+
     def test_breakdown_matches_score_config(self):
         from repro.analytic.engine import config_breakdown, score_config
 
-        bd = config_breakdown(CFG)
-        assert bd.elapsed == score_config(CFG).elapsed
+        for config in BREAKDOWN_CFGS:
+            bd = config_breakdown(config)
+            assert bd.elapsed == score_config(config).elapsed, \
+                (config.label(), config.data_policy)
 
     def test_group_seconds_sum_to_class_compute(self):
         from repro.analytic.engine import config_breakdown
 
-        bd = config_breakdown(CFG)
-        for cls in bd.classes:
-            groups = bd.class_groups(cls.class_idx)
-            total = sum(g.seconds for g in groups)
-            assert total == pytest.approx(cls.compute_s, rel=1e-12)
+        for config in BREAKDOWN_CFGS:
+            bd = config_breakdown(config)
+            for cls in bd.classes:
+                total = 0.0
+                for g in bd.class_groups(cls.class_idx):
+                    total += g.seconds
+                assert total == cls.compute_s, \
+                    (config.label(), config.data_policy)

@@ -8,6 +8,7 @@ asserted — the analytic model books only algorithm-level communication
 time, so its fraction legitimately diverges; see DESIGN.md.)
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -21,9 +22,11 @@ from repro.analytic import (
     score_configs,
     validation_sample,
 )
+from repro.analytic import engine
 from repro.core.experiment import ExperimentConfig
 from repro.core.runner import run_config
 from repro.errors import ConfigurationError, EngineDisagreement
+from repro.machine import catalog
 from repro.machine.catalog import PROCESSORS
 from repro.miniapps import SUITE
 
@@ -82,7 +85,6 @@ def test_check_agreement_raises_beyond_tolerance():
     config = _cfg("ffvc")
     row = score_config(config)
     check_agreement(config, row, row)  # identical rows always agree
-    import dataclasses
     skewed = dataclasses.replace(row, elapsed=row.elapsed * 2.0)
     with pytest.raises(EngineDisagreement) as exc:
         check_agreement(config, row, skewed)
@@ -99,3 +101,75 @@ def test_validation_sample_deterministic():
     assert a == sorted(a)
     assert validation_sample("seeded", 3, 5) == [0, 1, 2]
     assert validation_sample("seeded", 0, 5) == []
+
+
+# ----------------------------------------------------------------------
+# memo hygiene: clear_memos() empties every table
+# ----------------------------------------------------------------------
+def _memo_tables():
+    """Every lru_cache table and every module-level dict of the engine."""
+    return {name: obj for name, obj in vars(engine).items()
+            if hasattr(obj, "cache_info") or isinstance(obj, dict)}
+
+
+def test_clear_memos_empties_every_table():
+    before = {name: len(obj) for name, obj in _memo_tables().items()
+              if isinstance(obj, dict)}
+    score_configs([_cfg(app, n_ranks=4, n_threads=12,
+                        data_policy="serial-init") for app in SUITE])
+    engine.config_breakdown(_cfg("ffvc"))
+    tables = _memo_tables()
+    lru = {name: fn for name, fn in tables.items()
+           if hasattr(fn, "cache_info")}
+    assert all(fn.cache_info().maxsize is not None for fn in lru.values())
+    assert all(fn.cache_info().currsize > 0 for fn in lru.values()), \
+        "scoring left a table unused; the check below would be vacuous"
+    # a module dict that scoring filled is a memo, and must be emptied
+    grown = [name for name, obj in tables.items()
+             if isinstance(obj, dict) and len(obj) != before[name]]
+    clear_memos()
+    assert {name: fn.cache_info().currsize for name, fn in lru.items()} \
+        == dict.fromkeys(lru, 0)
+    assert all(len(tables[name]) == 0 for name in grown)
+
+
+def _slowed(factory, *, l2=1.0, dram=1.0):
+    """A catalog factory whose L2 / DRAM bandwidth is divided."""
+    def make(n_nodes=1):
+        cluster = factory(n_nodes=n_nodes)
+        chips = tuple(
+            dataclasses.replace(chip, domains=tuple(
+                dataclasses.replace(
+                    dom,
+                    l2=dataclasses.replace(
+                        dom.l2, bytes_per_cycle=dom.l2.bytes_per_cycle / l2),
+                    memory=dataclasses.replace(
+                        dom.memory,
+                        peak_bandwidth=dom.memory.peak_bandwidth / dram,
+                        single_stream_bandwidth=(
+                            dom.memory.single_stream_bandwidth / dram)))
+                for dom in chip.domains))
+            for chip in cluster.node.chips)
+        return dataclasses.replace(
+            cluster, node=dataclasses.replace(cluster.node, chips=chips))
+    return make
+
+
+@pytest.mark.parametrize("slowdown", [{"l2": 64.0}, {"dram": 64.0}],
+                         ids=["l2", "dram"])
+def test_no_stale_placement_table_after_catalog_change(monkeypatch,
+                                                       slowdown):
+    """Bandwidth shares live in the placement tables: a catalog change
+    must reach the score once the memos are cleared."""
+    config = _cfg("ffvc", n_ranks=4, n_threads=12)
+    clear_memos()
+    baseline = score_config(config)
+    monkeypatch.setitem(catalog.PROCESSORS, config.processor,
+                        _slowed(catalog.PROCESSORS[config.processor],
+                                **slowdown))
+    clear_memos()
+    slowed = score_config(config)
+    assert slowed.elapsed > baseline.elapsed
+    monkeypatch.undo()
+    clear_memos()
+    assert score_config(config) == baseline
