@@ -17,20 +17,29 @@ Three entry points at increasing altitude:
 simulating: it memoizes verdicts per config digest (in-process, plus the
 persistent :class:`~repro.analysis.cache.LintCache` when a cache
 directory is in play) and raises :class:`~repro.errors.LintError` when
-the report contains error-severity findings.  ``REPRO_NO_LINT=1`` (or
-:func:`set_preflight`) disables the gate — the environment variable
-travels into sweep worker processes.
+the report contains error-severity findings.  Below the verdicts,
+:func:`analyze_config` memoizes the program analysis per *program
+shape* — everything ``analyze_job``'s findings depend on — so configs
+that differ only in threads, binding, allocation, preset or data policy
+share one trace; placement feasibility and job assembly stay per
+config.  Both memos are bounded and emptied by :func:`clear_memos`.
+``REPRO_NO_LINT=1`` (or :func:`set_preflight`) disables the gate — the
+environment variable travels into sweep worker processes.
 """
 
 from __future__ import annotations
 
+import gc
 import os
-from typing import TYPE_CHECKING, Callable, Iterator
+import threading
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterator
 
-from repro.analysis import checks
+from repro.analysis.checks import check_traces
 from repro.analysis.deadlock import find_deadlocks
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
-from repro.analysis.trace import DEFAULT_MAX_OPS, ProgramTrace, trace_program
+from repro.analysis.rules import analyzer_fingerprint
+from repro.analysis.trace import DEFAULT_MAX_OPS, trace_program
 from repro.errors import LintError, ReproError
 from repro.runtime.executor import Job
 
@@ -56,15 +65,17 @@ def analyze_program(factory: Callable[[int, int], Iterator],
     eager-buffered cyclic sends exactly where the runtime does.
     """
     return _analyze_program(factory, n_ranks, communicators,
-                            eager_threshold, subject, max_ops)[0]
+                            eager_threshold, subject, max_ops)
 
 
 def _analyze_program(factory: Callable[[int, int], Iterator],
                      n_ranks: int,
                      communicators: dict[str, tuple[int, ...]] | None,
                      eager_threshold: float, subject: str, max_ops: int,
-                     ) -> tuple[DiagnosticReport, dict[int, ProgramTrace]]:
-    """:func:`analyze_program`, also returning the traces it built."""
+                     kernels: Collection[str] | None = None,
+                     ) -> DiagnosticReport:
+    """:func:`analyze_program`, plus the kernel-reference check when
+    ``kernels`` is given (reported after the deadlock search)."""
     report = DiagnosticReport(subject)
     comms: dict[str, tuple[int, ...]] = {"world": tuple(range(n_ranks))}
     for name, members in (communicators or {}).items():
@@ -80,56 +91,49 @@ def _analyze_program(factory: Callable[[int, int], Iterator],
             continue
         comms[name] = members
 
-    traces = trace_program(factory, n_ranks, max_ops)
-    report.extend(checks.check_programs(traces))
-    report.extend(checks.check_domains(traces, n_ranks, comms))
-    report.extend(checks.check_requests(traces))
-    report.extend(checks.check_p2p_matching(traces, n_ranks))
-    report.extend(checks.check_collectives(traces, comms))
-    if not report.errors:
-        # structure is sound — worth asking the order-aware question;
-        # running it after structural errors would only cascade noise
-        report.extend(find_deadlocks(
-            traces, eager_threshold=eager_threshold, communicators=comms))
-    return report, traces
+    with _collector_paused():
+        traces = trace_program(factory, n_ranks, max_ops)
+        structure, kernel_refs = check_traces(traces, n_ranks, comms,
+                                              kernels)
+        report.extend(structure)
+        if not report.errors:
+            # structure is sound — worth asking the order-aware question;
+            # running it after structural errors would only cascade noise
+            report.extend(find_deadlocks(
+                traces, eager_threshold=eager_threshold,
+                communicators=comms))
+        del traces      # freed before the collector sees it as young
+    report.extend(kernel_refs)
+    return report
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while traces are alive.
+
+    A trace is tens of thousands of acyclic records that all die by
+    reference count when the analysis returns; left on, the collector
+    promotes them and then walks the whole heap in full collections that
+    can free none of them (about an eighth of the analysis time).
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def analyze_job(job: Job,
                 max_ops: int = DEFAULT_MAX_OPS) -> DiagnosticReport:
     """Statically check an assembled job against its own cluster."""
-    report, traces = _analyze_program(
+    return _analyze_program(
         job.program, job.placement.n_ranks, job.communicators,
         float(job.cluster.network.rendezvous_threshold_bytes),
-        job.name, max_ops,
+        job.name, max_ops, job.kernels,
     )
-    report.extend(_check_kernel_refs(job, traces))
-    return report
-
-
-def _check_kernel_refs(job: Job, traces: dict[int, ProgramTrace],
-                       ) -> list[Diagnostic]:
-    """Every Compute must name a registered kernel (the runtime fails
-    mid-run with SimulationError; the analyzer fails before it)."""
-    from repro.runtime import program as ops
-
-    known = set(job.kernels)
-    out: list[Diagnostic] = []
-    seen: set[str] = set()
-    n = job.placement.n_ranks
-    for rank in (0, n - 1) if n > 1 else (0,):
-        for rec in traces[rank].ops:
-            if isinstance(rec.op, ops.Compute) and \
-                    rec.op.kernel not in known and \
-                    rec.op.kernel not in seen:
-                seen.add(rec.op.kernel)
-                out.append(Diagnostic(
-                    check="unknown-kernel", severity="error",
-                    rank=rec.rank, op_index=rec.index, op=rec.describe(),
-                    message=f"Compute references unregistered kernel "
-                            f"{rec.op.kernel!r}",
-                    hint=f"registered kernels: {sorted(known)}",
-                ))
-    return out
 
 
 def analyze_config(config: ExperimentConfig,
@@ -145,7 +149,12 @@ def analyze_config(config: ExperimentConfig,
     """
     from repro.core.cache import config_digest
 
-    digest = config_digest(config)
+    return _analyze_config(config, config_digest(config), cache, max_ops)
+
+
+def _analyze_config(config: ExperimentConfig, digest: str,
+                    cache: LintCache | None,
+                    max_ops: int) -> DiagnosticReport:
     if cache is not None:
         cached = cache.get(digest)
         if cached is not None:
@@ -213,17 +222,59 @@ def _analyze_config_fresh(config: ExperimentConfig,
             hint="the app rejects this rank count / dataset combination",
         ))
         return report
-    job_report = analyze_job(job, max_ops)
-    report.extend(job_report.diagnostics)
+    report.extend(_job_findings(app, config.dataset, job, max_ops))
     return report
+
+
+# ----------------------------------------------------------------------
+# in-process memos
+# ----------------------------------------------------------------------
+#: Entries each in-process memo keeps; the oldest goes first.
+MEMO_SIZE = 1024
+_verdicts: dict[str, tuple[str, ...]] = {}      # digest -> error lines
+_shapes: dict[tuple, tuple[Diagnostic, ...]] = {}   # shape -> findings
+_memo_lock = threading.Lock()     # eviction iterates; writers may race
+
+
+def _remember(memo: dict, key: Any, value: Any) -> None:
+    with _memo_lock:
+        if len(memo) >= MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = value
+
+
+def clear_memos() -> None:
+    """Empty the in-process verdict and program-shape memos."""
+    _verdicts.clear()
+    _shapes.clear()
+
+
+def _job_findings(app: Any, dataset: str, job: Job,
+                  max_ops: int) -> tuple[Diagnostic, ...]:
+    """:func:`analyze_job`'s findings, memoized on the program's shape.
+
+    ``build_job`` takes the program from ``make_program(ds, n_ranks)``,
+    the communicators from ``communicators(n_ranks)`` and the kernel
+    table from ``kernels(ds)``, so the findings depend only on those
+    three functions (the bound methods name the app), the dataset, the
+    rank count, the network's eager threshold and the analyzer itself —
+    not on threads, binding, allocation, preset or data policy.
+    """
+    key = (app.make_program, app.communicators, app.kernels, dataset,
+           job.placement.n_ranks,
+           float(job.cluster.network.rendezvous_threshold_bytes),
+           analyzer_fingerprint(), max_ops)
+    found = _shapes.get(key)
+    if found is None:
+        found = tuple(analyze_job(job, max_ops).diagnostics)
+        _remember(_shapes, key, found)
+    return found
 
 
 # ----------------------------------------------------------------------
 # the pre-flight gate
 # ----------------------------------------------------------------------
 _enabled = not os.environ.get(ENV_NO_LINT)
-_verdicts: dict[str, tuple[str, ...]] = {}      # digest -> error lines
-
 
 def preflight_enabled() -> bool:
     return _enabled
@@ -245,8 +296,10 @@ def preflight(config: ExperimentConfig,
     """Raise :class:`~repro.errors.LintError` if ``config`` has
     error-severity findings; warnings pass silently.
 
-    Verdicts are memoized per config digest for the process lifetime, so
-    sweeping the same config repeatedly pays for one analysis.
+    Verdicts are memoized per config digest (and the program analysis
+    per program shape) in-process, so sweeping the same config — or
+    another placement of the same program — repeatedly pays for one
+    analysis.
     """
     from repro.core.cache import config_digest
 
@@ -256,13 +309,13 @@ def preflight(config: ExperimentConfig,
         if cached:
             raise LintError("\n".join(cached))
         return
-    report = analyze_config(config, cache=lint_cache)
+    report = _analyze_config(config, digest, lint_cache, DEFAULT_MAX_OPS)
     errors = report.errors
     if errors:
         lines = (f"pre-flight lint failed for {report.subject} "
                  f"({len(errors)} error(s); rerun with `repro lint` or "
                  f"skip with --no-lint):",)
         lines += tuple(d.render() for d in errors)
-        _verdicts[digest] = lines
+        _remember(_verdicts, digest, lines)
         raise LintError("\n".join(lines), diagnostics=tuple(errors))
-    _verdicts[digest] = ()
+    _remember(_verdicts, digest, ())

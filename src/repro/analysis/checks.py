@@ -1,18 +1,23 @@
-"""Static structure checks over traced rank programs.
+"""Static structure checks over traced rank programs, in one walk.
 
-Each check consumes the :class:`~repro.analysis.trace.ProgramTrace` map
-and emits :class:`~repro.analysis.diagnostics.Diagnostic` records:
+:func:`check_traces` visits every traced op exactly once, dispatching on
+the kind :func:`~repro.analysis.trace.trace_rank` assigned it, and
+reports findings in five groups, in this order:
 
-* :func:`check_programs` — per-rank replay failures, op-budget
-  truncation, values the executor would reject outright;
-* :func:`check_domains` — rank/tag domain validity of every op (what the
-  runtime raises ``CommunicatorError`` for, found before the run);
-* :func:`check_requests` — request-handle hygiene (waits on
-  non-requests, double waits, receives never waited);
-* :func:`check_p2p_matching` — send/receive count matching per
-  (destination, tag) channel, honoring ``ANY_SOURCE`` wildcards;
-* :func:`check_collectives` — collective congruence: every member of a
-  communicator must issue the same collective sequence (type and root).
+* **programs** — per-rank replay failures, op-budget truncation, values
+  the executor would reject outright;
+* **domains** — rank/tag domain validity of every op (what the runtime
+  raises ``CommunicatorError`` for, found before the run);
+* **requests** — request-handle hygiene (waits on non-requests, double
+  waits, receives never waited);
+* **point-to-point matching** — send/receive counts per (destination,
+  tag) channel, honoring ``ANY_SOURCE`` wildcards;
+* **collectives** — congruence: every member of a communicator must
+  issue the same collective sequence (type and root).
+
+Kernel references (every ``Compute`` names a registered kernel, on every
+rank) are gathered in the same walk but returned apart, because the
+analyzer reports them after the deadlock search.
 
 Order-dependent problems (a cyclic rendezvous send, a wildcard receive
 stealing another receive's message) are the symbolic scheduler's job —
@@ -21,229 +26,240 @@ see :mod:`repro.analysis.deadlock`.
 
 from __future__ import annotations
 
-from typing import Any
+from collections import defaultdict
+from itertools import groupby
+from typing import Collection
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.trace import ProgramTrace, TracedOp, TracedRequest
+from repro.analysis.trace import (
+    COLL,
+    COMPUTE,
+    ICOLL,
+    IRECV,
+    ISEND,
+    RECV,
+    SEND,
+    SENDRECV,
+    UNKNOWN,
+    WAITALL,
+    ProgramTrace,
+    TracedRequest,
+)
 from repro.runtime import program as ops
+from repro.runtime.program import describe_op
 
 Traces = dict[int, ProgramTrace]
 
+ANY_SOURCE = ops.ANY_SOURCE
+MAX_TAG = ops.MAX_PORTABLE_TAG
 
-def _valid_peer(peer: int, rank: int, n_ranks: int) -> bool:
-    return 0 <= peer < n_ranks and peer != rank
 
+def check_traces(traces: Traces, n_ranks: int,
+                 communicators: dict[str, tuple[int, ...]],
+                 kernels: Collection[str] | None = None,
+                 ) -> tuple[list[Diagnostic], list[Diagnostic]]:
+    """(structure findings, kernel-reference findings) of the traces.
 
-# ----------------------------------------------------------------------
-# program-level findings
-# ----------------------------------------------------------------------
-def check_programs(traces: Traces) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
+    ``kernels`` is the job's registered kernel names; ``None`` skips the
+    kernel-reference check (a bare program has no kernel table).
+    """
+    programs: list[Diagnostic] = []
+    domains: list[Diagnostic] = []
+    requests: list[Diagnostic] = []
+    kernel_refs: list[Diagnostic] = []
+    seen_kernels: set[str] = set()
+    # (dst, tag, src) -> op indices on the posting rank, in posting order
+    # (a send's rank is src, a receive's dst; a receive's src may be
+    # ANY_SOURCE).  Invalid endpoints carry a p2p-invalid-* error and are
+    # left out.
+    sends: dict[tuple[int, int, int], list[int]] = defaultdict(list)
+    recvs: dict[tuple[int, int, int], list[int]] = defaultdict(list)
+    members_of = {name: frozenset(m) for name, m in communicators.items()}
+    # comm -> rank -> op indices of the member's collectives on it
+    sequences: dict[str, dict[int, list[int]]] = {
+        name: defaultdict(list) for name in communicators}
+
     for trace in traces.values():
+        rank = trace.rank
         if trace.failure is not None:
-            out.append(trace.failure)
+            programs.append(trace.failure)
         if trace.truncated:
-            out.append(Diagnostic(
+            n_ops = len(trace.values)
+            programs.append(Diagnostic(
                 check="program-budget", severity="warning",
-                rank=trace.rank, op_index=len(trace.ops),
-                message=f"rank {trace.rank} exceeded the analyzer's op "
-                        f"budget ({len(trace.ops)} ops traced); checks "
-                        f"cover the traced prefix only",
+                rank=rank, op_index=n_ops,
+                message=f"rank {rank} exceeded the analyzer's op budget "
+                        f"({n_ops} ops traced); checks cover the traced "
+                        f"prefix only",
                 hint="raise max_ops, or check the program for an "
                      "unbounded loop",
             ))
-        for rec in trace.ops:
-            if not ops.is_known_op(rec.op):
-                out.append(Diagnostic(
-                    check="unknown-op", severity="error",
-                    rank=rec.rank, op_index=rec.index, op=repr(rec.op),
-                    message=f"rank {rec.rank} yielded a value the "
-                            f"executor does not understand",
-                    hint="yield only operations from "
-                         "repro.runtime.program",
-                ))
-    return out
 
+        def bad_peer(index: int, role: str, peer: int) -> None:
+            if peer == rank:
+                msg = f"rank {rank} {role}s to itself"
+                hint = ("guard the exchange for undecomposed axes "
+                        "(skip when the neighbour is the rank itself)")
+            else:
+                msg = (f"rank {rank} {role}s to invalid rank {peer} "
+                       f"(job has ranks 0..{n_ranks - 1})")
+                hint = ("fix the neighbour computation or the rank-grid "
+                        "mapping")
+            domains.append(_at(trace, index, f"p2p-invalid-{role}", msg,
+                               hint))
 
-# ----------------------------------------------------------------------
-# rank / tag / communicator domain validity
-# ----------------------------------------------------------------------
-def check_domains(traces: Traces, n_ranks: int,
-                  communicators: dict[str, tuple[int, ...]]
-                  ) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
+        def tag_range(index: int, tag: int) -> None:
+            domains.append(_at(
+                trace, index, "p2p-tag-range",
+                f"tag {tag} exceeds the portable MPI tag upper bound "
+                f"({MAX_TAG})",
+                "derive tags from small per-phase constants", "warning"))
 
-    def bad_peer(rec: TracedOp, role: str, peer: int) -> None:
-        if peer == rec.rank:
-            msg = f"rank {rec.rank} {role}s to itself"
-            hint = ("guard the exchange for undecomposed axes "
-                    "(skip when the neighbour is the rank itself)")
-        else:
-            msg = (f"rank {rec.rank} {role}s to invalid rank {peer} "
-                   f"(job has ranks 0..{n_ranks - 1})")
-            hint = "fix the neighbour computation or the rank-grid mapping"
-        out.append(Diagnostic(
-            check=f"p2p-invalid-{role}", severity="error",
-            rank=rec.rank, op_index=rec.index, op=rec.describe(),
-            message=msg, hint=hint,
-        ))
-
-    def check_tag(rec: TracedOp, tag: int) -> None:
-        if tag > ops.MAX_PORTABLE_TAG:
-            out.append(Diagnostic(
-                check="p2p-tag-range", severity="warning",
-                rank=rec.rank, op_index=rec.index, op=rec.describe(),
-                message=f"tag {tag} exceeds the portable MPI tag upper "
-                        f"bound ({ops.MAX_PORTABLE_TAG})",
-                hint="derive tags from small per-phase constants",
-            ))
-
-    for trace in traces.values():
-        for rec in trace.ops:
-            op = rec.op
-            if isinstance(op, (ops.Send, ops.Isend)):
-                if not _valid_peer(op.dst, rec.rank, n_ranks):
-                    bad_peer(rec, "send", op.dst)
-                check_tag(rec, op.tag)
-            elif isinstance(op, (ops.Recv, ops.Irecv)):
-                if op.src != ops.ANY_SOURCE and \
-                        not _valid_peer(op.src, rec.rank, n_ranks):
-                    bad_peer(rec, "recv", op.src)
-                check_tag(rec, op.tag)
-            elif isinstance(op, ops.Sendrecv):
-                if not _valid_peer(op.dst, rec.rank, n_ranks):
-                    bad_peer(rec, "send", op.dst)
-                if op.src != ops.ANY_SOURCE and \
-                        not _valid_peer(op.src, rec.rank, n_ranks):
-                    bad_peer(rec, "recv", op.src)
-                check_tag(rec, op.send_tag)
-                check_tag(rec, op.recv_tag)
-            elif ops.is_collective(op):
-                members = communicators.get(op.comm)
+        waits: dict[int, int] = {}          # id(request) -> wait count
+        posted: list[int] = []              # receive-side request ops
+        values = trace.values
+        for index, kind in enumerate(trace.kinds):
+            op = values[index]
+            if kind == COMPUTE:
+                if kernels is not None and op.kernel not in kernels and \
+                        op.kernel not in seen_kernels:
+                    # the runtime would fail mid-run with SimulationError
+                    seen_kernels.add(op.kernel)
+                    kernel_refs.append(_at(
+                        trace, index, "unknown-kernel",
+                        f"Compute references unregistered kernel "
+                        f"{op.kernel!r}",
+                        f"registered kernels: {sorted(kernels)}"))
+            elif kind == ISEND or kind == SEND:
+                dst = op.dst
+                if 0 <= dst < n_ranks and dst != rank:
+                    sends[dst, op.tag, rank].append(index)
+                else:
+                    bad_peer(index, "send", dst)
+                if op.tag > MAX_TAG:
+                    tag_range(index, op.tag)
+            elif kind == IRECV or kind == RECV:
+                src = op.src
+                if src == ANY_SOURCE or (0 <= src < n_ranks and src != rank):
+                    recvs[rank, op.tag, src].append(index)
+                else:
+                    bad_peer(index, "recv", src)
+                if op.tag > MAX_TAG:
+                    tag_range(index, op.tag)
+                if kind == IRECV:
+                    posted.append(index)
+            elif kind == WAITALL:
+                for item in op.requests:
+                    if type(item) is TracedRequest and item.rank == rank \
+                            and id(item) not in waits:
+                        waits[id(item)] = 1     # the common first wait
+                    else:
+                        finding = _wait(trace, index, item, waits)
+                        if finding is not None:
+                            requests.append(finding)
+            elif kind == COLL or kind == ICOLL:
+                if kind == ICOLL:
+                    posted.append(index)
+                comm = op.comm
+                members = members_of.get(comm)
                 if members is None:
-                    out.append(Diagnostic(
-                        check="collective-unknown-comm", severity="error",
-                        rank=rec.rank, op_index=rec.index,
-                        op=rec.describe(),
-                        message=f"collective on unknown communicator "
-                                f"{op.comm!r}",
-                        hint=f"known communicators: "
-                             f"{sorted(communicators)}",
-                    ))
+                    domains.append(_at(
+                        trace, index, "collective-unknown-comm",
+                        f"collective on unknown communicator {comm!r}",
+                        f"known communicators: {sorted(communicators)}"))
                     continue
-                if rec.rank not in members:
-                    out.append(Diagnostic(
-                        check="collective-nonmember", severity="error",
-                        rank=rec.rank, op_index=rec.index,
-                        op=rec.describe(),
-                        message=f"rank {rec.rank} issues a collective on "
-                                f"{op.comm!r} but is not a member "
-                                f"(members: {list(members)})",
-                        hint="guard the collective by communicator "
-                             "membership",
-                    ))
+                if rank in members:
+                    sequences[comm][rank].append(index)
+                else:
+                    domains.append(_at(
+                        trace, index, "collective-nonmember",
+                        f"rank {rank} issues a collective on {comm!r} but "
+                        f"is not a member (members: "
+                        f"{list(communicators[comm])})",
+                        "guard the collective by communicator membership"))
                 root = ops.collective_root(op)
                 if root is not None and root not in members:
-                    out.append(Diagnostic(
-                        check="collective-bad-root", severity="error",
-                        rank=rec.rank, op_index=rec.index,
-                        op=rec.describe(),
-                        message=f"root {root} is not a member of "
-                                f"communicator {op.comm!r}",
-                        hint=f"pick a root among {list(members)}",
-                    ))
-    return out
-
-
-# ----------------------------------------------------------------------
-# request-handle hygiene
-# ----------------------------------------------------------------------
-def check_requests(traces: Traces) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    for trace in traces.values():
-        waits: dict[int, int] = {}          # id(request) -> wait count
-        for rec in trace.ops:
-            if not isinstance(rec.op, ops.WaitAll):
-                continue
-            for item in rec.op.requests:
-                if not isinstance(item, TracedRequest):
-                    out.append(Diagnostic(
-                        check="waitall-non-request", severity="error",
-                        rank=rec.rank, op_index=rec.index,
-                        op=rec.describe(),
-                        message=f"WaitAll on a non-request value "
-                                f"{item!r}",
-                        hint="capture the handle: "
-                             "`r = yield Irecv(...)`; blocking ops "
-                             "(Send/Recv) yield no handle",
-                    ))
-                    continue
-                if item.rank != rec.rank:
-                    out.append(Diagnostic(
-                        check="request-foreign", severity="error",
-                        rank=rec.rank, op_index=rec.index,
-                        op=rec.describe(),
-                        message=f"WaitAll on a request owned by rank "
-                                f"{item.rank}",
-                        hint="requests are rank-local; wait where the "
-                             "op was posted",
-                    ))
-                    continue
-                waits[id(item)] = waits.get(id(item), 0) + 1
-                if waits[id(item)] == 2:
-                    out.append(Diagnostic(
-                        check="request-double-wait", severity="warning",
-                        rank=rec.rank, op_index=rec.index,
-                        op=rec.describe(),
-                        message=f"rank {rec.rank} waits twice on the "
-                                f"{item.describe()}",
-                        hint="drop the request from the second WaitAll",
-                    ))
+                    domains.append(_at(
+                        trace, index, "collective-bad-root",
+                        f"root {root} is not a member of communicator "
+                        f"{comm!r}",
+                        f"pick a root among {list(communicators[comm])}"))
+            elif kind == SENDRECV:
+                dst, src = op.dst, op.src
+                if 0 <= dst < n_ranks and dst != rank:
+                    sends[dst, op.send_tag, rank].append(index)
+                else:
+                    bad_peer(index, "send", dst)
+                if src == ANY_SOURCE or (0 <= src < n_ranks and src != rank):
+                    recvs[rank, op.recv_tag, src].append(index)
+                else:
+                    bad_peer(index, "recv", src)
+                if op.send_tag > MAX_TAG:
+                    tag_range(index, op.send_tag)
+                if op.recv_tag > MAX_TAG:
+                    tag_range(index, op.recv_tag)
+            elif kind == UNKNOWN:
+                programs.append(Diagnostic(
+                    check="unknown-op", severity="error",
+                    rank=rank, op_index=index, op=repr(op),
+                    message=f"rank {rank} yielded a value the executor "
+                            f"does not understand",
+                    hint="yield only operations from repro.runtime.program",
+                ))
         # receives posted but never waited: the program uses data it has
         # no completion guarantee for (sends may legitimately be
         # fire-and-forget under eager/rendezvous completion).
-        for rec in trace.ops:
-            if rec.request is None or isinstance(rec.op, ops.Isend):
-                continue
-            if id(rec.request) not in waits:
-                out.append(Diagnostic(
-                    check="request-unwaited", severity="warning",
-                    rank=rec.rank, op_index=rec.index, op=rec.describe(),
-                    message=f"rank {rec.rank} never waits on the "
-                            f"{rec.request.describe()}",
-                    hint="add the request to a WaitAll before using the "
-                         "received data",
-                ))
-    return out
+        for index in posted:
+            request = trace.requests[index]
+            if id(request) not in waits:
+                requests.append(_at(
+                    trace, index, "request-unwaited",
+                    f"rank {rank} never waits on the {request.describe()}",
+                    "add the request to a WaitAll before using the "
+                    "received data", "warning"))
+
+    return (programs + domains + requests
+            + _match_p2p(traces, sends, recvs)
+            + _congruence(traces, communicators, sequences), kernel_refs)
+
+
+def _at(trace: ProgramTrace, index: int, check: str, message: str,
+        hint: str, severity: str = "error") -> Diagnostic:
+    """A finding anchored to op ``index`` of ``trace``."""
+    return Diagnostic(check=check, severity=severity, rank=trace.rank,
+                      op_index=index, op=describe_op(trace.values[index]),
+                      message=message, hint=hint)
+
+
+def _wait(trace: ProgramTrace, index: int, item: object,
+          waits: dict[int, int]) -> Diagnostic | None:
+    """Count one item the WaitAll at ``index`` waits on; a finding when
+    the wait is suspect."""
+    if not isinstance(item, TracedRequest):
+        return _at(trace, index, "waitall-non-request",
+                   f"WaitAll on a non-request value {item!r}",
+                   "capture the handle: `r = yield Irecv(...)`; blocking "
+                   "ops (Send/Recv) yield no handle")
+    if item.rank != trace.rank:
+        return _at(trace, index, "request-foreign",
+                   f"WaitAll on a request owned by rank {item.rank}",
+                   "requests are rank-local; wait where the op was posted")
+    count = waits[id(item)] = waits.get(id(item), 0) + 1
+    if count == 2:
+        return _at(trace, index, "request-double-wait",
+                   f"rank {trace.rank} waits twice on the "
+                   f"{item.describe()}",
+                   "drop the request from the second WaitAll", "warning")
+    return None
 
 
 # ----------------------------------------------------------------------
 # point-to-point count matching per (destination, tag) channel
 # ----------------------------------------------------------------------
-def _p2p_endpoints(
-        rec: TracedOp, n_ranks: int,
-) -> tuple[list[tuple[Any, Any, int]], list[tuple[Any, Any, int]]]:
-    """(sends, recvs) this op contributes, skipping invalid endpoints
-    (those already carry a ``p2p-invalid-*`` error)."""
-    sends, recvs = [], []
-    op = rec.op
-    if isinstance(op, (ops.Send, ops.Isend)):
-        if _valid_peer(op.dst, rec.rank, n_ranks):
-            sends.append((op.dst, op.tag, rec.rank))
-    elif isinstance(op, (ops.Recv, ops.Irecv)):
-        if op.src == ops.ANY_SOURCE or _valid_peer(op.src, rec.rank,
-                                                   n_ranks):
-            recvs.append((rec.rank, op.tag, op.src))
-    elif isinstance(op, ops.Sendrecv):
-        if _valid_peer(op.dst, rec.rank, n_ranks):
-            sends.append((op.dst, op.send_tag, rec.rank))
-        if op.src == ops.ANY_SOURCE or _valid_peer(op.src, rec.rank,
-                                                   n_ranks):
-            recvs.append((rec.rank, op.recv_tag, op.src))
-    return sends, recvs
-
-
-def check_p2p_matching(traces: Traces, n_ranks: int) -> list[Diagnostic]:
+def _match_p2p(traces: Traces,
+               sends: dict[tuple[int, int, int], list[int]],
+               recvs: dict[tuple[int, int, int], list[int]],
+               ) -> list[Diagnostic]:
     """Count-match sends against receives per (dst, tag) channel.
 
     Specific-source receives are matched against their source's sends
@@ -252,75 +268,55 @@ def check_p2p_matching(traces: Traces, n_ranks: int) -> list[Diagnostic]:
     can absorb anything a specific receive can), so leftovers are genuine
     count mismatches, independent of posting order.
     """
-    # (dst, tag) -> {src -> [TracedOp]} / wildcard list
-    sends: dict[tuple[int, int], dict[int, list[TracedOp]]] = {}
-    specific: dict[tuple[int, int], dict[int, list[TracedOp]]] = {}
-    wildcard: dict[tuple[int, int], list[TracedOp]] = {}
-    for trace in traces.values():
-        for rec in trace.ops:
-            s, r = _p2p_endpoints(rec, n_ranks)
-            for dst, tag, src in s:
-                sends.setdefault((dst, tag), {}).setdefault(
-                    src, []).append(rec)
-            for dst, tag, src in r:
-                if src == ops.ANY_SOURCE:
-                    wildcard.setdefault((dst, tag), []).append(rec)
-                else:
-                    specific.setdefault((dst, tag), {}).setdefault(
-                        src, []).append(rec)
-
     out: list[Diagnostic] = []
-    channels = sorted(set(sends) | set(specific) | set(wildcard))
-    for chan in channels:
-        dst, tag = chan
-        chan_sends = sends.get(chan, {})
-        chan_specific = specific.get(chan, {})
-        leftovers: list[TracedOp] = []      # unmatched sends, FIFO order
-        for src in sorted(set(chan_sends) | set(chan_specific)):
-            n_send = len(chan_sends.get(src, ()))
-            n_recv = len(chan_specific.get(src, ()))
+    for (dst, tag), chan in groupby(sorted(sends.keys() | recvs.keys()),
+                                    key=lambda k: k[:2]):
+        leftovers: list[tuple[int, int]] = []   # unmatched (src, index)
+        wild: list[int] = []
+        for key in chan:
+            src = key[2]
+            if src == ANY_SOURCE:           # sorts first in its channel
+                wild = recvs[key]
+                continue
+            chan_sends = sends.get(key, ())
+            chan_recvs = recvs.get(key, ())
+            n_send, n_recv = len(chan_sends), len(chan_recvs)
+            if n_send == n_recv:
+                continue
             matched = min(n_send, n_recv)
-            leftovers.extend(chan_sends.get(src, ())[matched:])
-            for rec in chan_specific.get(src, ())[matched:]:
-                out.append(Diagnostic(
-                    check="p2p-unmatched-recv", severity="error",
-                    rank=rec.rank, op_index=rec.index, op=rec.describe(),
-                    message=f"rank {rec.rank} receives from rank {src} "
-                            f"tag {tag}, but rank {src} posts no "
-                            f"matching send (channel has {n_send} "
-                            f"send(s) for {n_recv} receive(s))",
-                    hint=f"post a matching send on rank {src} or drop "
-                         f"the receive",
-                ))
-        wild = wildcard.get(chan, [])
+            leftovers.extend((src, i) for i in chan_sends[matched:])
+            for index in chan_recvs[matched:]:
+                out.append(_at(
+                    traces[dst], index, "p2p-unmatched-recv",
+                    f"rank {dst} receives from rank {src} tag {tag}, but "
+                    f"rank {src} posts no matching send (channel has "
+                    f"{n_send} send(s) for {n_recv} receive(s))",
+                    f"post a matching send on rank {src} or drop the "
+                    f"receive"))
         absorbed = min(len(wild), len(leftovers))
-        for rec in leftovers[absorbed:]:
-            out.append(Diagnostic(
-                check="p2p-unmatched-send", severity="error",
-                rank=rec.rank, op_index=rec.index, op=rec.describe(),
-                message=f"rank {rec.rank} sends to rank {dst} tag {tag}, "
-                        f"but rank {dst} posts no matching receive",
-                hint=f"post a matching Recv/Irecv on rank {dst} or drop "
-                     f"the send",
-            ))
-        for rec in wild[absorbed:]:
-            out.append(Diagnostic(
-                check="p2p-unmatched-recv", severity="error",
-                rank=rec.rank, op_index=rec.index, op=rec.describe(),
-                message=f"rank {rec.rank} receives (ANY_SOURCE) tag "
-                        f"{tag}, but no unconsumed send targets rank "
-                        f"{dst} with that tag",
-                hint="post a matching send or drop the wildcard receive",
-            ))
+        for src, index in leftovers[absorbed:]:
+            out.append(_at(
+                traces[src], index, "p2p-unmatched-send",
+                f"rank {src} sends to rank {dst} tag {tag}, but rank "
+                f"{dst} posts no matching receive",
+                f"post a matching Recv/Irecv on rank {dst} or drop the "
+                f"send"))
+        for index in wild[absorbed:]:
+            out.append(_at(
+                traces[dst], index, "p2p-unmatched-recv",
+                f"rank {dst} receives (ANY_SOURCE) tag {tag}, but no "
+                f"unconsumed send targets rank {dst} with that tag",
+                "post a matching send or drop the wildcard receive"))
     return out
 
 
 # ----------------------------------------------------------------------
 # collective congruence
 # ----------------------------------------------------------------------
-def check_collectives(traces: Traces,
-                      communicators: dict[str, tuple[int, ...]]
-                      ) -> list[Diagnostic]:
+def _congruence(traces: Traces,
+                communicators: dict[str, tuple[int, ...]],
+                sequences: dict[str, dict[int, list[int]]],
+                ) -> list[Diagnostic]:
     """All members of a communicator must issue the same collective
     sequence: same length, same op types, same roots.
 
@@ -329,79 +325,74 @@ def check_collectives(traces: Traces,
     """
     out: list[Diagnostic] = []
     for name, members in sorted(communicators.items()):
-        seqs: dict[int, list[TracedOp]] = {}
-        for rank in members:
-            trace = traces.get(rank)
-            if trace is None:
-                continue
-            seqs[rank] = [rec for rec in trace.ops
-                          if ops.is_collective(rec.op)
-                          and rec.op.comm == name]
+        issued = sequences[name]
+        seqs = {rank: issued.get(rank, []) for rank in members
+                if rank in traces}
         if not seqs:
             continue
+
+        def collectives(rank: int) -> list:
+            values = traces[rank].values
+            return [values[i] for i in seqs[rank]]
+
         reference_rank = min(seqs)
-        reference = seqs[reference_rank]
+        reference = collectives(reference_rank)
         for rank in sorted(seqs):
-            seq = seqs[rank]
             if rank == reference_rank:
                 continue
+            seq = collectives(rank)
             divergence = _first_divergence(reference, seq)
             if divergence is None:
                 continue
-            index, kind = divergence
-            ref_rec = reference[index] if index < len(reference) else None
-            rec = seq[index] if index < len(seq) else None
+            pos, kind = divergence
             if kind == "count":
                 shorter, longer = (rank, reference_rank) \
                     if len(seq) < len(reference) else (reference_rank, rank)
-                extra = (seqs[longer][min(len(seqs[shorter]),
-                                          len(seqs[longer]) - 1)])
+                n_short, n_long = len(seqs[shorter]), len(seqs[longer])
+                extra = traces[longer].values[
+                    seqs[longer][min(n_short, n_long - 1)]]
                 out.append(Diagnostic(
                     check="collective-count", severity="error",
-                    rank=shorter, op_index=None,
-                    op=extra.describe(),
-                    message=f"rank {shorter} issues "
-                            f"{len(seqs[shorter])} collective(s) on "
-                            f"{name!r} while rank {longer} issues "
-                            f"{len(seqs[longer])}; the extra collective "
-                            f"would hang waiting for rank {shorter}",
+                    rank=shorter, op_index=None, op=describe_op(extra),
+                    message=f"rank {shorter} issues {n_short} "
+                            f"collective(s) on {name!r} while rank "
+                            f"{longer} issues {n_long}; the extra "
+                            f"collective would hang waiting for rank "
+                            f"{shorter}",
                     hint="make every member execute the same collective "
                          "sequence (check rank-dependent branches)",
                 ))
             elif kind == "type":
-                out.append(Diagnostic(
-                    check="collective-divergence", severity="error",
-                    rank=rank, op_index=rec.index, op=rec.describe(),
-                    message=f"collective sequence diverges on {name!r} "
-                            f"at position {index}: rank {rank} issues "
-                            f"{type(rec.op).__name__} while rank "
-                            f"{reference_rank} issues "
-                            f"{type(ref_rec.op).__name__}",
-                    hint="collectives are matched by call order; align "
-                         "the sequences across ranks",
-                ))
+                out.append(_at(
+                    traces[rank], seqs[rank][pos], "collective-divergence",
+                    f"collective sequence diverges on {name!r} at "
+                    f"position {pos}: rank {rank} issues "
+                    f"{type(seq[pos]).__name__} while rank "
+                    f"{reference_rank} issues "
+                    f"{type(reference[pos]).__name__}",
+                    "collectives are matched by call order; align the "
+                    "sequences across ranks"))
             else:  # root
-                out.append(Diagnostic(
-                    check="collective-root-divergence", severity="error",
-                    rank=rank, op_index=rec.index, op=rec.describe(),
-                    message=f"{type(rec.op).__name__} on {name!r} at "
-                            f"position {index}: rank {rank} uses root "
-                            f"{ops.collective_root(rec.op)} while rank "
-                            f"{reference_rank} uses root "
-                            f"{ops.collective_root(ref_rec.op)}",
-                    hint="all members must pass the same root",
-                ))
+                out.append(_at(
+                    traces[rank], seqs[rank][pos],
+                    "collective-root-divergence",
+                    f"{type(seq[pos]).__name__} on {name!r} at position "
+                    f"{pos}: rank {rank} uses root "
+                    f"{ops.collective_root(seq[pos])} while rank "
+                    f"{reference_rank} uses root "
+                    f"{ops.collective_root(reference[pos])}",
+                    "all members must pass the same root"))
             break   # first diverging member per communicator is enough
     return out
 
 
-def _first_divergence(reference: list[TracedOp],
-                      seq: list[TracedOp]) -> tuple[int, str] | None:
-    """(index, kind) of the first mismatch, or None when congruent."""
+def _first_divergence(reference: list, seq: list) -> tuple[int, str] | None:
+    """(index, kind) of the first mismatch between two collective
+    sequences, or None when congruent."""
     for i, (a, b) in enumerate(zip(reference, seq)):
-        if type(a.op) is not type(b.op):
+        if type(a) is not type(b):
             return i, "type"
-        if ops.collective_root(a.op) != ops.collective_root(b.op):
+        if ops.collective_root(a) != ops.collective_root(b):
             return i, "root"
     if len(reference) != len(seq):
         return min(len(reference), len(seq)), "count"

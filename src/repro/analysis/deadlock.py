@@ -14,7 +14,9 @@ below the eager threshold completes silently (no false positive —
 exactly like the runtime and real MPI eager buffering).
 
 The scheduler executes each op at most once, so it terminates in
-O(total ops) work regardless of program shape.
+O(total ops) work regardless of program shape.  It dispatches on the
+kind replay assigned each op and never visits local ops, which are free
+under the abstraction.
 """
 
 from __future__ import annotations
@@ -22,24 +24,25 @@ from __future__ import annotations
 from typing import Any
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.trace import ProgramTrace, TracedOp, TracedRequest
-from repro.runtime import program as ops
+from repro.analysis.trace import (
+    COLL,
+    ICOLL,
+    IRECV,
+    ISEND,
+    LOCAL,
+    RECV,
+    SEND,
+    SENDRECV,
+    WAITALL,
+    ProgramTrace,
+    TracedRequest,
+)
+from repro.runtime.program import ANY_SOURCE, describe_op
 
 #: Hint attached to every deadlock diagnostic.
 _HINT = ("break the wait cycle: post receives before sends, use "
          "Isend/Irecv + WaitAll (the halo-exchange idiom), or keep "
          "messages below the eager threshold")
-
-
-class _Pending:
-    """One posted-but-unmatched send or receive."""
-
-    __slots__ = ("src", "tag", "token")
-
-    def __init__(self, src: int, tag: int, token: object) -> None:
-        self.src = src          # may be ANY_SOURCE for receives
-        self.tag = tag
-        self.token = token      # completes when matched
 
 
 class _CollPending:
@@ -56,167 +59,174 @@ class _Scheduler:
     def __init__(self, traces: dict[int, ProgramTrace],
                  eager_threshold: float,
                  communicators: dict[str, tuple[int, ...]]) -> None:
-        self.traces = traces
         self.eager = eager_threshold
         self.comms = communicators
+        self.n_ranks = len(traces)
+        self.traces = traces
+        # rank -> indices of its MPI ops; local ops are free under the
+        # abstraction and never scheduled
+        self.streams = {
+            r: [i for i, kind in enumerate(t.kinds) if kind > LOCAL]
+            for r, t in traces.items()}
         # completed tokens, held by strong reference: tracking by id()
         # alone would break when CPython reuses a freed token's id
         self.done: set[object] = set()
-        self.sends: dict[int, list[_Pending]] = {r: [] for r in traces}
-        self.recvs: dict[int, list[_Pending]] = {r: [] for r in traces}
+        # destination -> posted-but-unmatched (src, tag, token), FIFO; a
+        # receive's src may be ANY_SOURCE, a token completes when matched
+        self.sends: dict[int, list[tuple[int, int, object]]] = {
+            r: [] for r in traces}
+        self.recvs: dict[int, list[tuple[int, int, object]]] = {
+            r: [] for r in traces}
         self.coll: dict[str, _CollPending] = {}
-        self.pc = {r: 0 for r in traces}
-        #: rank -> (TracedOp, [unfinished tokens]) while blocked
-        self.blocked: dict[int, tuple[TracedOp, list[object]]] = {}
+        self.pc = dict.fromkeys(traces, 0)
+        #: rank -> (op index, [unfinished tokens]) while blocked
+        self.blocked: dict[int, tuple[int, list[object]]] = {}
         #: findings made while scheduling (e.g. collective re-entry)
         self.extra: list[Diagnostic] = []
-        self._current: TracedOp | None = None
 
     # ------------------------------------------------------------------
     # matching (timeless mirror of SimMPI's FIFO rules)
     # ------------------------------------------------------------------
-    def _complete(self, token: object) -> None:
-        self.done.add(token)
-
-    def _post_send(self, dst: int, src: int, tag: int, size: float,
+    def _post_send(self, src: int, dst: int, tag: int, size: float,
                    token: object) -> None:
+        if not (0 <= dst < self.n_ranks and dst != src):
+            self.done.add(token)        # a structure finding already
+            return
         if size < self.eager:
-            self._complete(token)       # eager: completes on buffering
+            self.done.add(token)        # eager: completes on buffering
         queue = self.recvs[dst]
-        for i, rp in enumerate(queue):
-            if rp.tag == tag and rp.src in (src, ops.ANY_SOURCE):
-                queue.pop(i)
-                self._complete(token)
-                self._complete(rp.token)
+        for i, (rsrc, rtag, rtoken) in enumerate(queue):
+            if rtag == tag and (rsrc == src or rsrc == ANY_SOURCE):
+                del queue[i]
+                self.done.add(token)
+                self.done.add(rtoken)
                 return
-        self.sends[dst].append(_Pending(src, tag, token))
+        self.sends[dst].append((src, tag, token))
 
     def _post_recv(self, dst: int, src: int, tag: int,
                    token: object) -> None:
-        queue = self.sends[dst]
-        for i, sp in enumerate(queue):
-            if sp.tag == tag and src in (sp.src, ops.ANY_SOURCE):
-                queue.pop(i)
-                self._complete(sp.token)
-                self._complete(token)
-                return
-        self.recvs[dst].append(_Pending(src, tag, token))
-
-    def _arrive_collective(self, rank: int, op: Any,
-                           token: object) -> None:
-        members = self.comms.get(op.comm)
-        if members is None or rank not in members:
-            self._complete(token)       # already flagged by check_domains
+        if not (src == ANY_SOURCE or (0 <= src < self.n_ranks
+                                      and src != dst)):
+            self.done.add(token)        # a structure finding already
             return
-        state = self.coll.setdefault(op.comm, _CollPending())
+        queue = self.sends[dst]
+        for i, (ssrc, stag, stoken) in enumerate(queue):
+            if stag == tag and (src == ssrc or src == ANY_SOURCE):
+                del queue[i]
+                self.done.add(stoken)
+                self.done.add(token)
+                return
+        self.recvs[dst].append((src, tag, token))
+
+    def _arrive_collective(self, rank: int, index: int, op: Any,
+                           token: object) -> None:
+        comm = op.comm
+        members = self.comms.get(comm)
+        if members is None or rank not in members:
+            self.done.add(token)        # already a structure finding
+            return
+        state = self.coll.get(comm)
+        if state is None:
+            state = self.coll[comm] = _CollPending()
         if rank in state.arrived:
             # re-entry before release: a second collective issued on the
             # comm while the rank's earlier (nonblocking) one is still
             # pending — the runtime raises CommunicatorError here under
             # the same schedule
-            rec = self._current
             self.extra.append(Diagnostic(
                 check="collective-reentry", severity="error",
-                rank=rank,
-                op_index=rec.index if rec is not None else None,
-                op=rec.describe() if rec is not None else "",
-                message=f"rank {rank} enters a collective on {op.comm!r} "
+                rank=rank, op_index=index, op=describe_op(op),
+                message=f"rank {rank} enters a collective on {comm!r} "
                         f"again before its previous nonblocking "
                         f"collective completed",
                 hint="WaitAll the previous IAllreduce/IBarrier before "
                      "issuing the next collective on the same "
                      "communicator",
             ))
-            self._complete(token)
+            self.done.add(token)
             return
         state.arrived.add(rank)
         state.tokens.append(token)
         if len(state.arrived) == len(members):
-            for t in state.tokens:
-                self._complete(t)
-            del self.coll[op.comm]
+            self.done.update(state.tokens)
+            del self.coll[comm]
 
     # ------------------------------------------------------------------
-    def _issue(self, rank: int, rec: TracedOp) -> list[object]:
-        """Execute one op; returns the tokens it blocks on (empty =
-        continues immediately)."""
-        op = rec.op
-        self._current = rec
-        n_ranks = len(self.traces)
-
-        def valid(peer: int) -> bool:
-            return 0 <= peer < n_ranks and peer != rank
-
-        if isinstance(op, (ops.Isend, ops.Send)):
-            token = rec.request if rec.request is not None else object()
-            if valid(op.dst):
-                self._post_send(op.dst, rank, op.tag, op.size_bytes, token)
-            else:
-                self._complete(token)   # flagged by check_domains
-            if isinstance(op, ops.Send):
-                return [token]
-            return []
-        if isinstance(op, (ops.Irecv, ops.Recv)):
-            token = rec.request if rec.request is not None else object()
-            if op.src == ops.ANY_SOURCE or valid(op.src):
-                self._post_recv(rank, op.src, op.tag, token)
-            else:
-                self._complete(token)
-            if isinstance(op, ops.Recv):
-                return [token]
-            return []
-        if isinstance(op, ops.Sendrecv):
-            stok, rtok = object(), object()
-            if valid(op.dst):
-                self._post_send(op.dst, rank, op.send_tag, op.size_bytes,
-                                stok)
-            else:
-                self._complete(stok)
-            if op.src == ops.ANY_SOURCE or valid(op.src):
-                self._post_recv(rank, op.src, op.recv_tag, rtok)
-            else:
-                self._complete(rtok)
-            return [stok, rtok]
-        if isinstance(op, ops.WaitAll):
+    def _issue(self, rank: int, index: int, kind: int,
+               op: Any) -> list[object]:
+        """Execute one MPI op other than Isend/Irecv (which
+        :meth:`_advance` posts itself); returns the unfinished tokens it
+        blocks on (empty = continues immediately)."""
+        done = self.done
+        if kind == WAITALL:
             return [item for item in op.requests
-                    if isinstance(item, TracedRequest)]
-        if isinstance(op, ops.NONBLOCKING_COLLECTIVE_OPS):
-            token = rec.request if rec.request is not None else object()
-            self._arrive_collective(rank, op, token)
+                    if isinstance(item, TracedRequest) and item not in done]
+        if kind == ICOLL:
+            self._arrive_collective(rank, index, op,
+                                    self.traces[rank].requests[index])
             return []
-        if isinstance(op, ops.COLLECTIVE_OPS):
+        if kind == COLL:
             token = object()
-            self._arrive_collective(rank, op, token)
-            return [token]
-        return []                       # local op: free under abstraction
+            self._arrive_collective(rank, index, op, token)
+            tokens = [token]
+        elif kind == SEND:
+            token = object()
+            self._post_send(rank, op.dst, op.tag, op.size_bytes, token)
+            tokens = [token]
+        elif kind == RECV:
+            token = object()
+            self._post_recv(rank, op.src, op.tag, token)
+            tokens = [token]
+        elif kind == SENDRECV:
+            tokens = [object(), object()]
+            self._post_send(rank, op.dst, op.send_tag, op.size_bytes,
+                            tokens[0])
+            self._post_recv(rank, op.src, op.recv_tag, tokens[1])
+        else:
+            return []                   # unknown value: a structure finding
+        return [t for t in tokens if t not in done]
 
     def _advance(self, rank: int) -> bool:
         """Run one rank as far as possible; True if any op executed or a
         blocked wait resolved."""
+        done = self.done
         progressed = False
         if rank in self.blocked:
-            rec, tokens = self.blocked[rank]
-            tokens = [t for t in tokens if t not in self.done]
+            index, tokens = self.blocked[rank]
+            tokens = [t for t in tokens if t not in done]
             if tokens:
-                self.blocked[rank] = (rec, tokens)
+                self.blocked[rank] = (index, tokens)
                 return False
             del self.blocked[rank]
             progressed = True
-        trace = self.traces[rank].ops
-        while self.pc[rank] < len(trace):
-            rec = trace[self.pc[rank]]
-            self.pc[rank] += 1
-            progressed = True
-            waits = [t for t in self._issue(rank, rec)
-                     if t not in self.done]
+        post_send, post_recv, issue = \
+            self._post_send, self._post_recv, self._issue
+        trace = self.traces[rank]
+        values, kinds, requests = trace.values, trace.kinds, trace.requests
+        stream = self.streams[rank]
+        start = pc = self.pc[rank]
+        end = len(stream)
+        while pc < end:
+            index = stream[pc]
+            pc += 1
+            kind, op = kinds[index], values[index]
+            if kind == ISEND:           # the halo-exchange bulk: never blocks
+                post_send(rank, op.dst, op.tag, op.size_bytes,
+                          requests[index])
+                continue
+            if kind == IRECV:
+                post_recv(rank, op.src, op.tag, requests[index])
+                continue
+            waits = issue(rank, index, kind, op)
             if waits:
-                self.blocked[rank] = (rec, waits)
+                self.blocked[rank] = (index, waits)
                 break
-        return progressed
+        self.pc[rank] = pc
+        return progressed or pc > start
 
     # ------------------------------------------------------------------
     def run(self) -> list[Diagnostic]:
-        ranks = sorted(self.traces)
+        ranks = sorted(self.streams)
         progress = True
         while progress:
             progress = False
@@ -227,32 +237,32 @@ class _Scheduler:
                              if rank in self.blocked]
 
     def _stuck_diag(self, rank: int) -> Diagnostic:
-        rec, tokens = self.blocked[rank]
+        index, tokens = self.blocked[rank]
+        trace = self.traces[rank]
+        kind, op = trace.kinds[index], trace.values[index]
         return Diagnostic(
             check="deadlock", severity="error",
-            rank=rank, op_index=rec.index, op=rec.describe(),
-            message=f"rank {rank} blocks forever on {rec.describe()}: "
-                    f"{self._explain(rank, rec, tokens)}",
+            rank=rank, op_index=index, op=describe_op(op),
+            message=f"rank {rank} blocks forever on {describe_op(op)}: "
+                    f"{self._explain(kind, op, tokens)}",
             hint=_HINT,
         )
 
-    def _explain(self, rank: int, rec: TracedOp,
-                 tokens: list[object]) -> str:
-        op = rec.op
-        if isinstance(op, ops.Send):
+    def _explain(self, kind: int, op: Any, tokens: list[object]) -> str:
+        if kind == SEND:
             return (f"rendezvous-size send; rank {op.dst} never posts the "
                     f"matching receive (tag {op.tag})")
-        if isinstance(op, ops.Recv):
-            src = "ANY_SOURCE" if op.src == ops.ANY_SOURCE else op.src
+        if kind == RECV:
+            src = "ANY_SOURCE" if op.src == ANY_SOURCE else op.src
             return f"no send from {src} with tag {op.tag} remains"
-        if isinstance(op, ops.Sendrecv):
+        if kind == SENDRECV:
             return "its send and/or receive half never matches"
-        if isinstance(op, ops.WaitAll):
+        if kind == WAITALL:
             unfinished = [t.describe() for t in tokens
                           if isinstance(t, TracedRequest)]
             return "unfinished: " + "; ".join(unfinished[:4]) + \
                 ("; ..." if len(unfinished) > 4 else "")
-        if ops.is_collective(op):
+        if kind == COLL:
             state = self.coll.get(op.comm)
             members = self.comms.get(op.comm, ())
             if state is not None:

@@ -106,7 +106,7 @@ def save_sweep(sweep: SweepResult, path: str | Path) -> Path:
                                prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(payload, indent=2))
+            fh.write(json.dumps(payload))
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -10,9 +10,8 @@ the intra-node transfer-cost parameters used by the simulated MPI layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from dataclasses import field
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ConfigurationError
 from repro.machine.interconnect import InterconnectSpec
@@ -89,22 +88,25 @@ class Cluster:
     # ------------------------------------------------------------------
     # addressing
     # ------------------------------------------------------------------
+    @cached_property
+    def _node_addresses(self) -> tuple[tuple[int, int, int], ...]:
+        """(chip, domain, core) of every node-local core, in flat order."""
+        return tuple(
+            (chip_idx, dom_idx, core)
+            for chip_idx, chip in enumerate(self.node.chips)
+            for dom_idx, dom in enumerate(chip.domains)
+            for core in range(dom.n_cores)
+        )
+
     def address_of(self, global_core: int) -> CoreAddress:
         """Convert a flat global core id to a structured address."""
-        if not 0 <= global_core < self.total_cores:
+        table = self._node_addresses
+        if not 0 <= global_core < self.n_nodes * len(table):
             raise ConfigurationError(
                 f"core {global_core} out of range 0..{self.total_cores - 1}"
             )
-        node_idx, local = divmod(global_core, self.node.n_cores)
-        base = 0
-        for chip_idx, chip in enumerate(self.node.chips):
-            if local < base + chip.n_cores:
-                chip_local = local - base
-                dom_idx = chip.domain_of_core(chip_local)
-                dom_base = sum(d.n_cores for d in chip.domains[:dom_idx])
-                return CoreAddress(node_idx, chip_idx, dom_idx, chip_local - dom_base)
-            base += chip.n_cores
-        raise AssertionError("unreachable")
+        node_idx, local = divmod(global_core, len(table))
+        return CoreAddress(node_idx, *table[local])
 
     def global_core(self, addr: CoreAddress) -> int:
         """Convert a structured address back to a flat global core id."""

@@ -458,6 +458,11 @@ def run_job(job: Job) -> RunResult:
     for d in drivers:
         d.start()
     ex.engine.run()
+    for d in drivers:
+        # each driver's callbacks are its own bound methods: drop them so
+        # the drivers and their traces die by reference count, not by a
+        # full cyclic collection
+        d._advance_cb = d._resume_cb = None
 
     failed: tuple[int, ...] = ()
     stalled: tuple[int, ...] = ()

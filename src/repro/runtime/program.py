@@ -298,40 +298,14 @@ COLLECTIVE_OPS = (Barrier, Bcast, Reduce, Allreduce, Allgather, Alltoall,
 #: Non-blocking collectives (yield a request; complete via WaitAll).
 NONBLOCKING_COLLECTIVE_OPS = (IAllreduce, IBarrier)
 
-#: Point-to-point operations.
-P2P_OPS = (Send, Recv, Isend, Irecv, Sendrecv)
-
 #: Operations that carry no MPI semantics (local to the rank).
 LOCAL_OPS = (Compute, Sleep, FileRead, FileWrite)
 
-#: Every op class a rank program may yield.
-ALL_OPS = LOCAL_OPS + P2P_OPS + (WaitAll,) + COLLECTIVE_OPS \
-    + NONBLOCKING_COLLECTIVE_OPS
-
 
 # ----------------------------------------------------------------------
-# introspection hooks (used by the static analyzer and error reporting)
+# introspection hooks (used by the static analyzer and error reporting;
+# the analyzer classifies ops once, in repro.analysis.trace)
 # ----------------------------------------------------------------------
-def is_collective(op) -> bool:
-    """True for any collective, blocking or not."""
-    return isinstance(op, (COLLECTIVE_OPS, NONBLOCKING_COLLECTIVE_OPS))
-
-
-def is_p2p(op) -> bool:
-    """True for point-to-point operations (including ``Sendrecv``)."""
-    return isinstance(op, P2P_OPS)
-
-
-def yields_request(op) -> bool:
-    """True when the executor sends a request handle back for this op."""
-    return isinstance(op, (Isend, Irecv) + NONBLOCKING_COLLECTIVE_OPS)
-
-
-def is_known_op(op) -> bool:
-    """True when the executor would accept this yielded value."""
-    return isinstance(op, ALL_OPS)
-
-
 def collective_root(op) -> int | None:
     """The rooted collective's root rank, or None for unrooted ones."""
     return getattr(op, "root", None)

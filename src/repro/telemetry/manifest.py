@@ -154,7 +154,7 @@ def write_manifest(directory: str | Path, manifest: dict[str, Any]) -> Path:
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps(manifest, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -11,6 +11,7 @@ from repro.analysis import (
     preflight_enabled,
     set_preflight,
 )
+from repro.analysis import analyzer
 from repro.analysis.analyzer import ENV_NO_LINT
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 from repro.compile import PRESETS
@@ -20,6 +21,7 @@ from repro.errors import LintError, PlacementError
 from repro.kernels import presets
 from repro.machine import catalog
 from repro.runtime import Job, JobPlacement
+from repro.runtime.affinity import ProcessAllocation, ThreadBinding
 from repro.runtime.program import Allreduce, Compute, Recv
 
 KERNELS = {"triad": presets.stream_triad()}
@@ -56,6 +58,20 @@ class TestAnalyzeJob:
         report = analyze_job(make_job(program))
         assert report.by_check("unknown-kernel")
         assert "triad" in report.by_check("unknown-kernel")[0].hint
+
+    def test_unknown_kernel_on_a_middle_rank(self):
+        """Only rank 1 of 4 names an unregistered kernel: the runtime
+        would fail mid-run, so lint must see every rank, not just the
+        first and the last."""
+        def program(rank, size):
+            yield Compute(kernel="dgemm" if rank == 1 else "triad",
+                          iters=1000)
+            yield Allreduce(size_bytes=8)
+
+        report = analyze_job(make_job(program, n_ranks=4))
+        found = report.by_check("unknown-kernel")
+        assert [(d.rank, d.op_index) for d in found] == [(1, 0)]
+        assert "'dgemm'" in found[0].message
 
     def test_eager_threshold_comes_from_cluster(self):
         """A sub-threshold cyclic Send ring must not be a deadlock when
@@ -170,3 +186,103 @@ class TestPreflight:
         finally:
             set_preflight(True)
         assert preflight_enabled()
+
+
+class TestShapeMemo:
+    """The program analysis is memoized per program shape: app functions,
+    dataset, rank count, eager threshold and analyzer."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self):
+        analyzer.clear_memos()
+        yield
+        analyzer.clear_memos()
+
+    @pytest.fixture
+    def job_analyses(self, monkeypatch):
+        calls = []
+        real = analyzer.analyze_job
+
+        def counting(job, *args, **kwargs):
+            calls.append(job.placement.n_ranks)
+            return real(job, *args, **kwargs)
+
+        monkeypatch.setattr(analyzer, "analyze_job", counting)
+        return calls
+
+    def test_placement_and_options_share_one_analysis(self, job_analyses):
+        variants = [
+            config(),
+            config(n_threads=6),
+            config(binding=ThreadBinding("stride", 2)),
+            config(allocation=ProcessAllocation("cyclic")),
+            config(options_preset="tuned"),
+            config(data_policy="serial-init"),
+        ]
+        for variant in variants:
+            assert analyze_config(variant).ok
+        assert job_analyses == [4]
+
+    def test_config_findings_stay_per_config(self, job_analyses):
+        assert analyze_config(config()).ok
+        assert analyze_config(config(n_threads=48)).by_check(
+            "placement-infeasible")
+        assert analyze_config(config(data_policy="interleave")).by_check(
+            "config-job")
+        assert job_analyses == [4]
+
+    def test_shape_terms_each_cost_an_analysis(self, job_analyses):
+        for variant in (config(), config(n_ranks=2),
+                        config(dataset="large"), config(app="ngsa"),
+                        config(processor="ThunderX2", n_threads=8)):
+            assert analyze_config(variant).ok
+        assert len(job_analyses) == 5
+
+    def test_memo_is_bounded_and_cleared(self, monkeypatch):
+        monkeypatch.setattr(analyzer, "MEMO_SIZE", 2)
+        for n_ranks in (1, 2, 4):
+            preflight(config(n_ranks=n_ranks, n_threads=12))
+        assert len(analyzer._shapes) == 2
+        assert len(analyzer._verdicts) == 2
+        analyzer.clear_memos()
+        assert not analyzer._shapes and not analyzer._verdicts
+
+    def test_patched_program_is_not_served_a_stale_verdict(self,
+                                                           monkeypatch):
+        from repro.miniapps import by_name
+
+        app = by_name("mvmc")
+        clean = config()
+        assert analyze_config(clean).ok
+        preflight(clean)
+        real = app.make_program
+
+        def seeded_bug(dataset, n_ranks):
+            program = real(dataset, n_ranks)
+
+            def buggy(rank, size):
+                if rank == size - 1:
+                    yield Recv(src=0, tag=999)      # never sent
+                yield from program(rank, size)
+
+            return buggy
+
+        monkeypatch.setattr(app, "make_program", seeded_bug)
+        report = analyze_config(clean)
+        assert report.by_check("p2p-unmatched-recv"), report.render()
+        with pytest.raises(LintError):
+            preflight(config(n_threads=6))      # same shape, new config
+
+    def test_preflight_digests_the_config_once(self, monkeypatch):
+        import repro.core.cache as core_cache
+
+        calls = []
+        real = core_cache.config_digest
+
+        def counting(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(core_cache, "config_digest", counting)
+        preflight(config())
+        assert len(calls) == 1

@@ -1,14 +1,11 @@
 """Seeded-bug tests: each analyzer check must flag its bug category and
-stay silent on the legal variants."""
+stay silent on the legal variants.
+
+All checks run in one walk (:func:`check_traces`); the helpers below
+keep one category of its findings each."""
 
 from repro.analysis import analyze_program
-from repro.analysis.checks import (
-    check_collectives,
-    check_domains,
-    check_p2p_matching,
-    check_programs,
-    check_requests,
-)
+from repro.analysis.checks import check_traces
 from repro.analysis.trace import trace_program
 from repro.runtime.program import (
     ANY_SOURCE,
@@ -30,6 +27,45 @@ WORLD3 = {"world": (0, 1, 2)}
 
 def checks_fired(diags):
     return {d.check for d in diags}
+
+
+def _category(traces, communicators, checks):
+    structure, kernel_refs = check_traces(traces, len(traces),
+                                          communicators)
+    assert kernel_refs == []
+    return [d for d in structure if d.check in checks]
+
+
+def check_programs(traces):
+    return _category(traces, {"world": tuple(traces)}, {
+        "program-config", "program-crash", "program-budget",
+        "unknown-op"})
+
+
+def check_domains(traces, n_ranks, communicators):
+    assert n_ranks == len(traces)
+    return _category(traces, communicators, {
+        "p2p-invalid-send", "p2p-invalid-recv", "p2p-tag-range",
+        "collective-unknown-comm", "collective-nonmember",
+        "collective-bad-root"})
+
+
+def check_requests(traces):
+    return _category(traces, {"world": tuple(traces)}, {
+        "waitall-non-request", "request-foreign", "request-double-wait",
+        "request-unwaited"})
+
+
+def check_p2p_matching(traces, n_ranks):
+    assert n_ranks == len(traces)
+    return _category(traces, {"world": tuple(traces)}, {
+        "p2p-unmatched-send", "p2p-unmatched-recv"})
+
+
+def check_collectives(traces, communicators):
+    return _category(traces, communicators, {
+        "collective-count", "collective-divergence",
+        "collective-root-divergence"})
 
 
 class TestProgramChecks:

@@ -79,8 +79,9 @@ class TestOrderSensitivity:
 
     def test_sendrecv_ring_completes(self):
         def program(rank, size):
-            yield Sendrecv(dst=(rank + 1) % size, src=(rank - 1) % size,
-                           size_bytes=1 << 20)
+            yield Sendrecv(dst=(rank + 1) % size, send_tag=0,
+                           size_bytes=1 << 20, src=(rank - 1) % size,
+                           recv_tag=0)
 
         assert deadlocks(program, 4) == []
 

@@ -42,6 +42,31 @@ def run_counting(monkeypatch):
     return counts
 
 
+def test_run_leaves_no_cyclic_garbage():
+    """Drivers, their generators and traces die by reference count when
+    the result is dropped, so back-to-back runs do not pile garbage up
+    for the cyclic collector."""
+    import gc
+
+    from repro.runtime.program import Allreduce
+
+    def program(rank, size):
+        yield from repeating_program(rank, size)
+        yield Allreduce(size_bytes=8)
+
+    cluster = catalog.a64fx()
+    job = Job(cluster=cluster, placement=JobPlacement(cluster, 4, 2),
+              kernels=KERNELS, program=program, options=PRESETS["kfast"])
+    run_job(job)
+    gc.collect()
+    gc.disable()
+    try:
+        run_job(job)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestWorkCounters:
     def test_regions_and_hits(self, monkeypatch):
         counts = run_counting(monkeypatch)
