@@ -36,8 +36,9 @@ records under the rule ids of :mod:`~repro.analysis.rules`, rendered by
 gates by ``run_config``/``run_sweep``
 (:func:`~repro.analysis.analyzer.preflight`, always on;
 :func:`~repro.analysis.advisor.advise_gate`, opt-in), with verdicts
-cached next to the sweep result cache by config digest and invalidated
-by model- or analyzer-fingerprint changes.
+memoized by config digest and invalidated by model- or
+analyzer-fingerprint changes; ``repro lint``/``repro advise`` and the
+advise gate also keep them next to the sweep result cache.
 """
 
 from repro.analysis.advisor import (

@@ -13,10 +13,10 @@ Three entry points at increasing altitude:
   every constructor failure converted to a diagnostic instead of an
   exception.
 
-:func:`preflight` is the gate ``run_config``/``run_sweep`` call before
-simulating: it memoizes verdicts per config digest (in-process, plus the
-persistent :class:`~repro.analysis.cache.LintCache` when a cache
-directory is in play) and raises :class:`~repro.errors.LintError` when
+:func:`preflight` is the gate every event execution calls before
+simulating: it memoizes verdicts per config digest (in-process, plus a
+persistent :class:`~repro.analysis.cache.LintCache` when the caller
+passes one — ``repro lint`` does; the run path does not) and raises :class:`~repro.errors.LintError` when
 the report contains error-severity findings.  Below the verdicts,
 :func:`analyze_config` memoizes the program analysis per *program
 shape* — everything ``analyze_job``'s findings depend on — so configs

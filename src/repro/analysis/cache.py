@@ -16,8 +16,8 @@ newer check would reject.
 
 Verdicts are tiny (usually ``[]``), so the in-memory layer is a plain
 dict loaded once per process; :func:`lint_cache_for` memoizes one
-instance per directory so repeated ``run_config`` calls share a single
-load.
+instance per directory so repeated ``repro lint`` / ``repro advise``
+passes and advise gates share a single load.
 """
 
 from __future__ import annotations

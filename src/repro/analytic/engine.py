@@ -611,18 +611,23 @@ def cross_validate(name: str, configs: list[ExperimentConfig],
     """Re-simulate a seeded sample with the event engine and compare.
 
     Returns the checked ``(config, analytic_row, event_row)`` triples;
-    raises :class:`EngineDisagreement` on the first violation.  Event
-    rows land in ``cache`` under their normal (event) keys, so the
-    cross-check also warms the event cache.
+    raises :class:`EngineDisagreement` on the first violation (or a
+    sampled event run's exception).  The sample runs ungated through
+    :func:`~repro.core.parallel.run_configs`, and its event rows land
+    in ``cache``, so the cross-check also warms the event cache.
     """
-    from repro.core.runner import run_config
+    from repro.core.parallel import run_configs
 
+    picked = [(configs[i], analytic_rows[i])
+              for i in validation_sample(name, len(configs), sample_size)]
+    pairs = [(config, row) for config, row in picked
+             if isinstance(row, Row)]
+    event_rows = run_configs([config for config, _ in pairs], cache=cache,
+                             engine="event")
     checked = []
-    for i in validation_sample(name, len(configs), sample_size):
-        row_a = analytic_rows[i]
-        if isinstance(row_a, Exception) or row_a is None:
-            continue
-        row_e = run_config(configs[i], cache, engine="event")
-        check_agreement(configs[i], row_a, row_e)
-        checked.append((configs[i], row_a, row_e))
+    for (config, row_a), row_e in zip(pairs, event_rows):
+        if isinstance(row_e, Exception):
+            raise row_e
+        check_agreement(config, row_a, row_e)
+        checked.append((config, row_a, row_e))
     return checked

@@ -65,31 +65,19 @@ def _run_with_vl(cfg: ExperimentConfig, vl: int, cache):
     """Run a config with the compiler's vector length capped at ``vl``.
 
     The cache key is ``(config, vl)`` — :class:`~repro.core.cache.
-    ResultCache` digests the extra element alongside the config.
+    ResultCache` digests the extra element alongside the config.  The
+    job and row are the runner's own; ablation runs are not linted.
     """
-    from repro.machine import catalog as cat
-    from repro.miniapps import by_name
+    from repro.core.runner import _event_job, _event_row
     from repro.runtime.executor import run_job
-    from repro.runtime.placement import JobPlacement
-    from repro.core.runner import Row
 
     key = (cfg, vl)
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
-    cluster = cat.by_name(cfg.processor, n_nodes=cfg.n_nodes)
-    app = by_name(cfg.app)
-    placement = JobPlacement(cluster, cfg.n_ranks, cfg.n_threads,
-                             allocation=cfg.allocation, binding=cfg.binding)
-    options = PRESETS[cfg.options_preset].with_(simd_width_bits=vl)
-    job = app.build_job(cluster, placement, dataset=cfg.dataset,
-                        options=options, data_policy=cfg.data_policy)
-    result = run_job(job)
-    row = Row(config=cfg, elapsed=result.elapsed,
-              gflops=result.achieved_flops_per_s / 1e9,
-              dram_gbytes_per_s=result.dram_bandwidth / 1e9,
-              comm_fraction=result.communication_fraction())
+    options = cfg.options.with_(simd_width_bits=vl)
+    row = _event_row(cfg, run_job(_event_job(cfg, options)))
     if cache is not None:
         cache[key] = row
     return row

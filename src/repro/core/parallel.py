@@ -29,12 +29,7 @@ from typing import Any, Callable
 
 from repro import telemetry
 from repro.core.experiment import ExperimentConfig
-from repro.core.runner import (
-    Row,
-    cache_key,
-    record_completion,
-    run_config,
-)
+from repro.core.runner import Row, _simulate, cache_key, record_completion
 
 #: Attribute names used to piggyback worker context on captured exceptions
 #: (plain attributes survive pickling back to the parent).
@@ -135,9 +130,12 @@ def simulate_config(config: ExperimentConfig) -> tuple[bool, Any]:
     parent controls error policy.  This is the one sweep-point
     entrypoint for every event-engine execution — serial, pool or
     service — so a row is bit-identical whichever path produced it.
+    It runs the runner's private event execution (looked up here at
+    call time) and never re-enters ``run_config``: the caller's gates
+    and cache apply once, in the parent.
     """
     try:
-        return True, run_config(config)
+        return True, _simulate(config)
     except Exception as exc:  # noqa: BLE001 - per-row capture by design
         setattr(exc, _TB_ATTR, traceback.format_exc())
         setattr(exc, _PID_ATTR, os.getpid())
@@ -205,7 +203,9 @@ def run_configs(
     under ``sweep`` — in completion order.
     ``engine="event"`` misses run serially or, with ``workers > 1``, on
     a process pool under ``retry`` (see :class:`RetryPolicy`); analytic
-    and ``auto`` misses go to one batched scorer call.
+    and ``auto`` misses go to one batched scorer call.  One
+    ``engine.pick.<engine>`` count per call records how many distinct
+    configs were scored.
     """
     outcomes: list[Row | Exception | None] = [None] * len(configs)
 
@@ -224,6 +224,8 @@ def run_configs(
 
     # 2. score the unique misses; checkpoint each as it completes
     event = engine == "event"
+    misses = list(pending)
+    telemetry.count(f"engine.pick.{engine}", len(misses))
 
     def note(config: ExperimentConfig, ok: bool, value: Any) -> None:
         if event:
@@ -233,11 +235,9 @@ def run_configs(
         for i in pending[config]:
             outcomes[i] = value
 
-    misses = list(pending)
     if not event:
         from repro.analytic.engine import score_configs
 
-        telemetry.count("engine.analytic.scored", len(misses))
         for config, outcome in zip(misses, score_configs(misses)):
             note(config, not isinstance(outcome, Exception), outcome)
     elif workers > 1 and len(misses) > 1:

@@ -2,10 +2,12 @@
 
 ``run_config``/``run_sweep`` accept a ``cache`` (a plain dict for
 process-lifetime memoization, or a persistent
-:class:`~repro.core.cache.ResultCache`).  ``run_sweep`` gates each
-config, then makes one dispatch call for both engines
-(:func:`repro.core.parallel.run_configs`); ``workers=N`` runs the
-event-engine misses on the process pool of
+:class:`~repro.core.cache.ResultCache`).  Both gate each config, then
+make one dispatch call for every engine
+(:func:`repro.core.parallel.run_configs`) — ``run_config`` is a
+one-config sweep.  Every event row they return comes from one private
+execution, :func:`_simulate`, whichever worker ran it; ``workers=N``
+runs the event-engine misses on the process pool of
 :class:`repro.core.scheduler.Scheduler`, with the exact serial row
 ordering and values.  :func:`record_completion` checkpoints every fresh
 completion, whichever path produced it, so with a persistent cache
@@ -15,6 +17,7 @@ stopped (see :mod:`repro.core.journal`).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -24,7 +27,7 @@ from repro import telemetry
 from repro.core.experiment import ExperimentConfig
 from repro.machine import catalog
 from repro.miniapps import by_name
-from repro.runtime.executor import RunResult, run_job
+from repro.runtime.executor import Job, RunResult, run_job
 from repro.runtime.placement import JobPlacement
 
 
@@ -136,8 +139,9 @@ def _gate(kind: str, config: ExperimentConfig, cache,
     every engine — the advisor consumes only the closed-form model.
 
     Both record a ``gate.<kind>`` span, a ``gate.<kind>.seconds``
-    histogram and a ``gate.<kind>.blocked`` count; when the result
-    cache is persistent, verdicts share its directory.
+    histogram and a ``gate.<kind>.blocked`` count; when ``cache`` is
+    persistent, verdicts share its directory (the run path lints with
+    no cache, since its workers never get one).
     """
     if kind == "lint":
         from repro.analysis import analyzer
@@ -223,6 +227,10 @@ def run_config(config: ExperimentConfig, cache=None, *,
     opted-in caller wants the verdict even for warm rows, and the
     advisor memoizes per config so the repeat cost is a dict probe.
 
+    Past the gate this is a one-config sweep: the row comes from
+    :func:`~repro.core.parallel.run_configs`, the dispatch call behind
+    ``run_sweep``, and the config's exception (if any) is raised.
+
     A non-empty ``fault_plan`` requires the event engine (the analytic
     model has no fault dynamics — anything else would silently ignore
     the plan) and bypasses the cache in both directions: a degraded run
@@ -230,84 +238,56 @@ def run_config(config: ExperimentConfig, cache=None, *,
 
     With telemetry on (the default — see :mod:`repro.telemetry`), a
     top-level call records itself as ``results/runs/<run_id>/``; inside
-    an active run (a sweep's serial path) it contributes a ``config``
-    span instead.
+    an active run it contributes a ``config`` span instead.
     """
+    from repro.analytic import engine as analytic_engine
+    from repro.core.parallel import run_configs
+
+    analytic_engine.check_engine(engine)
     with telemetry.run_scope(kind="config", name=config.label(),
                              configs=[config], engine=engine,
                              cache=cache, advise=advise,
                              fault_plan=fault_plan) as run:
-        row = _run_config_impl(config, cache, engine=engine,
-                               fault_plan=fault_plan, advise=advise)
+        _gate("advise", config, cache, advise)
+        if fault_plan is not None and not getattr(fault_plan, "empty",
+                                                  False):
+            if engine != "event":
+                from repro.errors import ConfigurationError
+
+                raise ConfigurationError(
+                    f"engine={engine!r} cannot inject faults: the "
+                    f"analytic model has no fault dynamics; use "
+                    f"engine='event' for FaultPlan / chaos runs"
+                )
+            row = _simulate(config, fault_plan)
+        else:
+            (row,) = run_configs([config], cache=cache, engine=engine)
+            if isinstance(row, Exception):
+                raise row
+            if engine == "auto":
+                analytic_engine.cross_validate(config.label(), [config],
+                                               [row], cache)
         if run is not None:
             run.attach_rows(config.label(), [row])
         return row
 
 
-def _run_config_impl(config: ExperimentConfig, cache=None, *,
-                     engine: str = "event", fault_plan=None,
-                     advise: str | None = None) -> Row:
-    from repro.analytic import engine as analytic_engine
-
-    analytic_engine.check_engine(engine)
-    telemetry.count(f"engine.pick.{engine}")
-    _gate("advise", config, cache, advise)
-    faulty = fault_plan is not None and not getattr(fault_plan, "empty", False)
-    if faulty and engine != "event":
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"engine={engine!r} cannot inject faults: the analytic model "
-            f"has no fault dynamics; use engine='event' for FaultPlan / "
-            f"chaos runs"
-        )
-
-    if engine in ("analytic", "auto"):
-        key = cache_key(config, "analytic")
-        row = cache.get(key) if cache is not None else None
-        if row is None:
-            with telemetry.span("score.analytic", config=config.label()):
-                row = analytic_engine.score_config(config)
-            if cache is not None:
-                cache[key] = row
-        if engine == "auto":
-            event_row = run_config(config, cache, engine="event")
-            analytic_engine.check_agreement(config, row, event_row)
-        return row
-
-    if cache is not None and not faulty:
-        row = cache.get(config)
-        if row is not None:
-            return row
-    _gate("lint", config, cache)
+def _event_job(config: ExperimentConfig, options=None) -> Job:
+    """The event-engine job for ``config``; ``options`` overrides the
+    config's compiler preset (the vector-length ablation)."""
     cluster = catalog.by_name(config.processor, n_nodes=config.n_nodes)
-    app = by_name(config.app)
-    placement = JobPlacement(
-        cluster,
-        config.n_ranks,
-        config.n_threads,
-        allocation=config.allocation,
-        binding=config.binding,
-    )
-    job = app.build_job(
-        cluster,
-        placement,
-        dataset=config.dataset,
-        options=config.options,
-        data_policy=config.data_policy,
-    )
-    if faulty:
-        import dataclasses
+    placement = JobPlacement(cluster, config.n_ranks, config.n_threads,
+                             allocation=config.allocation,
+                             binding=config.binding)
+    return by_name(config.app).build_job(
+        cluster, placement, dataset=config.dataset,
+        options=config.options if options is None else options,
+        data_policy=config.data_policy)
 
-        job = dataclasses.replace(job, fault_plan=fault_plan)
-        telemetry.count("faults.runs")
-    with telemetry.span("score.event", config=config.label()):
-        result: RunResult = run_job(job)
-    if result.fault_stats is not None:
-        for stat, value in result.fault_stats.to_dict().items():
-            if value:
-                telemetry.count(f"faults.{stat}", value)
-    row = Row(
+
+def _event_row(config: ExperimentConfig, result: RunResult) -> Row:
+    """The sweep row of one event-engine run of ``config``."""
+    return Row(
         config=config,
         elapsed=result.elapsed,
         gflops=result.achieved_flops_per_s / 1e9,
@@ -315,9 +295,29 @@ def _run_config_impl(config: ExperimentConfig, cache=None, *,
         comm_fraction=result.communication_fraction(),
         engine="event",
     )
-    if cache is not None and not faulty:
-        cache[config] = row
-    return row
+
+
+def _simulate(config: ExperimentConfig, fault_plan=None) -> Row:
+    """The one event execution of a config, uncached: pre-flight lint,
+    job assembly, the optional fault plan, :func:`run_job`, the row.
+
+    Every event row a sweep or :func:`run_config` returns is made
+    here — by serial, pool and service workers
+    (:func:`repro.core.parallel.simulate_config`) and faulted
+    :func:`run_config` calls alike.
+    """
+    _gate("lint", config, None)
+    job = _event_job(config)
+    if fault_plan is not None:
+        job = dataclasses.replace(job, fault_plan=fault_plan)
+        telemetry.count("faults.runs")
+    with telemetry.span("score.event", config=config.label()):
+        result = run_job(job)
+    if result.fault_stats is not None:
+        for stat, value in result.fault_stats.to_dict().items():
+            if value:
+                telemetry.count(f"faults.{stat}", value)
+    return _event_row(config, result)
 
 
 #: Journal failure count at which ``resume`` quarantines a config.

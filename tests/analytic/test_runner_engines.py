@@ -1,15 +1,19 @@
 """Engine wiring through run_config / run_sweep: cache tagging, the
-auto cross-validation path, fault guard-rails, and Row persistence."""
+auto cross-validation path, fault guard-rails, the advise override,
+and Row persistence."""
 
 import dataclasses
 
 import pytest
 
+from repro import telemetry
+from repro.analysis import advisor
+from repro.analysis.advisor import set_advise_mode
 from repro.core.cache import ResultCache, config_digest
 from repro.core.experiment import ExperimentConfig
 from repro.core.persistence import row_from_dict, row_to_dict
 from repro.core.runner import Row, cache_key, run_config, run_sweep
-from repro.errors import ConfigurationError
+from repro.errors import AdviseError, ConfigurationError
 from repro.faults import FaultPlan, Straggler
 
 CFG = ExperimentConfig(app="ffvc", n_ranks=2, n_threads=4,
@@ -103,6 +107,60 @@ class TestSweepEngines:
                           engine="analytic", errors="capture")
         assert len(sweep.rows) == 3
         assert len(sweep.errors) == 1
+
+
+def _score(entry, configs, engine, **kwargs):
+    """Rows and captured errors of ``configs`` through one entry point."""
+    if entry == "run_sweep":
+        sweep = run_sweep("t-override", configs, engine=engine, **kwargs)
+        return sweep.rows, sweep.errors
+    kwargs.pop("errors", None)
+    return [run_config(c, engine=engine, **kwargs) for c in configs], []
+
+
+@pytest.mark.parametrize("entry", ["run_sweep", "run_config"])
+@pytest.mark.parametrize("engine", ["event", "analytic", "auto"])
+class TestAdviseOverride:
+    """The per-call ``advise`` beats the global mode on every engine and
+    entry point, and the gate runs once per config."""
+
+    #: One ``perf-undersubscribed`` warning each: blocked by "error"
+    #: only.
+    UNDER = [ExperimentConfig(app="ntchem", n_ranks=1, n_threads=n)
+             for n in (1, 2, 3)]
+
+    @pytest.fixture(autouse=True)
+    def _global_mode_off_after(self):
+        yield
+        set_advise_mode("off")
+
+    def test_per_call_off_beats_global_error(self, entry, engine):
+        set_advise_mode("error")
+        rows, errors = _score(entry, self.UNDER[:1], engine,
+                              advise="off", errors="capture")
+        assert [r.config for r in rows] == self.UNDER[:1]
+        assert errors == []
+
+    def test_per_call_error_beats_global_off(self, entry, engine):
+        assert advisor.advise_mode() == "off"
+        with pytest.raises(AdviseError):
+            _score(entry, self.UNDER[:1], engine, advise="error",
+                   errors="raise")
+        if entry == "run_sweep":
+            rows, errors = _score(entry, self.UNDER[:1], engine,
+                                  advise="error", errors="capture")
+            assert rows == []
+            assert [e.error for e in errors] == ["AdviseError"]
+
+    def test_gate_observed_once_per_config(self, entry, engine,
+                                           monkeypatch):
+        seen = []
+        monkeypatch.setattr(telemetry, "observe",
+                            lambda name, value, **_: seen.append(name))
+        set_advise_mode("warn")
+        rows, _ = _score(entry, self.UNDER, engine)
+        assert len(rows) == len(self.UNDER)
+        assert seen.count("gate.advise.seconds") == len(self.UNDER)
 
 
 class TestPersistence:

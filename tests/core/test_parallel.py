@@ -18,7 +18,7 @@ import pytest
 from repro.core.cache import ResultCache
 from repro.core.experiment import ExperimentConfig
 from repro.core.parallel import SweepError, default_workers, run_configs
-from repro.core.runner import Row, run_sweep
+from repro.core.runner import Row, run_config, run_sweep
 from repro.errors import LintError
 from repro.runtime.affinity import ThreadBinding
 
@@ -54,10 +54,11 @@ def _canon(row) -> bytes:
 
 
 class TestParallelIdentity:
-    @pytest.mark.parametrize("engine", ["event", "analytic"])
+    @pytest.mark.parametrize("engine", ["event", "analytic", "auto"])
     def test_parallel_rows_byte_identical_to_serial(self, engine):
         """Property: for seeded shuffles/duplications of a mixed F1+F2
-        list, workers=4 reproduces the serial rows byte-for-byte."""
+        list, workers=4 and one ``run_config`` per config reproduce the
+        serial sweep's rows byte-for-byte."""
         rng = random.Random(20210907)
         base = mixed_configs()
         for trial in range(2):
@@ -67,12 +68,14 @@ class TestParallelIdentity:
             configs += rng.sample(configs, k=3)
             serial = run_sweep("s", configs, engine=engine)
             parallel = run_sweep("s", configs, workers=4, engine=engine)
-            assert serial.rows == parallel.rows
+            one_by_one = [run_config(c, engine=engine) for c in configs]
+            assert serial.rows == parallel.rows == one_by_one
             # canonical-serialization bytes: identical config, order, and
             # every float bit (pickle bytes would differ on string
             # interning alone for configs that crossed the pool boundary)
-            assert [_canon(r) for r in serial.rows] == \
-                [_canon(r) for r in parallel.rows]
+            expected = [_canon(r) for r in serial.rows]
+            for rows in (parallel.rows, one_by_one):
+                assert [_canon(r) for r in rows] == expected
 
     def test_parallel_respects_cache(self, tmp_path):
         configs = mixed_configs()
@@ -119,11 +122,13 @@ class TestParallelIdentity:
         code = (
             "import sys\n"
             "from repro.core.experiment import ExperimentConfig\n"
-            "from repro.core.runner import run_sweep\n"
+            "from repro.core.runner import run_config, run_sweep\n"
             "cs = [ExperimentConfig(app='ffvc', n_ranks=1, n_threads=t)\n"
             "      for t in (1, 2)]\n"
             "run_sweep('serial', cs, workers=1)\n"
             "run_sweep('analytic', cs, workers=2, engine='analytic')\n"
+            "run_config(cs[0])\n"
+            "run_config(cs[0], engine='analytic')\n"
             "print('asyncio' in sys.modules)\n"
         )
         src = Path(__file__).resolve().parents[2] / "src"

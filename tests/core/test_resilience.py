@@ -132,7 +132,7 @@ class TestWorkerCrashRecovery:
         the pool: the rest of the sweep runs in-process, every row
         identical to the serial run."""
         marker = tmp_path / "crashed-once"
-        real = par.run_config
+        real = par._simulate
 
         def flaky(config):
             if config.n_threads == 3 and not marker.exists():
@@ -140,7 +140,7 @@ class TestWorkerCrashRecovery:
                 os._exit(42)       # simulate an OOM-killed worker
             return real(config)
 
-        monkeypatch.setattr(par, "run_config", flaky)
+        monkeypatch.setattr(par, "_simulate", flaky)
         out = par.run_configs(CONFIGS, workers=2, retry=FAST)
         assert marker.exists()
         assert out == par.run_configs(CONFIGS)
@@ -152,7 +152,7 @@ class TestWorkerCrashRecovery:
         row: after the first crash nothing is sent to a pool again, and
         the in-process fallback (where the crash does not fire) runs it
         with the real function."""
-        real = par.run_config
+        real = par._simulate
 
         def flaky(config):
             # crash only in workers (parent pid differs)
@@ -161,7 +161,7 @@ class TestWorkerCrashRecovery:
             return real(config)
 
         parent = os.getpid()
-        monkeypatch.setattr(par, "run_config", flaky)
+        monkeypatch.setattr(par, "_simulate", flaky)
         out = par.run_configs(CONFIGS, workers=2, retry=FAST)
         assert all(isinstance(o, Row) for o in out)
         assert [o.config for o in out] == CONFIGS
@@ -173,7 +173,7 @@ class TestWorkerCrashRecovery:
         watchdog (``RetryPolicy.timeout_s``): the pool is recycled and
         the config retried on a fresh one."""
         attempts = tmp_path / "attempts"
-        real = par.run_config
+        real = par._simulate
 
         def stall_once(config):
             if config.n_threads == 3:
@@ -183,7 +183,7 @@ class TestWorkerCrashRecovery:
                     time.sleep(4.0)    # first attempt: a wedged worker
             return real(config)
 
-        monkeypatch.setattr(par, "run_config", stall_once)
+        monkeypatch.setattr(par, "_simulate", stall_once)
         policy = RetryPolicy(max_attempts=3, backoff_s=0.01, timeout_s=1.0)
         t0 = time.perf_counter()
         out = par.run_configs(CONFIGS, workers=2, retry=policy)
@@ -196,7 +196,7 @@ class TestWorkerCrashRecovery:
             self, tmp_path, monkeypatch):
         """A KeyboardInterrupt during a parallel sweep propagates, and
         every row finished before it stays checkpointed in the cache."""
-        real = par.run_config
+        real = par._simulate
 
         def interrupt_last(config):
             if config.n_threads == 4:
@@ -204,7 +204,7 @@ class TestWorkerCrashRecovery:
                 raise KeyboardInterrupt
             return real(config)
 
-        monkeypatch.setattr(par, "run_config", interrupt_last)
+        monkeypatch.setattr(par, "_simulate", interrupt_last)
         with pytest.raises(KeyboardInterrupt):
             run_sweep("ki", list(CONFIGS), ResultCache(tmp_path),
                       workers=2)
@@ -280,8 +280,8 @@ class TestResume:
         reference = run_sweep("ref", list(CONFIGS), {})
 
         cache = ResultCache(tmp_path)
-        monkeypatch.setattr(par, "run_config",
-                            _InterruptNth(par.run_config, 3))
+        monkeypatch.setattr(par, "_simulate",
+                            _InterruptNth(par._simulate, 3))
         with pytest.raises(KeyboardInterrupt):
             run_sweep("f1x", list(CONFIGS), cache)
         monkeypatch.undo()

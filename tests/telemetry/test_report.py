@@ -79,6 +79,26 @@ class TestRunReport:
         assert "hit rate" in text
         assert "gate advise" in text
 
+    @pytest.mark.parametrize("engine", ["event", "analytic"])
+    def test_engine_picks_render_for_every_engine(self, results_dir,
+                                                  engine):
+        run_sweep(f"picks-{engine}", CFGS, {}, engine=engine)
+        entry = list_runs(results_dir, name=f"picks-{engine}")[0]
+        rep = RunReport.load(entry.run_id, results_dir)
+        assert rep.metric(f"engine.pick.{engine}") == len(CFGS)
+        assert f"engine picks: {engine} x{len(CFGS)}" in rep.render()
+
+    def test_event_sweep_opens_no_config_span(self, results_dir):
+        from repro.telemetry.spans import read_spans
+
+        run_sweep("spans-event", CFGS, {}, engine="event")
+        entry = list_runs(results_dir, name="spans-event")[0]
+        spans = read_spans(
+            run_directory(entry.run_id, results_dir) / "spans.jsonl")[0]
+        names = [s["name"] for s in spans]
+        assert names.count("score.event") == len(CFGS)
+        assert "config" not in names
+
     def test_slowest_table_and_dict(self, results_dir, warm_run):
         rep = RunReport.load(warm_run.run_id, results_dir)
         slow = rep.slowest(1)
