@@ -22,7 +22,9 @@ plus a telemetry-overhead leg: the same cold event sweep with run
 recording off (``REPRO_TELEMETRY=off``) and on (the default, writing a
 run directory into a scratch results root), asserting the manifest /
 metrics / span machinery stays under 3% of sweep wall time
-(``telemetry_overhead_pct``).  All other legs run with telemetry off so
+(``telemetry_overhead_pct``).  Those are multi-second event sweeps,
+where telemetry is within noise; the light-sweep cost shows in the
+traced analytic-dse workload of ``benchmarks/perf``.  All other legs run with telemetry off so
 their figures stay comparable with pre-telemetry datapoints,
 
 plus a service-dedup leg: the same sweep submitted by N concurrent

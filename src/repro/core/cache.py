@@ -115,11 +115,19 @@ def _key_payload(key: Any) -> dict:
     )
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def payload_digest(payload: Any) -> str:
+    """SHA-256 (hex, 16 chars) of ``payload``'s canonical JSON: sorted
+    keys, compact separators."""
+    return hashlib.sha256(_CANONICAL.encode(payload).encode()) \
+        .hexdigest()[:16]
+
+
 def config_digest(key: Any) -> str:
     """Stable content digest of a cache key (hex, 16 chars)."""
-    blob = json.dumps(_key_payload(key), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return payload_digest(_key_payload(key))
 
 
 class ResultCache:

@@ -10,10 +10,9 @@ re-plotted without re-simulation.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 
+from repro import jsonlog
 from repro.core.experiment import ExperimentConfig
 from repro.core.runner import Row, SweepResult
 from repro.errors import ConfigurationError
@@ -93,8 +92,9 @@ def save_sweep(sweep: SweepResult, path: str | Path) -> Path:
     """Write a sweep to JSON atomically; returns the path.
 
     The payload lands in a temporary sibling first and is moved into
-    place with ``os.replace``, so readers never observe a half-written
-    file even if the writer dies mid-dump.
+    place with ``os.replace`` (:func:`repro.jsonlog.replace_file`), so
+    readers never observe a half-written file even if the writer dies
+    mid-dump.
     """
     payload = {
         "schema": SCHEMA_VERSION,
@@ -102,18 +102,7 @@ def save_sweep(sweep: SweepResult, path: str | Path) -> Path:
         "rows": [row_to_dict(r) for r in sweep.rows],
     }
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(payload))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    jsonlog.replace_file(path, json.dumps(payload).encode())
     return path
 
 

@@ -1,4 +1,5 @@
-"""Durable JSON-lines logs: one append, one tolerant read, one rewrite.
+"""Durable JSON-lines logs: one append, one tolerant read, one atomic
+replace.
 
 Every append-only store in the package — the result cache, the sweep
 journal, the lint cache, the service job ledger and a run's metrics and
@@ -9,12 +10,18 @@ the stores keep only their record semantics:
 * :func:`append` writes one record as one ``O_APPEND`` ``os.write``.
   Concurrent appenders interleave whole lines, and a killed process
   leaves at most one torn line.
+* :class:`Buffered` is the appender for logs that record many events
+  per run (a run's metrics and spans): records wait in memory and go
+  out as one ``O_APPEND`` write per flush, at most
+  :data:`FLUSH_RECORDS` records or :data:`FLUSH_SECONDS` after the last
+  flush.  A killed process loses at most the unflushed tail.
 * :func:`read` never raises on content.  A line that fails to decode as
   UTF-8, fails to parse, or is not a JSON object is *torn*: skipped and
   counted.  An object of another ``format`` is *foreign*: skipped, not
   counted.
-* :func:`rewrite` replaces the file atomically (temp sibling, ``fsync``,
-  ``os.replace``), so a reader sees the old file or the new one.
+* :func:`replace_file` swaps in a whole file atomically (temp sibling,
+  ``os.replace``), so a reader sees the old file or the new one;
+  :func:`rewrite` is that for a log (with ``fsync``).
 
 The module is stdlib-only and imports nothing from the package, so the
 telemetry layer can depend on it without depending on :mod:`repro.core`.
@@ -24,14 +31,44 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+import time
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 # The one line encoding every store has always written (sorted keys,
 # compact separators).  Encoder and decoder are built once: every
-# telemetry counter is an append, and every sweep re-reads its journal.
+# cache put is an append, and every sweep re-reads its journal.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODE = json.JSONDecoder().decode
+
+_APPEND = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+
+#: A :class:`Buffered` log flushes once this many records are pending...
+FLUSH_RECORDS = 256
+
+#: ...or on the first record at least this many seconds after its last
+#: flush, so a long run keeps a recent partial record on disk.
+FLUSH_SECONDS = 1.0
+
+
+def _lines(records: Iterable[dict[str, Any]]) -> bytes:
+    return "".join(_ENCODER.encode(record) + "\n"
+                   for record in records).encode()
+
+
+def _append_bytes(path: Path, data: bytes) -> None:
+    """One ``O_APPEND`` write of ``data``; parents are created only when
+    the first open finds them missing."""
+    try:
+        fd = os.open(path, _APPEND, 0o644)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, _APPEND, 0o644)
+    try:
+        os.write(fd, data)
+    finally:
+        os.close(fd)
 
 
 def append(path: Path, record: dict[str, Any], *,
@@ -43,17 +80,51 @@ def append(path: Path, record: dict[str, Any], *,
     and may return a mutated (e.g. torn) one, or raise to emulate the
     process dying mid-append.  ``None`` writes the line unchanged.
     """
-    data = (_ENCODER.encode(record) + "\n").encode()
+    data = _lines((record,))
     if fault_hook is not None:
         mutated = fault_hook(data)
         if mutated is not None:
             data = mutated
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, data)
-    finally:
-        os.close(fd)
+    _append_bytes(path, data)
+
+
+class Buffered:
+    """An append-only log whose records are written in batches.
+
+    :meth:`add` queues a record and flushes when :data:`FLUSH_RECORDS`
+    are pending or :data:`FLUSH_SECONDS` have passed since the last
+    flush; :meth:`flush` writes everything pending as one ``O_APPEND``
+    write, encoded exactly as :func:`append` encodes it.  Records may
+    be added from several threads: a flush takes the records pending
+    when it starts and leaves later ones queued.
+    """
+
+    __slots__ = ("path", "_pending", "_flushed_at", "_lock")
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self._pending: list[dict[str, Any]] = []
+        self._flushed_at = time.monotonic()
+        self._lock = threading.Lock()
+
+    def add(self, record: dict[str, Any]) -> None:
+        pending = self._pending
+        pending.append(record)
+        if len(pending) >= FLUSH_RECORDS \
+                or time.monotonic() - self._flushed_at >= FLUSH_SECONDS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write every pending record (no write when none is)."""
+        with self._lock:
+            self._flushed_at = time.monotonic()
+            pending = self._pending
+            n = len(pending)
+            if not n:
+                return
+            batch = pending[:n]
+            del pending[:n]
+            _append_bytes(self.path, _lines(batch))
 
 
 def read(path: str | Path, fmt: int) -> tuple[list[dict[str, Any]], int]:
@@ -85,15 +156,34 @@ def read(path: str | Path, fmt: int) -> tuple[list[dict[str, Any]], int]:
     return records, torn
 
 
-def rewrite(path: Path, records: Iterable[dict[str, Any]]) -> None:
-    """Atomically replace ``path`` with ``records``, one line each,
-    encoded exactly as :func:`append` encodes them."""
-    body = "".join(_ENCODER.encode(record) + "\n" for record in records)
-    tmp = path.with_name(path.name + ".tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+def replace_file(path: Path, data: bytes, *, durable: bool = False) -> None:
+    """Atomically replace ``path`` with ``data``.
+
+    The bytes go to a temp sibling named for this process and thread
+    (so concurrent writers of one path never share a temp file), then
+    ``os.replace`` swaps it in; on any error the temp file is removed.
+    ``durable=True`` also calls ``fsync`` on the data before the swap.
+    """
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
-        os.write(fd, body.encode())
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, path)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        try:
+            os.write(fd, data)
+            if durable:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def rewrite(path: Path, records: Iterable[dict[str, Any]]) -> None:
+    """Atomically and durably replace ``path`` with ``records``, one
+    line each, encoded exactly as :func:`append` encodes them."""
+    replace_file(path, _lines(records), durable=True)

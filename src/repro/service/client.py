@@ -404,11 +404,13 @@ class ServiceClient:
         """The degraded path: in-process
         :func:`~repro.core.runner.run_sweep` with the service's capture
         semantics (deterministic simulation makes the rows
-        bit-identical to the served ones)."""
+        bit-identical to the served ones).  The service never runs the
+        advise gate, so neither does this path, whatever the process's
+        advise mode."""
         from repro.core.runner import run_sweep as local_run_sweep
 
         return local_run_sweep(name, configs, engine=engine,
-                               errors="capture")
+                               errors="capture", advise="off")
 
     def _run_sweep_remote(self, name: str,
                           configs: list[ExperimentConfig], *,

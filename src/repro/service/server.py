@@ -494,6 +494,7 @@ class SweepService:
             # Expired (or dropped) while queued: the reaper already
             # journaled the transition and closed the stream.
             return
+        run_ctx: RunContext | None = None
         try:
             if job.state != QUEUED:
                 return  # cancelled/expired while waiting its turn
@@ -534,6 +535,9 @@ class SweepService:
                                       "job": job.to_dict()})
             self._finalize_run(run_ctx, job)
         finally:
+            # A teardown cancellation skips the finalize above; the
+            # records queued so far still reach the run directory.
+            self._flush_run(run_ctx)
             self._queue.release()
 
     async def _execute_job(self, job: JobRecord,
@@ -671,6 +675,15 @@ class SweepService:
             return
         try:
             run_ctx.finalize(status=job.state)
+        except Exception:  # noqa: BLE001 - telemetry must never kill a job
+            pass
+
+    @staticmethod
+    def _flush_run(run_ctx: RunContext | None) -> None:
+        if run_ctx is None:
+            return
+        try:
+            run_ctx.flush()  # nothing is queued after a finalize
         except Exception:  # noqa: BLE001 - telemetry must never kill a job
             pass
 

@@ -8,23 +8,22 @@ lineage.  ``repro reproduce`` consumes nothing but the manifest and the
 recorded ``summary.json`` — if the two plus the current model agree, the
 run is reproducible; if not, the drift is named.
 
-Manifests are rewritten atomically (temp sibling + ``os.replace``) on
-every status transition, so readers never observe a half-written file.
+A run writes its manifest twice, at open (``status="running"``) and at
+finalize, each time atomically (:func:`repro.jsonlog.replace_file`), so
+readers never observe a half-written file.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import platform
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro import jsonlog
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -44,20 +43,22 @@ _git_memo: dict[str, Any] | None = None
 _git_loaded = False
 
 
-def sweep_key(kind: str, name: str, configs: list["ExperimentConfig"],
+def sweep_key(kind: str, name: str, config_dicts: list[dict[str, Any]],
               engine: str) -> str:
     """Content digest identifying "the same sweep, run again".
 
     Resume uses it to find the run directory a restarted sweep should
     re-enter: same kind, sweep name, ordered config digests, and engine.
+    ``config_dicts`` are the configs'
+    :func:`~repro.core.persistence.config_to_dict` records; each digest
+    hashes the bytes :func:`~repro.core.cache.config_digest` hashes for
+    that config, so keys match those of runs recorded before.
     """
-    from repro.core.cache import config_digest
+    from repro.core.cache import payload_digest
 
-    blob = json.dumps(
+    return payload_digest(
         {"kind": kind, "name": name, "engine": engine,
-         "configs": [config_digest(c) for c in configs]},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+         "configs": [payload_digest({"config": d}) for d in config_dicts]})
 
 
 def git_info() -> dict[str, Any] | None:
@@ -107,6 +108,7 @@ def build_manifest(*, run_id: str, kind: str, name: str,
     from repro.core.persistence import config_to_dict
 
     now = time.time()
+    config_dicts = [config_to_dict(c) for c in configs]
     return {
         "format": MANIFEST_FORMAT,
         "run_id": run_id,
@@ -120,7 +122,7 @@ def build_manifest(*, run_id: str, kind: str, name: str,
         + f".{int(now * 1e6) % 1_000_000:06d}",
         "finished": None,
         "wall_seconds": None,
-        "sweep_key": sweep_key(kind, name, configs, engine),
+        "sweep_key": sweep_key(kind, name, config_dicts, engine),
         "engine": engine,
         "workers": workers,
         "resumed_from": None,
@@ -136,7 +138,7 @@ def build_manifest(*, run_id: str, kind: str, name: str,
         "fault_plan": fault_plan_record(fault_plan),
         "seeds": {"fault_plan": fault_plan.seed}
         if fault_plan is not None and not fault_plan.empty else {},
-        "configs": [config_to_dict(c) for c in configs],
+        "configs": config_dicts,
         "n_rows": None,
         "n_errors": None,
         "errors": [],
@@ -146,22 +148,11 @@ def build_manifest(*, run_id: str, kind: str, name: str,
 
 
 def write_manifest(directory: str | Path, manifest: dict[str, Any]) -> Path:
-    """Atomically (re)write ``manifest.json`` in ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / MANIFEST_FILENAME
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".manifest.",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(manifest, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """Atomically (re)write ``manifest.json`` in the existing
+    ``directory``."""
+    path = Path(directory) / MANIFEST_FILENAME
+    jsonlog.replace_file(
+        path, (json.dumps(manifest, sort_keys=True) + "\n").encode())
     return path
 
 

@@ -1,12 +1,16 @@
-"""Lightweight counter/gauge/histogram registry streaming ``metrics.jsonl``.
+"""Lightweight counter/gauge/histogram registry recording ``metrics.jsonl``.
 
 Metric names form a **stable vocabulary** (documented in DESIGN.md):
 reports, CI gates, and future dashboards key on them, so renaming one is
 a breaking change.  The registry updates an in-memory aggregate per
 event (so a live ``RunContext`` can summarize itself without re-reading
-its own file) and appends one record to ``metrics.jsonl`` (a durable
-JSONL log, see :mod:`repro.jsonlog`).  :func:`read_metrics` rebuilds
-the aggregates from the file.
+its own file) and queues one record per event for ``metrics.jsonl`` (a
+durable JSONL log, see :mod:`repro.jsonlog`).  Queued records are
+written in batches — when :data:`repro.jsonlog.FLUSH_RECORDS` are
+pending, on the first event :data:`repro.jsonlog.FLUSH_SECONDS` after
+the last write, and on :meth:`MetricsRegistry.flush`, which the run
+calls when it finalizes.  :func:`read_metrics` rebuilds the aggregates
+from the file.
 """
 
 from __future__ import annotations
@@ -81,15 +85,18 @@ class MetricsRegistry:
     """Process-side metric sink for one run.
 
     ``path=None`` keeps the registry memory-only (tests, dry contexts);
-    otherwise every event is appended to the JSONL file as it happens,
-    so an interrupted run keeps everything it measured.
+    otherwise every event is queued for the JSONL file and written in
+    batches, so an interrupted run keeps everything it measured up to
+    its last flush.
     """
 
-    __slots__ = ("path", "_aggregates")
+    __slots__ = ("path", "_aggregates", "_log")
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._aggregates: dict[str, MetricAggregate] = {}
+        self._log = jsonlog.Buffered(self.path) \
+            if self.path is not None else None
 
     # ------------------------------------------------------------------
     def _record(self, name: str, kind: str, value: float,
@@ -98,13 +105,18 @@ class MetricsRegistry:
         if agg is None:
             agg = self._aggregates[name] = MetricAggregate(name, kind)
         agg.update(value)
-        if self.path is None:
+        if self._log is None:
             return
         rec: dict[str, Any] = {"format": METRICS_FORMAT, "t": time.time(),
                                "name": name, "kind": kind, "v": value}
         if labels:
             rec["labels"] = labels
-        jsonlog.append(self.path, rec)
+        self._log.add(rec)
+
+    def flush(self) -> None:
+        """Write every queued record to the file now."""
+        if self._log is not None:
+            self._log.flush()
 
     # ------------------------------------------------------------------
     def count(self, name: str, n: float = 1,

@@ -3,11 +3,19 @@
 ``results/runs/<run_id>/`` holds:
 
 * ``manifest.json`` — the job spec + provenance (:mod:`.manifest`);
-* ``metrics.jsonl`` — streamed counters/gauges/histograms (:mod:`.metrics`);
+* ``metrics.jsonl`` — counters/gauges/histograms (:mod:`.metrics`);
 * ``spans.jsonl`` — parent-linked orchestration spans (:mod:`.spans`);
 * ``summary.json`` — the result rows, in the same schema
   :func:`repro.core.persistence.save_sweep` has always used, so
   ``repro reproduce`` can diff a replay against it with stock loaders.
+
+A run pays for its files once, not once per event: the directory and
+the ``running`` manifest are written at open; metrics and spans are
+queued in memory and written in batches
+(:class:`repro.jsonlog.Buffered`), the last batch at
+:meth:`RunContext.finalize`, before the summary and the final manifest.
+A hard kill therefore loses at most the unflushed tail of the two logs,
+never the manifest.
 
 :func:`run_scope` is the integration point the runner uses: it opens a
 context when telemetry is enabled and no run is active, degrades to a
@@ -77,6 +85,7 @@ class RunContext:
         self.directory = Path(directory)
         self.manifest = manifest
         self.run_id: str = manifest["run_id"]
+        self.directory.mkdir(parents=True, exist_ok=True)
         manifest_mod.write_manifest(self.directory, manifest)
         self.metrics = MetricsRegistry(
             self.directory / manifest_mod.METRICS_FILENAME)
@@ -140,21 +149,25 @@ class RunContext:
         from repro.core.persistence import save_sweep
         from repro.core.runner import SweepResult
 
-        sweep = SweepResult(self._summary_name)
-        for row in self._rows:
-            sweep.add(row)
-        save_sweep(sweep,
+        save_sweep(SweepResult(self._summary_name, self._rows),
                    self.directory / manifest_mod.SUMMARY_FILENAME)
+
+    def flush(self) -> None:
+        """Write the queued metric and span records now."""
+        self.metrics.flush()
+        self.spans.flush()
 
     def finalize(self, status: str = "completed",
                  error: BaseException | None = None) -> None:
-        """Seal the run: summary rows, closing metrics, final manifest."""
+        """Seal the run: closing metrics, every queued record, summary
+        rows, final manifest."""
         wall = time.perf_counter() - self._t0
         self.metrics.gauge("run.wall_seconds", wall)
         self.metrics.gauge("sweep.rows", len(self._rows))
         self.metrics.gauge("sweep.errors", len(self._errors))
         if wall > 0:
             self.metrics.gauge("sweep.rows_per_s", len(self._rows) / wall)
+        self.flush()
         self._write_summary()
         self.manifest["status"] = status
         if error is not None:

@@ -6,7 +6,10 @@ config → gate/score/cache phases, each with a wall-clock start and
 duration relative to the run's start.  Spans nest through an explicit
 stack in the recorder (the sweep pipeline is single-threaded on the
 parent side), and every record carries its parent's id, so the tree is
-reconstructible from the flat ``spans.jsonl``.
+reconstructible from the flat ``spans.jsonl``.  Closed spans are
+queued and written in batches, like the run's metrics (see
+:class:`repro.jsonlog.Buffered`); :meth:`SpanRecorder.flush` writes the
+queue now, and the run calls it when it finalizes.
 
 :func:`spans_to_chrome_trace` exports the tree as a Chrome
 ``chrome://tracing`` / Perfetto object — the orchestration complement
@@ -49,17 +52,19 @@ class Span:
 
 
 class SpanRecorder:
-    """Span sink for one run; appends one JSONL record per closed span.
+    """Span sink for one run; queues one JSONL record per closed span.
 
     A resumed run reopens the same file in append mode; ``session``
     (a per-recorder token baked into every span id) keeps ids from two
     process lifetimes distinct without re-reading the file.
     """
 
-    __slots__ = ("path", "session", "_origin", "_next", "_stack")
+    __slots__ = ("path", "session", "_origin", "_next", "_stack", "_log")
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
+        self._log = jsonlog.Buffered(self.path) \
+            if self.path is not None else None
         self.session = f"{os.getpid():x}-{time.time_ns() & 0xFFFFFF:06x}"
         self._origin = time.perf_counter()
         self._next = 0
@@ -84,7 +89,7 @@ class SpanRecorder:
 
     def close(self, span: Span) -> None:
         """Close ``span`` (and anything left open beneath it) and
-        persist the record."""
+        queue its record."""
         while self._stack:
             top = self._stack.pop()
             if top is span:
@@ -93,7 +98,7 @@ class SpanRecorder:
         self._write(span)
 
     def _write(self, span: Span) -> None:
-        if self.path is None:
+        if self._log is None:
             return
         rec: dict[str, Any] = {
             "format": SPANS_FORMAT,
@@ -105,7 +110,12 @@ class SpanRecorder:
         }
         if span.attrs:
             rec["attrs"] = _json_safe(span.attrs)
-        jsonlog.append(self.path, rec)
+        self._log.add(rec)
+
+    def flush(self) -> None:
+        """Write every queued span record to the file now."""
+        if self._log is not None:
+            self._log.flush()
 
     def emit(self, name: str, start_s: float, end_s: float,
              parent: Span | None = None, **attrs: Any) -> Span:

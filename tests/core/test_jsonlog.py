@@ -7,6 +7,8 @@ survives; nothing raises.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -78,7 +80,9 @@ def _ledger_read(d):
 
 
 def _metrics_write(d, i):
-    MetricsRegistry(d / "metrics.jsonl").count(f"m{i}")
+    registry = MetricsRegistry(d / "metrics.jsonl")
+    registry.count(f"m{i}")
+    registry.flush()
 
 
 def _metrics_read(d):
@@ -87,8 +91,10 @@ def _metrics_read(d):
 
 
 def _spans_write(d, i):
-    with SpanRecorder(d / "spans.jsonl").span(f"s{i}"):
+    recorder = SpanRecorder(d / "spans.jsonl")
+    with recorder.span(f"s{i}"):
         pass
+    recorder.flush()
 
 
 def _spans_read(d):
@@ -149,3 +155,78 @@ def test_rewrite_round_trips_appended_bytes(tmp_path):
     jsonlog.rewrite(path, records)
     assert torn == 0 and path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["log.jsonl"]
+
+
+def test_append_creates_parents_only_when_missing(tmp_path, monkeypatch):
+    path = tmp_path / "a" / "b" / "log.jsonl"
+    made = []
+    mkdir = type(path).mkdir
+
+    def counting_mkdir(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(path), "mkdir", counting_mkdir)
+    jsonlog.append(path, {"format": 1, "i": 0})
+    assert made[0] == path.parent
+    made.clear()
+    for i in (1, 2):
+        jsonlog.append(path, {"format": 1, "i": i})
+    assert made == []  # the directory exists now: no more mkdir
+    assert [r["i"] for r in jsonlog.read(path, 1)[0]] == [0, 1, 2]
+
+
+def test_replace_file_swaps_whole_contents(tmp_path):
+    path = tmp_path / "f.json"
+    jsonlog.replace_file(path, b"old\n")
+    jsonlog.replace_file(path, b"new\n", durable=True)
+    assert path.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+
+
+def test_replace_file_removes_its_temp_on_error(tmp_path, monkeypatch):
+    path = tmp_path / "f.json"
+    path.write_bytes(b"kept\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(jsonlog.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        jsonlog.replace_file(path, b"lost\n")
+    monkeypatch.undo()
+    assert path.read_bytes() == b"kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+
+
+def test_buffered_log_keeps_every_record_across_threads(tmp_path,
+                                                        monkeypatch):
+    """Threads adding to one log while others flush it: every record
+    lands exactly once (a lost or doubled batch would break this)."""
+    monkeypatch.setattr(jsonlog, "FLUSH_RECORDS", 7)
+    log = jsonlog.Buffered(tmp_path / "log.jsonl")
+    n_threads, per_thread = 8, 500
+
+    def work(t):
+        for i in range(per_thread):
+            log.add({"format": 1, "t": t, "i": i})
+            if i % 97 == 0:
+                log.flush()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    log.flush()
+    records, torn = jsonlog.read(tmp_path / "log.jsonl", 1)
+    assert torn == 0
+    assert sorted((r["t"], r["i"]) for r in records) == [
+        (t, i) for t in range(n_threads) for i in range(per_thread)]

@@ -7,7 +7,9 @@ import threading
 
 import pytest
 
+from repro.analysis.advisor import ENV_ADVISE, set_advise_mode
 from repro.core.cache import ResultCache
+from repro.core.experiment import ExperimentConfig
 from repro.core.runner import run_sweep
 from repro.errors import ServiceOverloaded, ServiceUnavailable
 from repro.service.client import ServiceClient
@@ -125,6 +127,22 @@ def test_fallback_local_on_unreachable_server(tmp_path):
     assert len(result.rows) == 1
     with pytest.raises(ServiceUnavailable):
         client.run_sweep("offline", tiny_configs(n=1))
+
+
+def test_fallback_local_ignores_the_global_advise_mode(tmp_path,
+                                                      monkeypatch):
+    """The served path never runs the advise gate, so the degraded path
+    must not either: an under-subscribed config the gate would block
+    still comes back as a row."""
+    monkeypatch.setenv(ENV_ADVISE, "off")  # restored on teardown
+    set_advise_mode("error")
+    configs = [ExperimentConfig(app="ntchem", n_ranks=1, n_threads=1)]
+    client = ServiceClient(tmp_path / "nobody-home.sock",
+                           connect_retries=0, timeout_s=5.0)
+    result = client.run_sweep("offline", configs, engine="analytic",
+                              fallback="local")
+    assert [row.config for row in result.rows] == configs
+    assert result.errors == []
 
 
 def test_rejects_bad_fallback_value(tmp_path):

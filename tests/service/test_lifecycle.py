@@ -251,6 +251,43 @@ def test_each_job_records_a_run_directory(monkeypatch, tmp_path):
         assert len(summary["rows"]) == 2
 
 
+def test_torn_down_job_still_flushes_its_run(monkeypatch, tmp_path):
+    """A job cancelled by a server teardown never finalizes its run;
+    the records it had queued must still reach the run directory."""
+    from repro.core.parallel import simulate_config
+
+    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+    results = tmp_path / "results"
+    socket_path = tmp_path / "svc.sock"
+    release = threading.Event()
+
+    def blocked(config):
+        release.wait(30.0)
+        return simulate_config(config)
+
+    svc = SweepService(socket_path, cache=ResultCache(tmp_path / "cache"),
+                       workers=1, results_dir=results, simulate_fn=blocked)
+    thread = serve_in_thread(svc)
+    try:
+        with ServiceClient(socket_path, timeout_s=30) as client:
+            job = client.submit("torn", tiny_configs(n=1), engine="event")
+            deadline = time.monotonic() + 30
+            while svc.jobs[job["job_id"]].state != "running":
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.01)
+        thread.abort()  # cancels the running job: no finalize
+    finally:
+        release.set()
+        thread.stop()
+
+    (run_dir,) = list((results / "runs").iterdir())
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == "running"
+    spans = (run_dir / "spans.jsonl").read_text()
+    assert "queue-wait" in spans and "execute" in spans
+    assert "service.jobs" in (run_dir / "metrics.jsonl").read_text()
+
+
 def test_jobs_queue_behind_max_jobs(cache, socket_path):
     svc = SweepService(socket_path, cache=cache, workers=1, max_jobs=1)
     thread = serve_in_thread(svc)

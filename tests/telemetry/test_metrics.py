@@ -48,6 +48,7 @@ class TestStream:
         reg = MetricsRegistry(path)
         reg.count("cache.hit")
         reg.observe("gate.lint.seconds", 0.25, config="x")
+        reg.flush()
         recs = [json.loads(line)
                 for line in path.read_text().splitlines()]
         assert [r["name"] for r in recs] == ["cache.hit",
@@ -61,6 +62,7 @@ class TestStream:
         reg.count("cache.hit", 2)
         reg.count("cache.hit")
         reg.gauge("run.wall_seconds", 1.5)
+        reg.flush()
         aggs, torn = read_metrics(path)
         assert torn == 0
         assert aggs["cache.hit"].total == 3

@@ -16,6 +16,7 @@ class TestRecorder:
         with rec.span("sweep", label="f1") as outer:
             with rec.span("dispatch") as inner:
                 assert inner.parent_id == outer.span_id
+        rec.flush()
         spans, _ = read_spans(path)
         # children close (and are written) before their parents
         assert [s["name"] for s in spans] == ["dispatch", "sweep"]
@@ -28,6 +29,7 @@ class TestRecorder:
         with rec.span("outer"):
             with rec.span("inner"):
                 pass
+        rec.flush()
         (inner, outer), _ = read_spans(path)
         assert inner["dur_s"] >= 0
         assert outer["dur_s"] >= inner["dur_s"]
@@ -41,6 +43,7 @@ class TestRecorder:
                 raise ValueError("boom")
         except ValueError:
             pass
+        rec.flush()
         (span,), _ = read_spans(path)
         assert span["attrs"]["error"] == "ValueError"
 
@@ -49,6 +52,7 @@ class TestRecorder:
         rec = SpanRecorder(path)
         with rec.span("x", count=3, obj=object()):
             pass
+        rec.flush()
         (span,), _ = read_spans(path)
         assert span["attrs"]["count"] == 3
         assert isinstance(span["attrs"]["obj"], str)
@@ -70,6 +74,7 @@ class TestReaders:
         with rec.span("sweep"):
             with rec.span("dispatch"):
                 pass
+        rec.flush()
         trace = spans_to_chrome_trace(read_spans(path)[0], "run-1")
         # serializable, complete slices, on one named orchestrator track
         json.dumps(trace)
