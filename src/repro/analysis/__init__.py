@@ -6,8 +6,8 @@ burning the wall-clock that led up to the wedge.  This package answers
 the same questions **before** execution, along two complementary axes:
 
 **Correctness** (``repro lint``, :mod:`~repro.analysis.analyzer`) —
-symbolically replays each rank's program generator (no simulated time)
-and checks the whole communication structure:
+checks the whole communication structure of each rank's replayed
+program (:mod:`repro.runtime.replay`, no simulated time):
 
 * point-to-point matching per (destination, tag) FIFO channel,
   honoring ``ANY_SOURCE`` (:mod:`~repro.analysis.checks`);
@@ -66,7 +66,6 @@ from repro.analysis.rules import (
     PERF_RULES,
     analyzer_fingerprint,
 )
-from repro.analysis.trace import trace_program, trace_rank
 
 __all__ = [
     "ADVISE_MODES",
@@ -91,6 +90,4 @@ __all__ = [
     "preflight_enabled",
     "set_advise_mode",
     "set_preflight",
-    "trace_program",
-    "trace_rank",
 ]

@@ -29,19 +29,17 @@ environment variable travels into sweep worker processes.
 
 from __future__ import annotations
 
-import gc
 import os
 import threading
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Collection, Iterator
 
-from repro.analysis.checks import check_traces
+from repro.analysis.checks import Traces, check_traces
 from repro.analysis.deadlock import find_deadlocks
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 from repro.analysis.rules import analyzer_fingerprint
-from repro.analysis.trace import DEFAULT_MAX_OPS, trace_program
 from repro.errors import LintError, ReproError
 from repro.runtime.executor import Job
+from repro.runtime.replay import collector_paused, trace_program
 
 if TYPE_CHECKING:
     from repro.analysis.cache import LintCache
@@ -49,6 +47,10 @@ if TYPE_CHECKING:
 
 #: Environment switch: set to any non-empty value to skip the pre-flight.
 ENV_NO_LINT = "REPRO_NO_LINT"
+
+#: Per-rank op budget: a guard against unbounded generators (a while-True
+#: program would otherwise hang the analyzer, not the simulation).
+DEFAULT_MAX_OPS = 1_000_000
 
 
 def analyze_program(factory: Callable[[int, int], Iterator],
@@ -73,9 +75,10 @@ def _analyze_program(factory: Callable[[int, int], Iterator],
                      communicators: dict[str, tuple[int, ...]] | None,
                      eager_threshold: float, subject: str, max_ops: int,
                      kernels: Collection[str] | None = None,
-                     ) -> DiagnosticReport:
+                     keep: Traces | None = None) -> DiagnosticReport:
     """:func:`analyze_program`, plus the kernel-reference check when
-    ``kernels`` is given (reported after the deadlock search)."""
+    ``kernels`` is given (reported after the deadlock search); ``keep``
+    receives the traces."""
     report = DiagnosticReport(subject)
     comms: dict[str, tuple[int, ...]] = {"world": tuple(range(n_ranks))}
     for name, members in (communicators or {}).items():
@@ -91,7 +94,7 @@ def _analyze_program(factory: Callable[[int, int], Iterator],
             continue
         comms[name] = members
 
-    with _collector_paused():
+    with collector_paused():
         traces = trace_program(factory, n_ranks, max_ops)
         structure, kernel_refs = check_traces(traces, n_ranks, comms,
                                               kernels)
@@ -102,37 +105,23 @@ def _analyze_program(factory: Callable[[int, int], Iterator],
             report.extend(find_deadlocks(
                 traces, eager_threshold=eager_threshold,
                 communicators=comms))
+        if keep is not None:
+            keep.update(traces)     # the caller keeps the collector paused
         del traces      # freed before the collector sees it as young
     report.extend(kernel_refs)
     return report
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector while traces are alive.
+def analyze_job(job: Job, max_ops: int = DEFAULT_MAX_OPS,
+                keep: Traces | None = None) -> DiagnosticReport:
+    """Statically check an assembled job against its own cluster.
 
-    A trace is tens of thousands of acyclic records that all die by
-    reference count when the analysis returns; left on, the collector
-    promotes them and then walks the whole heap in full collections that
-    can free none of them (about an eighth of the analysis time).
+    ``keep``, when given, receives the replayed rank programs.
     """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
-def analyze_job(job: Job,
-                max_ops: int = DEFAULT_MAX_OPS) -> DiagnosticReport:
-    """Statically check an assembled job against its own cluster."""
     return _analyze_program(
         job.program, job.placement.n_ranks, job.communicators,
         float(job.cluster.network.rendezvous_threshold_bytes),
-        job.name, max_ops, job.kernels,
+        job.name, max_ops, job.kernels, keep,
     )
 
 
@@ -153,21 +142,21 @@ def analyze_config(config: ExperimentConfig,
 
 
 def _analyze_config(config: ExperimentConfig, digest: str,
-                    cache: LintCache | None,
-                    max_ops: int) -> DiagnosticReport:
+                    cache: LintCache | None, max_ops: int,
+                    keep: Traces | None = None) -> DiagnosticReport:
     if cache is not None:
         cached = cache.get(digest)
         if cached is not None:
             return cached
 
-    report = _analyze_config_fresh(config, max_ops)
+    report = _analyze_config_fresh(config, max_ops, keep)
     if cache is not None:
         cache.put(digest, report)
     return report
 
 
-def _analyze_config_fresh(config: ExperimentConfig,
-                          max_ops: int) -> DiagnosticReport:
+def _analyze_config_fresh(config: ExperimentConfig, max_ops: int,
+                          keep: Traces | None) -> DiagnosticReport:
     from repro.errors import PlacementError
     from repro.machine import catalog
     from repro.miniapps import by_name
@@ -222,7 +211,7 @@ def _analyze_config_fresh(config: ExperimentConfig,
             hint="the app rejects this rank count / dataset combination",
         ))
         return report
-    report.extend(_job_findings(app, config.dataset, job, max_ops))
+    report.extend(_job_findings(app, config.dataset, job, max_ops, keep))
     return report
 
 
@@ -249,8 +238,8 @@ def clear_memos() -> None:
     _shapes.clear()
 
 
-def _job_findings(app: Any, dataset: str, job: Job,
-                  max_ops: int) -> tuple[Diagnostic, ...]:
+def _job_findings(app: Any, dataset: str, job: Job, max_ops: int,
+                  keep: Traces | None = None) -> tuple[Diagnostic, ...]:
     """:func:`analyze_job`'s findings, memoized on the program's shape.
 
     ``build_job`` takes the program from ``make_program(ds, n_ranks)``,
@@ -266,7 +255,7 @@ def _job_findings(app: Any, dataset: str, job: Job,
            analyzer_fingerprint(), max_ops)
     found = _shapes.get(key)
     if found is None:
-        found = tuple(analyze_job(job, max_ops).diagnostics)
+        found = tuple(analyze_job(job, max_ops, keep).diagnostics)
         _remember(_shapes, key, found)
     return found
 
@@ -292,14 +281,16 @@ def set_preflight(enabled: bool) -> None:
 
 
 def preflight(config: ExperimentConfig,
-              lint_cache: LintCache | None = None) -> None:
+              lint_cache: LintCache | None = None) -> Traces | None:
     """Raise :class:`~repro.errors.LintError` if ``config`` has
     error-severity findings; warnings pass silently.
 
     Verdicts are memoized per config digest (and the program analysis
     per program shape) in-process, so sweeping the same config — or
     another placement of the same program — repeatedly pays for one
-    analysis.
+    analysis.  When this call replayed the programs in full, it returns
+    their traces for :func:`~repro.runtime.executor.run_job` to walk;
+    on a memo or cache hit it returns ``None``.
     """
     from repro.core.cache import config_digest
 
@@ -308,8 +299,10 @@ def preflight(config: ExperimentConfig,
     if cached is not None:
         if cached:
             raise LintError("\n".join(cached))
-        return
-    report = _analyze_config(config, digest, lint_cache, DEFAULT_MAX_OPS)
+        return None
+    traces: Traces = {}
+    report = _analyze_config(config, digest, lint_cache, DEFAULT_MAX_OPS,
+                             traces)
     errors = report.errors
     if errors:
         lines = (f"pre-flight lint failed for {report.subject} "
@@ -319,3 +312,6 @@ def preflight(config: ExperimentConfig,
         _remember(_verdicts, digest, lines)
         raise LintError("\n".join(lines), diagnostics=tuple(errors))
     _remember(_verdicts, digest, ())
+    if not traces or any(t.truncated for t in traces.values()):
+        return None                 # a traced prefix cannot drive a run
+    return traces

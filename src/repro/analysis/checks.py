@@ -1,11 +1,11 @@
 """Static structure checks over traced rank programs, in one walk.
 
 :func:`check_traces` visits every traced op exactly once, dispatching on
-the kind :func:`~repro.analysis.trace.trace_rank` assigned it, and
+the kind :func:`~repro.runtime.replay.trace_rank` assigned it, and
 reports findings in five groups, in this order:
 
-* **programs** — per-rank replay failures, op-budget truncation, values
-  the executor would reject outright;
+* **programs** — what a rank's program raised during replay, op-budget
+  truncation, values the executor would reject outright;
 * **domains** — rank/tag domain validity of every op (what the runtime
   raises ``CommunicatorError`` for, found before the run);
 * **requests** — request-handle hygiene (waits on non-requests, double
@@ -31,7 +31,10 @@ from itertools import groupby
 from typing import Collection
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.trace import (
+from repro.errors import ReproError
+from repro.runtime import program as ops
+from repro.runtime.program import describe_op
+from repro.runtime.replay import (
     COLL,
     COMPUTE,
     ICOLL,
@@ -45,8 +48,6 @@ from repro.analysis.trace import (
     ProgramTrace,
     TracedRequest,
 )
-from repro.runtime import program as ops
-from repro.runtime.program import describe_op
 
 Traces = dict[int, ProgramTrace]
 
@@ -81,8 +82,8 @@ def check_traces(traces: Traces, n_ranks: int,
 
     for trace in traces.values():
         rank = trace.rank
-        if trace.failure is not None:
-            programs.append(trace.failure)
+        if trace.error is not None:
+            programs.append(_program_error(trace))
         if trace.truncated:
             n_ops = len(trace.values)
             programs.append(Diagnostic(
@@ -221,6 +222,23 @@ def check_traces(traces: Traces, n_ranks: int,
     return (programs + domains + requests
             + _match_p2p(traces, sends, recvs)
             + _congruence(traces, communicators, sequences), kernel_refs)
+
+
+def _program_error(trace: ProgramTrace) -> Diagnostic:
+    """The finding for what ``trace``'s program raised during replay."""
+    exc = trace.error
+    name = type(exc).__name__
+    if isinstance(exc, ReproError):
+        check, message, hint = "program-config", f"raised {name}", (
+            "fix the rank program or the dataset parameters; the "
+            "simulation would fail at the same point")
+    else:
+        check, message, hint = "program-crash", f"crashed with {name}", (
+            "the rank program has a Python bug that would also kill the "
+            "simulation")
+    return Diagnostic(check=check, severity="error", rank=trace.rank,
+                      op_index=len(trace.values),
+                      message=f"program {message}: {exc}", hint=hint)
 
 
 def _at(trace: ProgramTrace, index: int, check: str, message: str,

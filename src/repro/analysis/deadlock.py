@@ -24,12 +24,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.trace import (
+from repro.runtime.program import ANY_SOURCE, describe_op
+from repro.runtime.replay import (
     COLL,
     ICOLL,
     IRECV,
     ISEND,
-    LOCAL,
     RECV,
     SEND,
     SENDRECV,
@@ -37,7 +37,6 @@ from repro.analysis.trace import (
     ProgramTrace,
     TracedRequest,
 )
-from repro.runtime.program import ANY_SOURCE, describe_op
 
 #: Hint attached to every deadlock diagnostic.
 _HINT = ("break the wait cycle: post receives before sends, use "
@@ -66,7 +65,7 @@ class _Scheduler:
         # rank -> indices of its MPI ops; local ops are free under the
         # abstraction and never scheduled
         self.streams = {
-            r: [i for i, kind in enumerate(t.kinds) if kind > LOCAL]
+            r: [i for i, kind in enumerate(t.kinds) if kind >= ISEND]
             for r, t in traces.items()}
         # completed tokens, held by strong reference: tracking by id()
         # alone would break when CPython reuses a freed token's id

@@ -14,11 +14,11 @@ Two producers build profiles:
 * each miniapp's ``rank_summary`` closed form (mirroring its skeleton's
   arithmetic without constructing a single op), assembled by
   :func:`profile_from_summaries`; and
-* :func:`profile_from_replay`, which symbolically replays the real rank
-  generators and folds the yielded ops.  It is exact but ~1000x slower
-  than the closed forms, so it serves as the fallback for apps without a
-  closed form — and as the oracle the equivalence tests check the closed
-  forms against.
+* :func:`profile_from_replay`, which folds the traces
+  :mod:`repro.runtime.replay` records of the real rank programs.  It is
+  exact but ~1000x slower than the closed forms, so it serves as the
+  fallback for apps without a closed form — and as the oracle the
+  equivalence tests check the closed forms against.
 
 Grouping compute regions by ``(kernel, schedule, serial, imbalance,
 working_set_scale)`` and summing their iteration counts is *exact* with
@@ -33,7 +33,9 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable
 
 from repro.errors import SimulationError
-from repro.runtime import program as ops
+from repro.runtime.replay import COLL, COMPUTE, ICOLL, IRECV, ISEND, READ, \
+    RECV, SEND, SENDRECV, SLEEP, WAITALL, WRITE, TracedRequest, op_kind, \
+    trace_rank
 
 
 @dataclass(frozen=True)
@@ -256,21 +258,10 @@ def profile_from_summaries(app: str, dataset: str, n_ranks: int,
 # ----------------------------------------------------------------------
 # replay-based extraction (exact fallback + closed-form oracle)
 # ----------------------------------------------------------------------
-class _Token:
-    """Stand-in request handle handed back to a replayed generator."""
-
-    __slots__ = ("kind", "dst", "size", "order")
-
-    def __init__(self, kind: str, dst: int, size: float, order: int) -> None:
-        self.kind = kind          # "send" | "recv" | "collective"
-        self.dst = dst
-        self.size = size
-        self.order = order        # op index at post time
-
-
 def _replay_rank(factory: Callable[[int, int], Any], rank: int,
                  n_ranks: int) -> SummaryBuilder:
-    """Fold one rank's generator into a summary without simulating time.
+    """Fold one rank's replayed trace into a summary without simulating
+    time.
 
     Outgoing ``Isend`` volumes are kept in a pending ledger: the
     skeletons wait only on their receive requests (sends are posted
@@ -278,62 +269,51 @@ def _replay_rank(factory: Callable[[int, int], Any], rank: int,
     mirror the incoming messages its ``WaitAll`` actually blocks on.
     """
     b = SummaryBuilder(n_ranks)
-    gen = factory(rank, n_ranks)
-    send_value = None
-    order = 0
+    trace = trace_rank(factory, rank, n_ranks)
     last_parallel_compute = -1
-    pending_sends: list[tuple[int, int, float]] = []   # (order, dst, bytes)
-    while True:
-        try:
-            op = gen.send(send_value)
-        except StopIteration:
-            break
-        send_value = None
-        order += 1
-
-        if isinstance(op, ops.Compute):
+    pending_sends: list[tuple[int, int, float]] = []   # (index, dst, bytes)
+    for index, (op, kind) in enumerate(zip(trace.values, trace.kinds)):
+        if kind == COMPUTE:
             b.compute(op.kernel, op.iters, schedule=op.schedule,
                       serial=op.serial, imbalance=op.imbalance,
                       working_set_scale=op.working_set_scale)
             if not op.serial:
-                last_parallel_compute = order
-        elif isinstance(op, ops.Sleep):
+                last_parallel_compute = index
+        elif kind == SLEEP:
             b.sleep(op.seconds)
-        elif isinstance(op, ops.FileRead):
+        elif kind == READ:
             b.file_read(op.size_bytes)
-        elif isinstance(op, ops.FileWrite):
+        elif kind == WRITE:
             b.file_write(op.size_bytes)
-        elif isinstance(op, ops.Isend):
-            pending_sends.append((order, op.dst, op.size_bytes))
-            send_value = _Token("send", op.dst, op.size_bytes, order)
-        elif isinstance(op, ops.Irecv):
-            send_value = _Token("recv", op.src, 0.0, order)
-        elif isinstance(op, ops.Sendrecv):
+        elif kind == ISEND:
+            pending_sends.append((index, op.dst, op.size_bytes))
+        elif kind == IRECV:
+            pass                        # completes in the WaitAll below
+        elif kind == SENDRECV:
             b.exchange(rank, [(op.dst, op.size_bytes)])
-        elif isinstance(op, (ops.Send, ops.Recv)):
+        elif kind == SEND or kind == RECV:
             raise SimulationError(
                 f"rank {rank}: blocking {type(op).__name__} has no "
                 f"analytic model; use Isend/Irecv + WaitAll"
             )
-        elif isinstance(op, ops.WaitAll):
-            tokens = [t for t in op.requests if isinstance(t, _Token)]
-            if any(not isinstance(t, _Token) for t in op.requests):
+        elif kind == WAITALL:
+            if any(type(t) is not TracedRequest for t in op.requests):
                 raise SimulationError(
                     f"rank {rank}: WaitAll on a non-request during replay"
                 )
-            posts = [t.order for t in tokens if t.kind != "collective"]
-            posts.extend(o for o, _, _ in pending_sends)
+            posts = [t.op_index for t in op.requests
+                     if op_kind(t.op) != ICOLL]
+            posts.extend(i for i, _, _ in pending_sends)
             if pending_sends:
                 overlapped = min(posts) <= last_parallel_compute
                 b.exchange(rank,
                            [(dst, sz) for _, dst, sz in pending_sends],
                            overlapped=overlapped)
                 pending_sends.clear()
-        elif isinstance(op, ops.NONBLOCKING_COLLECTIVE_OPS):
+        elif kind == ICOLL:
             b.collective(type(op).__name__.lower().lstrip("i"),
                          op.size_bytes, comm=op.comm)
-            send_value = _Token("collective", -1, op.size_bytes, order)
-        elif isinstance(op, ops.COLLECTIVE_OPS):
+        elif kind == COLL:
             b.collective(type(op).__name__.lower(), op.size_bytes,
                          comm=op.comm)
         else:
@@ -341,6 +321,8 @@ def _replay_rank(factory: Callable[[int, int], Any], rank: int,
                 f"rank {rank} yielded an unknown operation during replay: "
                 f"{op!r}"
             )
+    if trace.error is not None:
+        raise trace.error
     return b
 
 

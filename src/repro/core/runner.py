@@ -29,6 +29,7 @@ from repro.machine import catalog
 from repro.miniapps import by_name
 from repro.runtime.executor import Job, RunResult, run_job
 from repro.runtime.placement import JobPlacement
+from repro.runtime.replay import collector_paused
 
 
 @dataclass(frozen=True)
@@ -122,13 +123,14 @@ class SweepResult:
 
 
 def _gate(kind: str, config: ExperimentConfig, cache,
-          advise: str | None = None) -> None:
+          advise: str | None = None):
     """Run one static gate on ``config`` before spending simulation time.
 
     ``kind="lint"`` is the pre-flight lint: it raises
     :class:`~repro.errors.LintError` on error-severity findings and is a
     no-op when disabled via ``--no-lint`` / ``REPRO_NO_LINT=1`` (the
-    environment variable travels into sweep worker processes).
+    environment variable travels into sweep worker processes).  It
+    returns the traces a fresh analysis replayed, for the run to walk.
 
     ``kind="advise"`` is the opt-in performance gate.  ``advise=None``
     defers to the global :func:`repro.analysis.advisor.advise_mode`
@@ -147,7 +149,7 @@ def _gate(kind: str, config: ExperimentConfig, cache,
         from repro.analysis import analyzer
 
         if not analyzer.preflight_enabled():
-            return
+            return None
         check, attrs = analyzer.preflight, {}
     else:
         from repro.analysis import advisor
@@ -155,7 +157,7 @@ def _gate(kind: str, config: ExperimentConfig, cache,
         mode = advisor.advise_mode() if advise is None else \
             advisor.check_mode(advise)
         if mode == "off":
-            return
+            return None
         check, attrs = partial(advisor.advise_gate, mode=mode), {"mode": mode}
     lint_cache = None
     directory = getattr(cache, "directory", None)
@@ -166,7 +168,7 @@ def _gate(kind: str, config: ExperimentConfig, cache,
     t0 = time.perf_counter()
     try:
         with telemetry.span(f"gate.{kind}", config=config.label(), **attrs):
-            check(config, lint_cache)
+            return check(config, lint_cache)
     except Exception:
         telemetry.count(f"gate.{kind}.blocked")
         raise
@@ -297,22 +299,27 @@ def _event_row(config: ExperimentConfig, result: RunResult) -> Row:
     )
 
 
+@collector_paused()
 def _simulate(config: ExperimentConfig, fault_plan=None) -> Row:
     """The one event execution of a config, uncached: pre-flight lint,
     job assembly, the optional fault plan, :func:`run_job`, the row.
+    The run walks the traces the lint gate replayed, or replays the
+    programs itself when the gate did not, so each rank program runs
+    once.  The traces live from the gate to the end of the run with the
+    cyclic collector paused, and die with this call.
 
     Every event row a sweep or :func:`run_config` returns is made
     here — by serial, pool and service workers
     (:func:`repro.core.parallel.simulate_config`) and faulted
     :func:`run_config` calls alike.
     """
-    _gate("lint", config, None)
+    traces = _gate("lint", config, None)
     job = _event_job(config)
     if fault_plan is not None:
         job = dataclasses.replace(job, fault_plan=fault_plan)
         telemetry.count("faults.runs")
     with telemetry.span("score.event", config=config.label()):
-        result = run_job(job)
+        result = run_job(job, traces)
     if result.fault_stats is not None:
         for stat, value in result.fault_stats.to_dict().items():
             if value:

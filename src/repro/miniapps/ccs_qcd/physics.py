@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.miniapps.ccs_qcd.skeleton import DIRAC_FLOPS_PER_SITE
 
 #: Dirac gamma matrices (Dirac basis), shape (4, 4, 4): gamma[mu].
 GAMMA = np.zeros((4, 4, 4), dtype=np.complex128)
@@ -214,10 +215,7 @@ def _bicgstab32(gauge32: np.ndarray, b32: np.ndarray, kappa: float,
 
 
 def flops_per_site_dirac() -> float:
-    """FLOPs per lattice site of one Wilson-Dirac application.
-
-    The textbook count for the full 8-direction hopping term with SU(3)
-    multiplies and spin projection is 1320 fp64 FLOPs/site; the identity
-    part adds 24.
-    """
-    return 1344.0
+    """FLOPs per lattice site of one Wilson-Dirac application (the
+    skeleton's :data:`~repro.miniapps.ccs_qcd.skeleton.DIRAC_FLOPS_PER_SITE`,
+    kept out of this NumPy module so the simulator never imports it)."""
+    return DIRAC_FLOPS_PER_SITE

@@ -17,7 +17,6 @@ from repro.errors import ConfigurationError
 from repro.kernels.kernel import LoopKernel
 from repro.miniapps import decomp
 from repro.miniapps.base import Dataset, MiniApp
-from repro.miniapps.ccs_qcd.physics import flops_per_site_dirac
 from repro.runtime.program import Allreduce, Compute, Irecv, Isend, WaitAll
 from repro.units import FP64_BYTES
 
@@ -25,6 +24,10 @@ from repro.units import FP64_BYTES
 SPINOR_BYTES = 4 * 3 * 2 * FP64_BYTES          # 192
 #: bytes of one gauge link matrix (3x3 complex128)
 LINK_BYTES = 9 * 2 * FP64_BYTES                 # 144
+#: fp64 FLOPs per site of one Wilson-Dirac application: the textbook
+#: 1320 for the 8-direction hopping term (SU(3) multiplies and spin
+#: projection) plus 24 for the identity part
+DIRAC_FLOPS_PER_SITE = 1344.0
 
 
 class CcsQcd(MiniApp):
@@ -66,7 +69,7 @@ class CcsQcd(MiniApp):
         ws = plane_sites * 3 * (SPINOR_BYTES + LINK_BYTES)
         dirac = LoopKernel(
             name="qcd-dirac",
-            flops=flops_per_site_dirac(),
+            flops=DIRAC_FLOPS_PER_SITE,
             fma_fraction=0.85,
             # streams: 8 links + ~2 effective spinor reads (neighbour reuse)
             # + 1 spinor write per site

@@ -5,6 +5,8 @@ This package is the substrate for every placement experiment in the paper:
 * :mod:`~repro.runtime.event` — the discrete-event engine.
 * :mod:`~repro.runtime.program` — the operation vocabulary rank programs
   yield (compute regions, point-to-point, collectives).
+* :mod:`~repro.runtime.replay` — replays a rank program once into the
+  classified op trace the analyzer checks and the executor walks.
 * :mod:`~repro.runtime.mpi` — message matching, rendezvous, NIC
   serialization; mpi4py-flavoured semantics.
 * :mod:`~repro.runtime.collectives` — binomial / recursive-doubling / ring
@@ -16,7 +18,7 @@ This package is the substrate for every placement experiment in the paper:
   domain-packed).
 * :mod:`~repro.runtime.placement` — rank -> cores mapping with
   oversubscription checks.
-* :mod:`~repro.runtime.executor` — runs (programs x placement x machine x
+* :mod:`~repro.runtime.executor` — runs (traces x placement x machine x
   compiler) to a :class:`~repro.runtime.executor.RunResult`.
 """
 

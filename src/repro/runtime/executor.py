@@ -1,9 +1,10 @@
 """Run rank programs on the machine model.
 
 :func:`run_job` is the single entry point the miniapps and experiments use:
-it compiles the job's kernels for the target core, spawns one generator per
-rank, and interprets the yielded operations against the event engine, the
-simulated MPI layer, and the OpenMP region model.
+it compiles the job's kernels for the target core, takes each rank's
+program replayed once (:mod:`repro.runtime.replay`), and walks the op
+trace against the event engine, the simulated MPI layer, and the OpenMP
+region model, dispatching on the kind replay assigned each op.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from repro.runtime.event import Engine
 from repro.runtime.mpi import Request, SimMPI
 from repro.runtime.openmp import DATA_POLICIES, RegionTiming, region_time
 from repro.runtime.placement import JobPlacement
+from repro.runtime.replay import COLL, COMPUTE, ICOLL, IRECV, ISEND, READ, \
+    RECV, SEND, SENDRECV, SLEEP, WAITALL, WRITE, ProgramTrace, \
+    TracedRequest, collector_paused, trace_program
 from repro.runtime.trace import RankTrace
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -71,11 +75,14 @@ class Job:
                         f"slowdown factor must be >= 1, got {factor}"
                     )
         if self.fault_plan is not None:
-            n = self.placement.n_ranks
-            for spec in (*self.fault_plan.crashes, *self.fault_plan.stragglers):
-                if spec.rank >= n:
+            plan, n = self.fault_plan, self.placement.n_ranks
+            named = [spec.rank for spec in (*plan.crashes, *plan.stragglers)]
+            named += [rank for fault in plan.message_faults
+                      for rank in (fault.src, fault.dst) if rank is not None]
+            for rank in named:
+                if not 0 <= rank < n:
                     raise ConfigurationError(
-                        f"fault plan names rank {spec.rank}, but the job "
+                        f"fault plan names rank {rank}, but the job "
                         f"has only {n} ranks"
                     )
 
@@ -140,29 +147,34 @@ class RunResult:
 
 
 class _RankDriver:
-    """Interprets one rank's generator against the engine.
+    """Walks one rank's replayed trace against the engine.
 
-    A rank has at most one blocking operation outstanding (its generator
-    is suspended until the resume fires), so the blocked-interval
+    The walk dispatches on the kind of op ``next`` of the trace's
+    columns.  A rank has at most one blocking operation outstanding (its
+    walk is suspended until the resume fires), so the blocked-interval
     bookkeeping lives in plain attributes and the engine callbacks are
     two bound methods created once per driver — the executor's hottest
     paths allocate no per-event closures.
     """
 
-    __slots__ = ("rank", "ex", "gen", "trace", "finish_time", "crashed",
-                 "blocked_since", "_advance_cb", "_resume_cb",
-                 "_block_t0", "_block_category", "_block_label",
+    __slots__ = ("rank", "ex", "program", "next", "posted", "trace",
+                 "finish_time", "crashed", "blocked_since", "_advance_cb",
+                 "_resume_cb", "_block_t0", "_block_category", "_block_label",
                  "_wait_remaining")
 
-    def __init__(self, rank: int, executor: "_Executor") -> None:
+    def __init__(self, rank: int, executor: "_Executor",
+                 program: ProgramTrace) -> None:
         self.rank = rank
         self.ex = executor
-        self.gen = executor.job.program(rank, executor.placement.n_ranks)
+        self.program = program
+        self.next = 0
+        #: column index -> the Request its ISEND/IRECV/ICOLL op created
+        self.posted: dict[int, Request] = {}
         self.trace = RankTrace(rank)
         self.finish_time: float | None = None
         self.crashed = False
         self.blocked_since: float | None = None
-        self._advance_cb = self._advance_none
+        self._advance_cb = self._advance
         self._resume_cb = self._resume_blocked
         self._block_t0 = 0.0
         self._block_category = ""
@@ -172,9 +184,6 @@ class _RankDriver:
     # ------------------------------------------------------------------
     def start(self) -> None:
         self.ex.engine.schedule(0.0, self._advance_cb)
-
-    def _advance_none(self) -> None:
-        self._advance(None)
 
     def _begin_block(self, category: str, label: str = "") -> Callable[[], None]:
         """Record the start of a blocking wait; returns the resume callback."""
@@ -198,14 +207,9 @@ class _RankDriver:
             if self.ex.perf is not None:
                 self.ex.perf.on_wait(self.rank, self._block_category,
                                      self._block_label, self._block_t0, now)
-        self._advance(None)
+        self._advance()
 
     # -- fault injection ------------------------------------------------
-    def _die(self, now: float) -> None:
-        """Stop this rank for good at ``now`` (injected crash)."""
-        self.finish_time = now
-        self.gen.close()
-
     def _crash(self) -> None:
         """Injected-crash event: kill the rank at the current time.
 
@@ -228,112 +232,107 @@ class _RankDriver:
                                          self._block_label, self._block_t0,
                                          now)
             self.blocked_since = None
-            self._die(now)
+            self.finish_time = now
 
-    def _advance(self, send_value) -> None:
-        engine = self.ex.engine
-        if self.ex.faults is not None and self.crashed:
+    def _advance(self) -> None:
+        """Issue ops from ``next`` on until one takes simulated time."""
+        ex = self.ex
+        engine = ex.engine
+        if ex.faults is not None and self.crashed:
             if self.finish_time is None:
-                self._die(engine.now)
+                self.finish_time = engine.now
             return
+        rank, mpi = self.rank, ex.mpi
+        values, kinds = self.program.values, self.program.kinds
         while True:
-            try:
-                op = self.gen.send(send_value)
-            except StopIteration:
+            index = self.next
+            if index == len(kinds):
+                if self.program.error is not None:
+                    self._raise_error()
                 self.finish_time = engine.now
                 return
-            except ConfigurationError as exc:
-                raise ConfigurationError(
-                    f"rank {self.rank} of job {self.ex.job.name!r}: {exc}"
-                ) from exc
-            send_value = None
+            # stored before issuing: a wait that is already complete
+            # resumes this walk re-entrantly
+            self.next = index + 1
+            op = values[index]
+            kind = kinds[index]
 
-            if isinstance(op, ops.Compute):
-                timing = self.ex.time_compute(self.rank, op)
+            if kind == COMPUTE:
+                timing = ex.time_compute(rank, op)
                 t0 = engine.now
                 cat = "serial" if op.serial else "compute"
                 self.trace.add(t0, t0 + timing.seconds, cat, op.kernel)
-                self.ex.total_flops += timing.flops
-                self.ex.total_dram_bytes += timing.dram_bytes
-                if self.ex.perf is not None:
-                    self.ex.perf.on_compute(
-                        self.rank, op, timing,
-                        self.ex.compiled[op.kernel], t0)
+                ex.total_flops += timing.flops
+                ex.total_dram_bytes += timing.dram_bytes
+                if ex.perf is not None:
+                    ex.perf.on_compute(rank, op, timing,
+                                       ex.compiled[op.kernel], t0)
                 engine.schedule(timing.seconds, self._advance_cb)
                 return
 
-            if isinstance(op, ops.Sleep):
-                t0 = engine.now
-                self.trace.add(t0, t0 + op.seconds, "sleep", "sleep")
-                if self.ex.perf is not None:
-                    self.ex.perf.on_wait(self.rank, "sleep", "sleep",
-                                         t0, t0 + op.seconds)
-                engine.schedule(op.seconds, self._advance_cb)
-                return
-
-            if isinstance(op, (ops.FileRead, ops.FileWrite)):
-                done_at = self.ex.storage_transfer(op.size_bytes)
-                label = "read" if isinstance(op, ops.FileRead) else "write"
-                self.trace.add(engine.now, done_at, "io", label)
-                if self.ex.perf is not None:
-                    self.ex.perf.on_wait(self.rank, "io", label,
-                                         engine.now, done_at)
-                engine.schedule_at(done_at, self._advance_cb)
-                return
-
-            if isinstance(op, ops.Isend):
-                send_value = self.ex.mpi.post_send(self.rank, op)
-                continue
-
-            if isinstance(op, ops.Irecv):
-                send_value = self.ex.mpi.post_recv(self.rank, op)
-                continue
-
-            if isinstance(op, ops.Send):
-                req = self.ex.mpi.post_send(self.rank, op)
-                req.on_complete(self._begin_block("p2p", f"send->{op.dst}"))
-                return
-
-            if isinstance(op, ops.Recv):
-                req = self.ex.mpi.post_recv(self.rank, op)
-                req.on_complete(self._begin_block("p2p", f"recv<-{op.src}"))
-                return
-
-            if isinstance(op, ops.Sendrecv):
-                sreq = self.ex.mpi.post_send(
-                    self.rank, ops.Isend(op.dst, op.send_tag, op.size_bytes)
-                )
-                rreq = self.ex.mpi.post_recv(
-                    self.rank, ops.Irecv(op.src, op.recv_tag)
-                )
-                self._wait_many([sreq, rreq], "p2p", "sendrecv")
-                return
-
-            if isinstance(op, ops.WaitAll):
-                reqs = list(op.requests)
-                for r in reqs:
-                    if not isinstance(r, Request):
+            if kind == ISEND:
+                self.posted[index] = mpi.post_send(rank, op)
+            elif kind == IRECV:
+                self.posted[index] = mpi.post_recv(rank, op)
+            elif kind == ICOLL:
+                self.posted[index] = mpi.post_collective(rank, op)
+            elif kind == WAITALL:
+                reqs = []
+                for token in op.requests:
+                    if type(token) is not TracedRequest or token.rank != rank:
                         raise SimulationError(
-                            f"rank {self.rank}: WaitAll on a non-request {r!r}"
+                            f"rank {rank}: WaitAll on a non-request {token!r}"
                         )
+                    reqs.append(self.posted[token.op_index])
                 self._wait_many(reqs, "p2p", "waitall")
                 return
-
-            if isinstance(op, ops.NONBLOCKING_COLLECTIVE_OPS):
-                # yields the request back; completion via WaitAll
-                send_value = self.ex.mpi.post_collective(self.rank, op)
-                continue
-
-            if isinstance(op, ops.COLLECTIVE_OPS):
-                req = self.ex.mpi.post_collective(self.rank, op)
-                req.on_complete(
-                    self._begin_block("collective", type(op).__name__.lower())
-                )
+            elif kind == COLL:
+                mpi.post_collective(rank, op).on_complete(
+                    self._begin_block("collective", type(op).__name__.lower()))
                 return
+            elif kind == SEND:
+                mpi.post_send(rank, op).on_complete(
+                    self._begin_block("p2p", f"send->{op.dst}"))
+                return
+            elif kind == RECV:
+                mpi.post_recv(rank, op).on_complete(
+                    self._begin_block("p2p", f"recv<-{op.src}"))
+                return
+            elif kind == SENDRECV:
+                sreq = mpi.post_send(
+                    rank, ops.Isend(op.dst, op.send_tag, op.size_bytes))
+                rreq = mpi.post_recv(rank, ops.Irecv(op.src, op.recv_tag))
+                self._wait_many([sreq, rreq], "p2p", "sendrecv")
+                return
+            elif kind == SLEEP:
+                t0 = engine.now
+                self.trace.add(t0, t0 + op.seconds, "sleep", "sleep")
+                if ex.perf is not None:
+                    ex.perf.on_wait(rank, "sleep", "sleep",
+                                    t0, t0 + op.seconds)
+                engine.schedule(op.seconds, self._advance_cb)
+                return
+            elif kind == READ or kind == WRITE:
+                done_at = ex.storage_transfer(op.size_bytes)
+                label = "read" if kind == READ else "write"
+                self.trace.add(engine.now, done_at, "io", label)
+                if ex.perf is not None:
+                    ex.perf.on_wait(rank, "io", label, engine.now, done_at)
+                engine.schedule_at(done_at, self._advance_cb)
+                return
+            else:
+                raise SimulationError(
+                    f"rank {rank} yielded an unknown operation: {op!r}"
+                )
 
-            raise SimulationError(
-                f"rank {self.rank} yielded an unknown operation: {op!r}"
-            )
+    def _raise_error(self) -> None:
+        """Raise what the program raised where the walk now stands."""
+        error = self.program.error
+        if isinstance(error, ConfigurationError):
+            raise ConfigurationError(
+                f"rank {self.rank} of job {self.ex.job.name!r}: {error}"
+            ) from error
+        raise error
 
     def _wait_many(self, reqs: list[Request], category: str, label: str) -> None:
         remaining = sum(1 for r in reqs if not r.done)
@@ -433,8 +432,14 @@ class _Executor:
         return timing
 
 
-def run_job(job: Job) -> RunResult:
+@collector_paused()
+def run_job(job: Job,
+            traces: dict[int, ProgramTrace] | None = None) -> RunResult:
     """Simulate ``job`` to completion and return the results.
+
+    ``traces`` are the job's rank programs, already replayed in full
+    (rank -> :class:`~repro.runtime.replay.ProgramTrace`, as the lint
+    gate hands them over); ``None`` replays ``job.program`` here.
 
     Raises
     ------
@@ -445,9 +450,10 @@ def run_job(job: Job) -> RunResult:
     ex = _Executor(job)
     if ex.perf is not None:
         ex.perf.begin_run(job)
-    drivers = [
-        _RankDriver(rank, ex) for rank in range(job.placement.n_ranks)
-    ]
+    n_ranks = job.placement.n_ranks
+    if traces is None:
+        traces = trace_program(job.program, n_ranks)
+    drivers = [_RankDriver(rank, ex, traces[rank]) for rank in range(n_ranks)]
     if ex.faults is not None:
         # crashes are scheduled before the first advance, so a crash at
         # t=0 kills the rank before it executes a single operation

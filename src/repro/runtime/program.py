@@ -298,13 +298,10 @@ COLLECTIVE_OPS = (Barrier, Bcast, Reduce, Allreduce, Allgather, Alltoall,
 #: Non-blocking collectives (yield a request; complete via WaitAll).
 NONBLOCKING_COLLECTIVE_OPS = (IAllreduce, IBarrier)
 
-#: Operations that carry no MPI semantics (local to the rank).
-LOCAL_OPS = (Compute, Sleep, FileRead, FileWrite)
-
 
 # ----------------------------------------------------------------------
 # introspection hooks (used by the static analyzer and error reporting;
-# the analyzer classifies ops once, in repro.analysis.trace)
+# each op is classified once, when repro.runtime.replay records it)
 # ----------------------------------------------------------------------
 def collective_root(op) -> int | None:
     """The rooted collective's root rank, or None for unrooted ones."""

@@ -6,7 +6,7 @@ keep one category of its findings each."""
 
 from repro.analysis import analyze_program
 from repro.analysis.checks import check_traces
-from repro.analysis.trace import trace_program
+from repro.runtime.replay import trace_program
 from repro.runtime.program import (
     ANY_SOURCE,
     MAX_PORTABLE_TAG,

@@ -7,7 +7,7 @@ cyclic send ring deadlocks above the threshold and completes below it
 
 from repro.analysis import analyze_program
 from repro.analysis.deadlock import find_deadlocks
-from repro.analysis.trace import trace_program
+from repro.runtime.replay import trace_program
 from repro.runtime.program import (
     ANY_SOURCE,
     Allreduce,

@@ -1,7 +1,17 @@
-"""Tests for symbolic rank-program replay."""
+"""Tests for symbolic rank-program replay and its failure findings."""
 
-from repro.analysis.trace import TracedRequest, trace_program, trace_rank
+from repro.analysis.checks import check_traces
+from repro.errors import ConfigurationError
 from repro.runtime.program import Compute, Irecv, Isend, Recv, Send, WaitAll
+from repro.runtime.replay import COMPUTE, SEND, TracedRequest, \
+    trace_program, trace_rank
+
+
+def program_findings(trace):
+    """The analyzer's per-rank program findings for one trace."""
+    structure, _ = check_traces({trace.rank: trace}, 2,
+                                {"world": (0, 1)})
+    return [d for d in structure if d.check.startswith("program-")]
 
 
 class TestReplay:
@@ -13,11 +23,11 @@ class TestReplay:
         traces = trace_program(program, 2)
         assert sorted(traces) == [0, 1]
         for rank, trace in traces.items():
-            assert trace.failure is None and not trace.truncated
-            assert [type(r.op).__name__ for r in trace.ops] == \
+            assert trace.error is None and not trace.truncated
+            assert trace.rank == rank
+            assert [type(op).__name__ for op in trace.values] == \
                 ["Compute", "Send"]
-            assert [r.index for r in trace.ops] == [0, 1]
-            assert all(r.rank == rank for r in trace.ops)
+            assert trace.kinds == [COMPUTE, SEND]
 
     def test_requests_round_trip(self):
         """``r = yield Irecv(...)`` must receive a token the analyzer can
@@ -28,11 +38,12 @@ class TestReplay:
             yield WaitAll([r])
 
         trace = trace_rank(program, 0, 2)
-        assert isinstance(trace.ops[0].request, TracedRequest)
-        assert trace.ops[1].request is not None     # Isend yields one too
-        waited = list(trace.ops[2].op.requests)
-        assert waited == [trace.ops[0].request]
-        assert "Irecv" in trace.ops[0].request.describe()
+        assert isinstance(trace.requests[0], TracedRequest)
+        assert trace.requests[0].op_index == 0
+        assert 1 in trace.requests                  # Isend yields one too
+        waited = list(trace.values[2].requests)
+        assert waited == [trace.requests[0]]
+        assert "Irecv" in trace.requests[0].describe()
 
     def test_blocking_ops_get_no_request(self):
         def program(rank, size):
@@ -40,7 +51,7 @@ class TestReplay:
                 Recv(src=0, tag=0)
 
         trace = trace_rank(program, 0, 2)
-        assert trace.ops[0].request is None
+        assert trace.requests == {}
 
 
 class TestFailures:
@@ -50,10 +61,11 @@ class TestFailures:
             yield Send(dst=1, tag=-5, size_bytes=8)     # invalid tag
 
         trace = trace_rank(program, 0, 2)
-        assert trace.failure is not None
-        assert trace.failure.check == "program-config"
-        assert trace.failure.op_index == 1      # one op traced before
-        assert len(trace.ops) == 1
+        assert isinstance(trace.error, ConfigurationError)
+        (failure,) = program_findings(trace)
+        assert failure.check == "program-config"
+        assert failure.op_index == 1      # one op traced before
+        assert len(trace.values) == 1
 
     def test_python_crash_becomes_diagnostic(self):
         def program(rank, size):
@@ -61,8 +73,9 @@ class TestFailures:
             raise IndexError("neighbour table overrun")
 
         trace = trace_rank(program, 0, 2)
-        assert trace.failure.check == "program-crash"
-        assert "IndexError" in trace.failure.message
+        (failure,) = program_findings(trace)
+        assert failure.check == "program-crash"
+        assert "IndexError" in failure.message
 
     def test_one_broken_rank_does_not_hide_others(self):
         def program(rank, size):
@@ -71,9 +84,9 @@ class TestFailures:
             yield Compute(kernel="k", iters=10)
 
         traces = trace_program(program, 3)
-        assert traces[1].failure is not None
-        assert traces[0].failure is None and traces[2].failure is None
-        assert len(traces[0].ops) == 1
+        assert traces[1].error is not None
+        assert traces[0].error is None and traces[2].error is None
+        assert len(traces[0].values) == 1
 
     def test_op_budget_truncates(self):
         def program(rank, size):
@@ -82,4 +95,4 @@ class TestFailures:
 
         trace = trace_rank(program, 0, 1, max_ops=25)
         assert trace.truncated
-        assert len(trace.ops) == 25
+        assert len(trace.values) == 25

@@ -86,6 +86,20 @@ class TestOffSwitch:
         with pytest.raises(ConfigurationError):
             make_job(FaultPlan(stragglers=(Straggler(99, 2.0),)))
 
+    @pytest.mark.parametrize("fault", [
+        MessageFault(kind="drop", src=99),
+        MessageFault(kind="drop", dst=N_RANKS),
+        MessageFault(kind="delay", src=0, dst=-1, delay_s=1e-6),
+    ], ids=["src", "dst", "negative"])
+    def test_job_validates_message_fault_ranks(self, fault):
+        """A filter on a rank the job lacks would never fire."""
+        with pytest.raises(ConfigurationError, match="fault plan names rank"):
+            make_job(FaultPlan(message_faults=(fault,)))
+        # the wildcard and in-range filters stay valid
+        make_job(FaultPlan(message_faults=(
+            MessageFault(kind="drop"),
+            MessageFault(kind="drop", src=0, dst=N_RANKS - 1))))
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("plan", [

@@ -7,7 +7,10 @@ bit-identical to timing every region afresh.
 
 import hashlib
 
+import pytest
+
 from repro import telemetry
+from repro.analysis import analyzer
 from repro.compile import PRESETS
 from repro.core.cache import config_digest
 from repro.core.experiment import ExperimentConfig
@@ -43,9 +46,9 @@ def run_counting(monkeypatch):
 
 
 def test_run_leaves_no_cyclic_garbage():
-    """Drivers, their generators and traces die by reference count when
-    the result is dropped, so back-to-back runs do not pile garbage up
-    for the cyclic collector."""
+    """Drivers, their replayed programs and traces die by reference
+    count when the result is dropped, so back-to-back runs do not pile
+    garbage up for the cyclic collector."""
     import gc
 
     from repro.runtime.program import Allreduce
@@ -90,7 +93,25 @@ HEAVY_ROWS_SHA256 = \
     "26cb84e5bcd4c1e309c925e08d8db13358f2906521cc7ee5d68972bb668e8fce"
 
 
-def test_heavy_app_rows_bit_identical():
+@pytest.fixture
+def lint_path(request):
+    """Which path hands the run its traces: the lint gate's fresh
+    analysis (``lint-on``), the run's own replay with the gate off
+    (``lint-off``), or the run's own replay after a verdict-memo hit
+    (``memo-hit``, rows from the second of two passes)."""
+    enabled = analyzer.preflight_enabled()
+    analyzer.clear_memos()
+    analyzer.set_preflight(request.param != "lint-off")
+    try:
+        yield request.param
+    finally:
+        analyzer.set_preflight(enabled)
+        analyzer.clear_memos()
+
+
+@pytest.mark.parametrize("lint_path", ["lint-on", "lint-off", "memo-hit"],
+                         indirect=True)
+def test_heavy_app_rows_bit_identical(lint_path):
     """ccs-qcd, ffb and ffvc (which the benchmark's event workload leaves
     out) at 4x12 and 1x48 under first-touch, plus ffvc 1x48 under
     serial-init, whose threads read remote domains."""
@@ -99,6 +120,9 @@ def test_heavy_app_rows_bit_identical():
                for ranks, threads in ((4, 12), (1, 48))]
     configs.append(ExperimentConfig(app="ffvc", n_ranks=1, n_threads=48,
                                     data_policy="serial-init"))
+    if lint_path == "memo-hit":
+        for config in configs:
+            run_config(config)
     lines = []
     for config in configs:
         row = run_config(config)
