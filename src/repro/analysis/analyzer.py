@@ -48,17 +48,12 @@ if TYPE_CHECKING:
 #: Environment switch: set to any non-empty value to skip the pre-flight.
 ENV_NO_LINT = "REPRO_NO_LINT"
 
-#: Per-rank op budget: a guard against unbounded generators (a while-True
-#: program would otherwise hang the analyzer, not the simulation).
-DEFAULT_MAX_OPS = 1_000_000
-
 
 def analyze_program(factory: Callable[[int, int], Iterator],
                     n_ranks: int, *,
                     communicators: dict[str, tuple[int, ...]] | None = None,
                     eager_threshold: float = 0.0,
-                    subject: str = "program",
-                    max_ops: int = DEFAULT_MAX_OPS) -> DiagnosticReport:
+                    subject: str = "program") -> DiagnosticReport:
     """Statically check one rank-program factory.
 
     ``eager_threshold`` defaults to 0 — i.e. every send treated as
@@ -67,13 +62,13 @@ def analyze_program(factory: Callable[[int, int], Iterator],
     eager-buffered cyclic sends exactly where the runtime does.
     """
     return _analyze_program(factory, n_ranks, communicators,
-                            eager_threshold, subject, max_ops)
+                            eager_threshold, subject)
 
 
 def _analyze_program(factory: Callable[[int, int], Iterator],
                      n_ranks: int,
                      communicators: dict[str, tuple[int, ...]] | None,
-                     eager_threshold: float, subject: str, max_ops: int,
+                     eager_threshold: float, subject: str,
                      kernels: Collection[str] | None = None,
                      keep: Traces | None = None) -> DiagnosticReport:
     """:func:`analyze_program`, plus the kernel-reference check when
@@ -95,7 +90,7 @@ def _analyze_program(factory: Callable[[int, int], Iterator],
         comms[name] = members
 
     with collector_paused():
-        traces = trace_program(factory, n_ranks, max_ops)
+        traces = trace_program(factory, n_ranks)
         structure, kernel_refs = check_traces(traces, n_ranks, comms,
                                               kernels)
         report.extend(structure)
@@ -112,8 +107,7 @@ def _analyze_program(factory: Callable[[int, int], Iterator],
     return report
 
 
-def analyze_job(job: Job, max_ops: int = DEFAULT_MAX_OPS,
-                keep: Traces | None = None) -> DiagnosticReport:
+def analyze_job(job: Job, keep: Traces | None = None) -> DiagnosticReport:
     """Statically check an assembled job against its own cluster.
 
     ``keep``, when given, receives the replayed rank programs.
@@ -121,13 +115,12 @@ def analyze_job(job: Job, max_ops: int = DEFAULT_MAX_OPS,
     return _analyze_program(
         job.program, job.placement.n_ranks, job.communicators,
         float(job.cluster.network.rendezvous_threshold_bytes),
-        job.name, max_ops, job.kernels, keep,
+        job.name, job.kernels, keep,
     )
 
 
 def analyze_config(config: ExperimentConfig,
-                   cache: LintCache | None = None,
-                   max_ops: int = DEFAULT_MAX_OPS) -> DiagnosticReport:
+                   cache: LintCache | None = None) -> DiagnosticReport:
     """Full pre-flight of one :class:`ExperimentConfig`.
 
     Placement feasibility reuses the runtime's own
@@ -138,25 +131,26 @@ def analyze_config(config: ExperimentConfig,
     """
     from repro.core.cache import config_digest
 
-    return _analyze_config(config, config_digest(config), cache, max_ops)
+    return _analyze_config(config, config_digest(config), cache)[0]
 
 
 def _analyze_config(config: ExperimentConfig, digest: str,
-                    cache: LintCache | None, max_ops: int,
-                    keep: Traces | None = None) -> DiagnosticReport:
+                    cache: LintCache | None, keep: Traces | None = None,
+                    ) -> tuple[DiagnosticReport, Job | None]:
+    """The config's report, and the job a fresh analysis assembled."""
     if cache is not None:
         cached = cache.get(digest)
         if cached is not None:
-            return cached
+            return cached, None
 
-    report = _analyze_config_fresh(config, max_ops, keep)
+    report, job = _analyze_config_fresh(config, keep)
     if cache is not None:
         cache.put(digest, report)
-    return report
+    return report, job
 
 
-def _analyze_config_fresh(config: ExperimentConfig, max_ops: int,
-                          keep: Traces | None) -> DiagnosticReport:
+def _analyze_config_fresh(config: ExperimentConfig, keep: Traces | None,
+                          ) -> tuple[DiagnosticReport, Job | None]:
     from repro.errors import PlacementError
     from repro.machine import catalog
     from repro.miniapps import by_name
@@ -173,7 +167,7 @@ def _analyze_config_fresh(config: ExperimentConfig, max_ops: int,
             message=f"cannot build processor {config.processor!r}: {exc}",
             hint="see `repro list-processors`",
         ))
-        return report
+        return report, None
     try:
         app = by_name(config.app)
         app.dataset(config.dataset)
@@ -184,7 +178,7 @@ def _analyze_config_fresh(config: ExperimentConfig, max_ops: int,
                     f"{config.app}/{config.dataset}: {exc}",
             hint="see `repro list-apps`",
         ))
-        return report
+        return report, None
     try:
         placement = JobPlacement(
             cluster, config.n_ranks, config.n_threads,
@@ -198,7 +192,7 @@ def _analyze_config_fresh(config: ExperimentConfig, max_ops: int,
                  "add nodes; domain-pack pads rank windows to CMG "
                  "boundaries and needs the extra headroom",
         ))
-        return report
+        return report, None
     try:
         job = app.build_job(
             cluster, placement, dataset=config.dataset,
@@ -210,9 +204,9 @@ def _analyze_config_fresh(config: ExperimentConfig, max_ops: int,
             message=f"cannot assemble the job: {exc}",
             hint="the app rejects this rank count / dataset combination",
         ))
-        return report
-    report.extend(_job_findings(app, config.dataset, job, max_ops, keep))
-    return report
+        return report, None
+    report.extend(_job_findings(app, config.dataset, job, keep))
+    return report, job
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +232,7 @@ def clear_memos() -> None:
     _shapes.clear()
 
 
-def _job_findings(app: Any, dataset: str, job: Job, max_ops: int,
+def _job_findings(app: Any, dataset: str, job: Job,
                   keep: Traces | None = None) -> tuple[Diagnostic, ...]:
     """:func:`analyze_job`'s findings, memoized on the program's shape.
 
@@ -252,10 +246,10 @@ def _job_findings(app: Any, dataset: str, job: Job, max_ops: int,
     key = (app.make_program, app.communicators, app.kernels, dataset,
            job.placement.n_ranks,
            float(job.cluster.network.rendezvous_threshold_bytes),
-           analyzer_fingerprint(), max_ops)
+           analyzer_fingerprint())
     found = _shapes.get(key)
     if found is None:
-        found = tuple(analyze_job(job, max_ops, keep).diagnostics)
+        found = tuple(analyze_job(job, keep).diagnostics)
         _remember(_shapes, key, found)
     return found
 
@@ -281,16 +275,18 @@ def set_preflight(enabled: bool) -> None:
 
 
 def preflight(config: ExperimentConfig,
-              lint_cache: LintCache | None = None) -> Traces | None:
+              lint_cache: LintCache | None = None,
+              ) -> tuple[Job, Traces | None] | None:
     """Raise :class:`~repro.errors.LintError` if ``config`` has
     error-severity findings; warnings pass silently.
 
     Verdicts are memoized per config digest (and the program analysis
     per program shape) in-process, so sweeping the same config — or
     another placement of the same program — repeatedly pays for one
-    analysis.  When this call replayed the programs in full, it returns
-    their traces for :func:`~repro.runtime.executor.run_job` to walk;
-    on a memo or cache hit it returns ``None``.
+    analysis.  When this call assembled the job, it returns it with the
+    traces it replayed (``None`` on a program-shape memo hit) for
+    :func:`~repro.runtime.executor.run_job` to walk; on a verdict memo or
+    lint cache hit it returns ``None``.
     """
     from repro.core.cache import config_digest
 
@@ -301,8 +297,7 @@ def preflight(config: ExperimentConfig,
             raise LintError("\n".join(cached))
         return None
     traces: Traces = {}
-    report = _analyze_config(config, digest, lint_cache, DEFAULT_MAX_OPS,
-                             traces)
+    report, job = _analyze_config(config, digest, lint_cache, traces)
     errors = report.errors
     if errors:
         lines = (f"pre-flight lint failed for {report.subject} "
@@ -312,6 +307,4 @@ def preflight(config: ExperimentConfig,
         _remember(_verdicts, digest, lines)
         raise LintError("\n".join(lines), diagnostics=tuple(errors))
     _remember(_verdicts, digest, ())
-    if not traces or any(t.truncated for t in traces.values()):
-        return None                 # a traced prefix cannot drive a run
-    return traces
+    return (job, traces or None) if job is not None else None

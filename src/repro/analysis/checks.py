@@ -92,8 +92,8 @@ def check_traces(traces: Traces, n_ranks: int,
                 message=f"rank {rank} exceeded the analyzer's op budget "
                         f"({n_ops} ops traced); checks cover the traced "
                         f"prefix only",
-                hint="raise max_ops, or check the program for an "
-                     "unbounded loop",
+                hint="raise repro.runtime.replay.DEFAULT_MAX_OPS, or "
+                     "check the program for an unbounded loop",
             ))
 
         def bad_peer(index: int, role: str, peer: int) -> None:

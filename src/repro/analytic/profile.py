@@ -34,8 +34,8 @@ from typing import Any, Callable, Iterable
 
 from repro.errors import SimulationError
 from repro.runtime.replay import COLL, COMPUTE, ICOLL, IRECV, ISEND, READ, \
-    RECV, SEND, SENDRECV, SLEEP, WAITALL, WRITE, TracedRequest, op_kind, \
-    trace_rank
+    RECV, SEND, SENDRECV, SLEEP, WAITALL, WRITE, TracedRequest, \
+    check_budget, op_kind, trace_rank
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,7 @@ def profile_from_summaries(app: str, dataset: str, n_ranks: int,
 # replay-based extraction (exact fallback + closed-form oracle)
 # ----------------------------------------------------------------------
 def _replay_rank(factory: Callable[[int, int], Any], rank: int,
-                 n_ranks: int) -> SummaryBuilder:
+                 n_ranks: int, job: str) -> SummaryBuilder:
     """Fold one rank's replayed trace into a summary without simulating
     time.
 
@@ -270,6 +270,7 @@ def _replay_rank(factory: Callable[[int, int], Any], rank: int,
     """
     b = SummaryBuilder(n_ranks)
     trace = trace_rank(factory, rank, n_ranks)
+    check_budget(trace, job)
     last_parallel_compute = -1
     pending_sends: list[tuple[int, int, float]] = []   # (index, dst, bytes)
     for index, (op, kind) in enumerate(zip(trace.values, trace.kinds)):
@@ -330,8 +331,9 @@ def profile_from_replay(app: str, dataset: str,
                         factory: Callable[[int, int], Any],
                         n_ranks: int) -> AppProfile:
     """Exact profile by symbolic replay of every rank's generator."""
+    job = f"{app}/{dataset}"
     per_rank = [
-        _replay_rank(factory, rank, n_ranks).freeze(rank)
+        _replay_rank(factory, rank, n_ranks, job).freeze(rank)
         for rank in range(n_ranks)
     ]
     return _cluster_classes(app, dataset, n_ranks, per_rank)

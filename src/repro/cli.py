@@ -17,9 +17,10 @@ Commands mirror what a user of the original study's scripts would run:
   timings, fault events, Chrome trace export), and re-execute one from
   its manifest, diffing the replay against the recorded rows.
 
-Sweep-running commands record themselves under ``results/runs/<id>/``
-by default; ``--no-telemetry`` (or ``REPRO_TELEMETRY=off``) restores
-the unrecorded path.
+Sweep-running commands record themselves as runs in one log per
+process, ``results/runs/<session>.jsonl``, by default;
+``--no-telemetry`` (or ``REPRO_TELEMETRY=off``) restores the unrecorded
+path.
 
 ``run`` and ``profile`` accept the same app/placement flags (one shared
 wiring, :func:`_add_app_flags` / :func:`_add_placement_flags`), with
@@ -129,13 +130,12 @@ def _add_exec_flags(parser: argparse.ArgumentParser,
              "against the simulator")
     parser.add_argument(
         "--no-telemetry", action="store_true",
-        help="do not record this invocation as a run directory "
+        help="do not record this invocation as a run in the run log "
              "(equivalent to REPRO_TELEMETRY=off)")
     parser.add_argument(
         "--results-dir", default=None, metavar="DIR",
-        help="root for recorded run directories (default: "
-             "$REPRO_RESULTS_DIR or ./results; runs land in "
-             "<DIR>/runs/<run_id>/)")
+        help="root for recorded runs (default: $REPRO_RESULTS_DIR or "
+             "./results; runs land in <DIR>/runs/<session>.jsonl)")
 
 
 def _cache_from_args(args):
@@ -1112,7 +1112,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve from memory only (jobs do not "
                             "survive the process)")
     serve.add_argument("--results-dir", default=None, metavar="DIR",
-                       help="telemetry root for per-job run directories")
+                       help="telemetry root for per-job runs")
     serve.set_defaults(func=_cmd_serve)
 
     submit = sub.add_parser(

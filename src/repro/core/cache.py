@@ -208,7 +208,7 @@ class ResultCache:
             self._remember(digest, row)
         if corrupt:
             # Surface through telemetry rather than a one-shot
-            # warnings.warn: the count lands in metrics.jsonl and shows
+            # warnings.warn: the count lands in the run's metrics and shows
             # up as a `repro report` line item, and stays inspectable on
             # the cache object itself.
             self.torn_lines += corrupt

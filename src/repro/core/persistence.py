@@ -88,6 +88,16 @@ def row_from_dict(d: dict) -> Row:
             from None
 
 
+def sweep_to_payload(sweep: SweepResult) -> dict:
+    """The JSON payload :func:`save_sweep` writes (and a run log's
+    ``summary`` record holds)."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "name": sweep.name,
+        "rows": [row_to_dict(r) for r in sweep.rows],
+    }
+
+
 def save_sweep(sweep: SweepResult, path: str | Path) -> Path:
     """Write a sweep to JSON atomically; returns the path.
 
@@ -96,13 +106,8 @@ def save_sweep(sweep: SweepResult, path: str | Path) -> Path:
     readers never observe a half-written file even if the writer dies
     mid-dump.
     """
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "name": sweep.name,
-        "rows": [row_to_dict(r) for r in sweep.rows],
-    }
     path = Path(path)
-    jsonlog.replace_file(path, json.dumps(payload).encode())
+    jsonlog.replace_file(path, json.dumps(sweep_to_payload(sweep)).encode())
     return path
 
 
@@ -114,21 +119,27 @@ def load_sweep(path: str | Path) -> SweepResult:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read sweep file {path}: {exc}") \
             from None
+    return sweep_from_payload(payload, str(path))
+
+
+def sweep_from_payload(payload: dict, where: str) -> SweepResult:
+    """The sweep a :func:`sweep_to_payload` payload holds, after the
+    schema checks; ``where`` names the payload in errors."""
     schema = payload.get("schema")
     if not isinstance(schema, int):
         raise ConfigurationError(
-            f"{path}: missing or non-integer schema field {schema!r} "
+            f"{where}: missing or non-integer schema field {schema!r} "
             f"(not a repro sweep file?)"
         )
     if schema > SCHEMA_VERSION:
         raise ConfigurationError(
-            f"{path}: schema {schema} was written by a newer repro "
+            f"{where}: schema {schema} was written by a newer repro "
             f"(this build reads up to {SCHEMA_VERSION}); upgrade repro "
             f"or regenerate the file"
         )
     if schema < MIN_SCHEMA_VERSION:
         raise ConfigurationError(
-            f"{path}: schema {schema} is older than the oldest supported "
+            f"{where}: schema {schema} is older than the oldest supported "
             f"version {MIN_SCHEMA_VERSION} (regenerate the file)"
         )
     sweep = SweepResult(payload["name"])

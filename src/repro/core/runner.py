@@ -130,7 +130,8 @@ def _gate(kind: str, config: ExperimentConfig, cache,
     :class:`~repro.errors.LintError` on error-severity findings and is a
     no-op when disabled via ``--no-lint`` / ``REPRO_NO_LINT=1`` (the
     environment variable travels into sweep worker processes).  It
-    returns the traces a fresh analysis replayed, for the run to walk.
+    returns the job a fresh analysis assembled and the traces it
+    replayed, for the run to walk.
 
     ``kind="advise"`` is the opt-in performance gate.  ``advise=None``
     defers to the global :func:`repro.analysis.advisor.advise_mode`
@@ -239,8 +240,9 @@ def run_config(config: ExperimentConfig, cache=None, *,
     must never poison, nor be served from, fault-free rows.
 
     With telemetry on (the default — see :mod:`repro.telemetry`), a
-    top-level call records itself as ``results/runs/<run_id>/``; inside
-    an active run it contributes a ``config`` span instead.
+    top-level call records itself as a run in the process's log
+    ``results/runs/<session>.jsonl``; inside an active run it
+    contributes a ``config`` span instead.
     """
     from repro.analytic import engine as analytic_engine
     from repro.core.parallel import run_configs
@@ -303,18 +305,18 @@ def _event_row(config: ExperimentConfig, result: RunResult) -> Row:
 def _simulate(config: ExperimentConfig, fault_plan=None) -> Row:
     """The one event execution of a config, uncached: pre-flight lint,
     job assembly, the optional fault plan, :func:`run_job`, the row.
-    The run walks the traces the lint gate replayed, or replays the
-    programs itself when the gate did not, so each rank program runs
-    once.  The traces live from the gate to the end of the run with the
-    cyclic collector paused, and die with this call.
+    The run takes the job the lint gate assembled and walks the traces
+    it replayed, or assembles and replays what the gate did not, so each
+    job is built once and each rank program runs once.  The traces live
+    from the gate to the end of the run with the cyclic collector
+    paused, and die with this call.
 
     Every event row a sweep or :func:`run_config` returns is made
     here — by serial, pool and service workers
     (:func:`repro.core.parallel.simulate_config`) and faulted
     :func:`run_config` calls alike.
     """
-    traces = _gate("lint", config, None)
-    job = _event_job(config)
+    job, traces = _gate("lint", config, None) or (_event_job(config), None)
     if fault_plan is not None:
         job = dataclasses.replace(job, fault_plan=fault_plan)
         telemetry.count("faults.runs")
@@ -390,10 +392,9 @@ def run_sweep(name: str, configs: list[ExperimentConfig],
     what ``resume`` consults.
 
     With telemetry on (the default), the sweep records itself as a run
-    directory ``results/runs/<run_id>/`` — manifest, streamed metrics,
-    orchestration spans, and the rows as ``summary.json`` (see
-    :mod:`repro.telemetry`); a resumed sweep re-enters the original
-    run's directory and appends.  Nested sweeps (figure builders inside
+    in the process's log ``results/runs/<session>.jsonl`` (see
+    :mod:`repro.telemetry.runlog`); a resumed sweep appends under the
+    original run id.  Nested sweeps (figure builders inside
     ``repro report``) become spans of the enclosing run instead.
     """
     if errors not in ("raise", "capture"):

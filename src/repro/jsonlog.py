@@ -2,8 +2,8 @@
 replace.
 
 Every append-only store in the package — the result cache, the sweep
-journal, the lint cache, the service job ledger and a run's metrics and
-spans — is a file of JSON objects, one per line, each carrying a
+journal, the lint cache, the service job ledger and each process's run
+log — is a file of JSON objects, one per line, each carrying a
 ``"format"`` version.  This module owns the whole on-disk discipline so
 the stores keep only their record semantics:
 
@@ -11,8 +11,8 @@ the stores keep only their record semantics:
   Concurrent appenders interleave whole lines, and a killed process
   leaves at most one torn line.
 * :class:`Buffered` is the appender for logs that record many events
-  per run (a run's metrics and spans): records wait in memory and go
-  out as one ``O_APPEND`` write per flush, at most
+  per run (a process's run log, :mod:`repro.telemetry.runlog`): records
+  wait in memory and go out as one ``O_APPEND`` write per flush, at most
   :data:`FLUSH_RECORDS` records or :data:`FLUSH_SECONDS` after the last
   flush.  A killed process loses at most the unflushed tail.
 * :func:`read` never raises on content.  A line that fails to decode as

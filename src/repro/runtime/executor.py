@@ -24,7 +24,7 @@ from repro.runtime.openmp import DATA_POLICIES, RegionTiming, region_time
 from repro.runtime.placement import JobPlacement
 from repro.runtime.replay import COLL, COMPUTE, ICOLL, IRECV, ISEND, READ, \
     RECV, SEND, SENDRECV, SLEEP, WAITALL, WRITE, ProgramTrace, \
-    TracedRequest, collector_paused, trace_program
+    TracedRequest, check_budget, collector_paused, trace_program
 from repro.runtime.trace import RankTrace
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -443,6 +443,9 @@ def run_job(job: Job,
 
     Raises
     ------
+    SimulationError
+        If a rank's replay stopped at the op budget
+        (:data:`~repro.runtime.replay.DEFAULT_MAX_OPS`).
     DeadlockError
         If the event heap drains while some rank is still blocked (a real
         communication deadlock in the program).
@@ -453,6 +456,8 @@ def run_job(job: Job,
     n_ranks = job.placement.n_ranks
     if traces is None:
         traces = trace_program(job.program, n_ranks)
+    for trace in traces.values():
+        check_budget(trace, job.name)
     drivers = [_RankDriver(rank, ex, traces[rank]) for rank in range(n_ranks)]
     if ex.faults is not None:
         # crashes are scheduled before the first advance, so a crash at

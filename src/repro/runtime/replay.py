@@ -15,16 +15,22 @@ class, which every consumer dispatches on.  A trace stores its ops,
 kinds and request handles as parallel columns.  A program that raises
 stops the replay there, and the trace keeps the exception: the executor
 raises it when its walk reaches that op, the analyzer reports it.
+Every replay stops at an op budget (:data:`DEFAULT_MAX_OPS` per rank):
+the analyzer warns about a truncated trace, a run refuses it.
 """
 
 from __future__ import annotations
 
 import gc
-import sys
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
+from repro.errors import SimulationError
 from repro.runtime import program as ops
+
+#: Per-rank op budget of every replay (a while-True program would
+#: otherwise replay, and grow memory, without end).
+DEFAULT_MAX_OPS = 1_000_000
 
 #: Op kinds.  ``COMPUTE`` through ``WRITE`` carry no MPI semantics;
 #: ``ISEND`` through ``ICOLL`` are exactly the kinds that yield a
@@ -96,18 +102,15 @@ class ProgramTrace:
 
 
 def trace_rank(factory: Callable[[int, int], Iterator], rank: int,
-               n_ranks: int, max_ops: int | None = None) -> ProgramTrace:
-    """Replay one rank's program into a :class:`ProgramTrace`.
-
-    ``max_ops`` bounds the ops recorded (the analyzer's guard against
-    unbounded generators); ``None`` replays to the end.
-    """
+               n_ranks: int) -> ProgramTrace:
+    """Replay one rank's program, at most :data:`DEFAULT_MAX_OPS` ops of
+    it, into a :class:`ProgramTrace`."""
     trace = ProgramTrace(rank)
     values, requests = trace.values, trace.requests
     add_value, add_kind = values.append, trace.kinds.append
     kinds = _kinds
     first, last = ISEND, ICOLL          # the kinds that yield a request
-    budget = sys.maxsize if max_ops is None else max_ops
+    budget = DEFAULT_MAX_OPS
     try:
         gen = factory(rank, n_ranks)
         send_value = None
@@ -136,11 +139,20 @@ def trace_rank(factory: Callable[[int, int], Iterator], rank: int,
     return trace
 
 
-def trace_program(factory: Callable[[int, int], Iterator], n_ranks: int,
-                  max_ops: int | None = None) -> dict[int, ProgramTrace]:
+def trace_program(factory: Callable[[int, int], Iterator], n_ranks: int
+                  ) -> dict[int, ProgramTrace]:
     """Replay every rank; returns rank -> :class:`ProgramTrace`."""
-    return {rank: trace_rank(factory, rank, n_ranks, max_ops)
+    return {rank: trace_rank(factory, rank, n_ranks)
             for rank in range(n_ranks)}
+
+
+def check_budget(trace: ProgramTrace, job: str) -> None:
+    """Raise :class:`~repro.errors.SimulationError` if the op budget cut
+    ``trace`` short: a prefix of a program cannot drive a run."""
+    if trace.truncated:
+        raise SimulationError(
+            f"rank {trace.rank} of job {job!r}: replay stopped at the op "
+            f"budget (DEFAULT_MAX_OPS = {len(trace.values)} ops)")
 
 
 @contextmanager

@@ -19,12 +19,13 @@ Lifecycle:
   a typed, retryable :class:`~repro.errors.ServiceUnavailable`),
   running jobs finish and are journaled, queued jobs are left in the
   ledger for the next server;
-* with telemetry on, every job records itself as a
-  ``results/runs/<run_id>/`` directory of kind ``service-job`` —
-  manifest, ``queue-wait``/``execute`` spans with per-config
+* with telemetry on, every job records itself as a run of kind
+  ``service-job`` in the server process's run log — manifest,
+  ``queue-wait``/``execute`` spans with per-config
   ``execute``/``dedup-hit``/``cache-hit`` children, ``service.*``
-  metrics, and the rows as ``summary.json`` (so ``repro report`` and
-  ``repro reproduce`` work on service jobs unchanged).
+  metrics, and the summary rows (so ``repro report`` and ``repro
+  reproduce`` work on service jobs unchanged).  Concurrent jobs
+  interleave their records; the run id keeps them apart.
 
 :func:`serve_in_thread` hosts a service on a background thread of the
 current process — the harness tests, benchmarks, and notebook users
@@ -122,7 +123,7 @@ class SweepService:
         retries (attempts, backoff); ``exec_timeout_s`` replaces its
         ``timeout_s``.
     results_dir:
-        Telemetry results root for per-job run directories (default:
+        Telemetry results root for per-job runs (default:
         the usual ``$REPRO_RESULTS_DIR`` / ``./results`` resolution).
     drain_timeout_s:
         How long a drain waits for running jobs before giving up and
@@ -495,6 +496,7 @@ class SweepService:
             # journaled the transition and closed the stream.
             return
         run_ctx: RunContext | None = None
+        finished = False
         try:
             if job.state != QUEUED:
                 return  # cancelled/expired while waiting its turn
@@ -533,11 +535,9 @@ class SweepService:
                 self.ledger.record_state(job)
             await self._publish(job, {"type": "done",
                                       "job": job.to_dict()})
-            self._finalize_run(run_ctx, job)
+            finished = True
         finally:
-            # A teardown cancellation skips the finalize above; the
-            # records queued so far still reach the run directory.
-            self._flush_run(run_ctx)
+            self._close_run(run_ctx, job, finished)
             self._queue.release()
 
     async def _execute_job(self, job: JobRecord,
@@ -642,8 +642,8 @@ class SweepService:
     # per-job telemetry
     # ------------------------------------------------------------------
     def _open_run(self, job: JobRecord) -> RunContext | None:
-        """A detached (never globally-activated) run directory for one
-        job — many jobs record concurrently, one directory each."""
+        """A detached (never globally-activated) run for one job — many
+        jobs record concurrently, one run id each."""
         if not telemetry.enabled():
             return None
         try:
@@ -670,20 +670,17 @@ class SweepService:
         run_ctx.attach_rows(job.spec.name, rows, errors)
 
     @staticmethod
-    def _finalize_run(run_ctx: RunContext | None, job: JobRecord) -> None:
+    def _close_run(run_ctx: RunContext | None, job: JobRecord,
+                   finished: bool) -> None:
+        """Finalize a finished job's run; after a teardown cancellation,
+        flush the records queued so far to the run log."""
         if run_ctx is None:
             return
         try:
-            run_ctx.finalize(status=job.state)
-        except Exception:  # noqa: BLE001 - telemetry must never kill a job
-            pass
-
-    @staticmethod
-    def _flush_run(run_ctx: RunContext | None) -> None:
-        if run_ctx is None:
-            return
-        try:
-            run_ctx.flush()  # nothing is queued after a finalize
+            if finished:
+                run_ctx.finalize(status=job.state)
+            else:
+                run_ctx.log.flush()
         except Exception:  # noqa: BLE001 - telemetry must never kill a job
             pass
 

@@ -1,10 +1,10 @@
 """repro.telemetry — structured observability for the sweep pipeline.
 
 Every ``run_config``/``run_sweep``/CLI invocation (with telemetry on,
-the default) records itself as a self-describing artifact directory
-``results/runs/<run_id>/`` containing a manifest, streamed metrics,
-orchestration spans, and the result rows — see DESIGN.md's telemetry
-section for the schemas and the stable metric vocabulary.
+the default) records itself as a run: records tagged with its run id in
+its process's log ``results/runs/<session>.jsonl``
+(:mod:`repro.telemetry.runlog`) — see DESIGN.md's telemetry section for
+the schemas and the stable metric vocabulary.
 
 The helpers here are the instrumentation surface the rest of the
 codebase uses; all of them are near-free no-ops when no run is active,
@@ -24,13 +24,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.telemetry.manifest import (
-    MANIFEST_FILENAME,
-    METRICS_FILENAME,
-    SPANS_FILENAME,
-    SUMMARY_FILENAME,
-    read_manifest,
-)
 from repro.telemetry.run import RunContext, run_scope
 from repro.telemetry.spans import Span
 from repro.telemetry.state import (
@@ -48,11 +41,9 @@ from repro.telemetry.state import (
 
 __all__ = [
     "ENV_RESULTS_DIR", "ENV_TELEMETRY",
-    "MANIFEST_FILENAME", "METRICS_FILENAME", "SPANS_FILENAME",
-    "SUMMARY_FILENAME",
     "RunContext", "Span",
     "count", "current_run", "enabled", "gauge", "observe",
-    "read_manifest", "results_root", "run_scope", "runs_root",
+    "results_root", "run_scope", "runs_root",
     "set_results_dir", "set_telemetry", "span", "suppress_in_worker",
     "suppressed",
 ]

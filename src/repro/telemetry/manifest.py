@@ -5,25 +5,25 @@ numbers it produced: the full config snapshots, the model fingerprint
 the result cache keys on, the engine and worker count, the fault-plan
 (verbatim plus digest), package/python/git versions, and the resume
 lineage.  ``repro reproduce`` consumes nothing but the manifest and the
-recorded ``summary.json`` — if the two plus the current model agree, the
-run is reproducible; if not, the drift is named.
+recorded summary — if the two plus the current model agree, the run is
+reproducible; if not, the drift is named.
 
-A run writes its manifest twice, at open (``status="running"``) and at
-finalize, each time atomically (:func:`repro.jsonlog.replace_file`), so
-readers never observe a half-written file.
+A manifest is stored as ``manifest`` records of the run log
+(:mod:`repro.telemetry.runlog`): every field but the :data:`CLOSING`
+ones when the run opens, the fields that changed when it finalizes.
+:func:`check_manifest` applies the format and field checks to the
+merged result and gives a run that never finalized the closing fields
+of a running one.
 """
 
 from __future__ import annotations
 
-import json
 import platform
 import subprocess
 import sys
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro import jsonlog
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -33,11 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 #: On-disk manifest format version.
 MANIFEST_FORMAT = 1
 
-#: File names inside every run directory.
-MANIFEST_FILENAME = "manifest.json"
-METRICS_FILENAME = "metrics.jsonl"
-SPANS_FILENAME = "spans.jsonl"
-SUMMARY_FILENAME = "summary.json"
+#: The fields a run sets when it finalizes, as they read before.
+CLOSING: dict[str, Any] = {
+    "status": "running", "error": None, "finished": None,
+    "wall_seconds": None, "n_rows": None, "n_errors": None, "errors": [],
+}
 
 _git_memo: dict[str, Any] | None = None
 _git_loaded = False
@@ -47,8 +47,8 @@ def sweep_key(kind: str, name: str, config_dicts: list[dict[str, Any]],
               engine: str) -> str:
     """Content digest identifying "the same sweep, run again".
 
-    Resume uses it to find the run directory a restarted sweep should
-    re-enter: same kind, sweep name, ordered config digests, and engine.
+    Resume uses it to find the run a restarted sweep should re-enter:
+    same kind, sweep name, ordered config digests, and engine.
     ``config_dicts`` are the configs'
     :func:`~repro.core.persistence.config_to_dict` records; each digest
     hashes the bytes :func:`~repro.core.cache.config_digest` hashes for
@@ -102,7 +102,8 @@ def build_manifest(*, run_id: str, kind: str, name: str,
                    advise: str | None = None,
                    fault_plan: "FaultPlan | None" = None,
                    reproduces: str | None = None) -> dict[str, Any]:
-    """Assemble a fresh ``status="running"`` manifest dict."""
+    """Assemble a fresh manifest dict, without the :data:`CLOSING`
+    fields."""
     import repro
     from repro.core.cache import model_fingerprint
     from repro.core.persistence import config_to_dict
@@ -114,14 +115,10 @@ def build_manifest(*, run_id: str, kind: str, name: str,
         "run_id": run_id,
         "kind": kind,
         "name": name,
-        "status": "running",
-        "error": None,
         # microsecond resolution so same-second runs still order
         # deterministically in `repro runs` / resume lookup
         "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.localtime(now))
         + f".{int(now * 1e6) % 1_000_000:06d}",
-        "finished": None,
-        "wall_seconds": None,
         "sweep_key": sweep_key(kind, name, config_dicts, engine),
         "engine": engine,
         "workers": workers,
@@ -139,46 +136,24 @@ def build_manifest(*, run_id: str, kind: str, name: str,
         "seeds": {"fault_plan": fault_plan.seed}
         if fault_plan is not None and not fault_plan.empty else {},
         "configs": config_dicts,
-        "n_rows": None,
-        "n_errors": None,
-        "errors": [],
-        "files": {"metrics": METRICS_FILENAME, "spans": SPANS_FILENAME,
-                  "summary": SUMMARY_FILENAME},
     }
 
 
-def write_manifest(directory: str | Path, manifest: dict[str, Any]) -> Path:
-    """Atomically (re)write ``manifest.json`` in the existing
-    ``directory``."""
-    path = Path(directory) / MANIFEST_FILENAME
-    jsonlog.replace_file(
-        path, (json.dumps(manifest, sort_keys=True) + "\n").encode())
-    return path
-
-
-def read_manifest(directory: str | Path) -> dict[str, Any]:
-    """Load and sanity-check the manifest of one run directory."""
-    path = Path(directory) / MANIFEST_FILENAME
-    try:
-        manifest = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigurationError(
-            f"no run manifest at {path}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"unreadable run manifest {path}: {exc}") from None
+def check_manifest(manifest: Any, where: str) -> dict[str, Any]:
+    """Sanity-check one run's manifest; ``where`` names it in errors.
+    Returns it with the :data:`CLOSING` fields it lacks."""
     if not isinstance(manifest, dict):
-        raise ConfigurationError(f"{path}: manifest is not a JSON object")
+        raise ConfigurationError(f"{where}: manifest is not a JSON object")
     fmt = manifest.get("format")
     if fmt != MANIFEST_FORMAT:
         raise ConfigurationError(
-            f"{path}: manifest format {fmt!r} is not supported "
+            f"{where}: manifest format {fmt!r} is not supported "
             f"(this build reads format {MANIFEST_FORMAT})"
         )
     for field in ("run_id", "kind", "name", "configs", "engine"):
         if field not in manifest:
-            raise ConfigurationError(f"{path}: manifest missing {field!r}")
-    return manifest
+            raise ConfigurationError(f"{where}: manifest missing {field!r}")
+    return {**CLOSING, **manifest}
 
 
 def manifest_configs(manifest: dict[str, Any]) -> list["ExperimentConfig"]:

@@ -1,16 +1,13 @@
-"""Lightweight counter/gauge/histogram registry recording ``metrics.jsonl``.
+"""Lightweight counter/gauge/histogram registry for one run.
 
 Metric names form a **stable vocabulary** (documented in DESIGN.md):
 reports, CI gates, and future dashboards key on them, so renaming one is
 a breaking change.  The registry updates an in-memory aggregate per
 event (so a live ``RunContext`` can summarize itself without re-reading
-its own file) and queues one record per event for ``metrics.jsonl`` (a
-durable JSONL log, see :mod:`repro.jsonlog`).  Queued records are
-written in batches — when :data:`repro.jsonlog.FLUSH_RECORDS` are
-pending, on the first event :data:`repro.jsonlog.FLUSH_SECONDS` after
-the last write, and on :meth:`MetricsRegistry.flush`, which the run
-calls when it finalizes.  :func:`read_metrics` rebuilds the aggregates
-from the file.
+its own records) and hands one record per event to the run's sink,
+which queues it as a ``metric`` record of the run log
+(:mod:`repro.telemetry.runlog`).  :func:`aggregate` rebuilds the
+aggregates from the records.
 """
 
 from __future__ import annotations
@@ -18,13 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any
-
-from repro import jsonlog
-
-#: On-disk metric record format version.
-METRICS_FORMAT = 1
+from typing import Any, Callable, Iterable
 
 #: Metric kinds (the ``kind`` field of every record).
 KINDS = ("counter", "gauge", "histogram")
@@ -58,6 +49,11 @@ class MetricAggregate:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    @property
+    def value(self) -> float:
+        """Counter total / gauge last / histogram total."""
+        return self.last if self.kind == "gauge" else self.total
+
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile over recorded observations."""
         if not self.values:
@@ -84,19 +80,17 @@ class MetricAggregate:
 class MetricsRegistry:
     """Process-side metric sink for one run.
 
-    ``path=None`` keeps the registry memory-only (tests, dry contexts);
-    otherwise every event is queued for the JSONL file and written in
-    batches, so an interrupted run keeps everything it measured up to
-    its last flush.
+    ``sink=None`` keeps the registry memory-only (tests, dry contexts);
+    otherwise every event's record is handed to ``sink``.
     """
 
-    __slots__ = ("path", "_aggregates", "_log")
+    __slots__ = ("_aggregates", "_sink")
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
+    def __init__(self,
+                 sink: Callable[[dict[str, Any]], None] | None = None,
+                 ) -> None:
         self._aggregates: dict[str, MetricAggregate] = {}
-        self._log = jsonlog.Buffered(self.path) \
-            if self.path is not None else None
+        self._sink = sink
 
     # ------------------------------------------------------------------
     def _record(self, name: str, kind: str, value: float,
@@ -105,18 +99,13 @@ class MetricsRegistry:
         if agg is None:
             agg = self._aggregates[name] = MetricAggregate(name, kind)
         agg.update(value)
-        if self._log is None:
+        if self._sink is None:
             return
-        rec: dict[str, Any] = {"format": METRICS_FORMAT, "t": time.time(),
-                               "name": name, "kind": kind, "v": value}
+        rec: dict[str, Any] = {"t": time.time(), "name": name,
+                               "kind": kind, "v": value}
         if labels:
             rec["labels"] = labels
-        self._log.add(rec)
-
-    def flush(self) -> None:
-        """Write every queued record to the file now."""
-        if self._log is not None:
-            self._log.flush()
+        self._sink(rec)
 
     # ------------------------------------------------------------------
     def count(self, name: str, n: float = 1,
@@ -138,38 +127,30 @@ class MetricsRegistry:
         return dict(self._aggregates)
 
     def value(self, name: str, default: float = 0.0) -> float:
-        """Counter total / gauge last / histogram total for ``name``."""
+        """:attr:`MetricAggregate.value` of ``name``."""
         agg = self._aggregates.get(name)
-        if agg is None:
-            return default
-        return agg.last if agg.kind == "gauge" else agg.total
+        return default if agg is None else agg.value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"<MetricsRegistry {self.path} metrics={len(self._aggregates)}>"
+        return f"<MetricsRegistry metrics={len(self._aggregates)}>"
 
 
-def read_metrics(path: str | Path,
-                 ) -> tuple[dict[str, MetricAggregate], int]:
-    """Rebuild per-name aggregates from a ``metrics.jsonl`` file.
+def aggregate(records: Iterable[dict[str, Any]],
+              ) -> tuple[dict[str, MetricAggregate], int]:
+    """Rebuild per-name aggregates from metric records.
 
-    Returns ``(aggregates, torn line count)``; a record missing its
-    name, kind or numeric value counts as torn too.
+    Returns ``(aggregates, malformed count)``: a record missing its
+    name, kind or numeric value is skipped and counted.
     """
-    aggregates: dict[str, MetricAggregate] = {}
-    records, torn = jsonlog.read(path, METRICS_FORMAT)
+    registry = MetricsRegistry()
+    torn = 0
     for rec in records:
         try:
-            name = str(rec["name"])
-            kind = rec["kind"]
-            value = float(rec["v"])
+            name, kind, value = str(rec["name"]), rec["kind"], float(rec["v"])
         except (ValueError, KeyError, TypeError):
+            kind = None
+        if kind in KINDS:
+            registry._record(name, kind, value, None)
+        else:
             torn += 1
-            continue
-        if kind not in KINDS:
-            torn += 1
-            continue
-        agg = aggregates.get(name)
-        if agg is None:
-            agg = aggregates[name] = MetricAggregate(name, kind)
-        agg.update(value)
-    return aggregates, torn
+    return registry._aggregates, torn

@@ -1,25 +1,24 @@
-"""``repro runs`` / ``repro report`` — reading recorded run directories.
+"""``repro runs`` / ``repro report`` — reading recorded runs.
 
-The report is assembled from the three files every run writes: the
-manifest (provenance + status), ``metrics.jsonl`` aggregates (cache
-efficiency, gate wall time, engine picks, pool resilience, fault
-events, torn store lines), and ``summary.json`` (the rows — sorted here
-into the slowest-configs table).  Everything renders as text for humans
-and as one JSON object for tooling.
+Both read the run logs under the runs root through
+:func:`repro.telemetry.runlog.scan`.  The report is assembled from a
+run's records: the manifest (provenance + status), the metric
+aggregates (cache efficiency, gate wall time, engine picks, pool
+resilience, fault events, torn store lines), the spans, and the summary
+rows (sorted here into the slowest-configs table).  Everything renders
+as text for humans and as one JSON object for tooling; the
+``artifacts:`` line names the log files that hold the run.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ConfigurationError
-from repro.telemetry import manifest as manifest_mod
-from repro.telemetry import state
-from repro.telemetry.metrics import MetricAggregate, read_metrics
-from repro.telemetry.spans import read_spans, spans_to_chrome_trace
+from repro.telemetry import runlog, state
+from repro.telemetry.metrics import MetricAggregate, aggregate
+from repro.telemetry.spans import spans_to_chrome_trace
 
 
 @dataclass(frozen=True)
@@ -38,31 +37,17 @@ class RunEntry:
     resumed_from: str | None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id, "kind": self.kind, "name": self.name,
-            "status": self.status, "engine": self.engine,
-            "created": self.created, "n_rows": self.n_rows,
-            "n_errors": self.n_errors, "wall_seconds": self.wall_seconds,
-            "resumed_from": self.resumed_from,
-        }
+        return asdict(self)
 
 
 def list_runs(results_dir: str | Path | None = None, *,
               kind: str | None = None, status: str | None = None,
               name: str | None = None) -> list[RunEntry]:
     """Recorded runs, oldest first; filters match exactly (``name``
-    matches as a substring).  Unreadable directories are skipped."""
-    root = state.runs_root(results_dir)
+    matches as a substring).  Runs without a valid manifest are
+    skipped."""
     entries: list[RunEntry] = []
-    if not root.is_dir():
-        return entries
-    for entry in sorted(root.iterdir()):
-        if not entry.is_dir():
-            continue
-        try:
-            mf = manifest_mod.read_manifest(entry)
-        except ConfigurationError:
-            continue
+    for mf in runlog.manifests(state.runs_root(results_dir)):
         item = RunEntry(
             run_id=str(mf["run_id"]),
             kind=str(mf["kind"]),
@@ -103,27 +88,6 @@ def render_runs(entries: list[RunEntry]) -> str:
     return "\n".join(lines)
 
 
-def run_directory(run_id: str,
-                  results_dir: str | Path | None = None) -> Path:
-    """Resolve a run id (or unique prefix) to its directory."""
-    root = state.runs_root(results_dir)
-    exact = root / run_id
-    if exact.is_dir():
-        return exact
-    matches = [p for p in root.iterdir()
-               if p.is_dir() and p.name.startswith(run_id)] \
-        if root.is_dir() else []
-    if len(matches) == 1:
-        return matches[0]
-    if len(matches) > 1:
-        names = ", ".join(sorted(p.name for p in matches))
-        raise ConfigurationError(
-            f"run id prefix {run_id!r} is ambiguous: {names}")
-    raise ConfigurationError(
-        f"no recorded run {run_id!r} under {root} "
-        f"(try `repro runs` to list them)")
-
-
 @dataclass
 class RunReport:
     """Everything ``repro report`` shows for one run."""
@@ -132,16 +96,15 @@ class RunReport:
     aggregates: dict[str, MetricAggregate]
     rows: list[Any]
     spans: list[dict[str, Any]]
-    directory: Path
-    #: Torn lines skipped while reading this run's metrics and spans.
+    #: The run log files that hold the run's records.
+    files: list[Path]
+    #: Torn lines of those files, plus this run's malformed records.
     torn_lines: int = 0
 
     # -- metric lookups ------------------------------------------------
     def metric(self, metric_name: str, default: float = 0.0) -> float:
         agg = self.aggregates.get(metric_name)
-        if agg is None:
-            return default
-        return agg.last if agg.kind == "gauge" else agg.total
+        return default if agg is None else agg.value
 
     def cache_hit_rate(self) -> float | None:
         hits = self.metric("cache.hit")
@@ -162,21 +125,15 @@ class RunReport:
     @classmethod
     def load(cls, run_id: str,
              results_dir: str | Path | None = None) -> "RunReport":
-        directory = run_directory(run_id, results_dir)
-        manifest = manifest_mod.read_manifest(directory)
-        aggregates, torn_metrics = read_metrics(
-            directory / manifest_mod.METRICS_FILENAME)
-        spans, torn_spans = read_spans(
-            directory / manifest_mod.SPANS_FILENAME)
-        rows: list[Any] = []
-        summary = directory / manifest_mod.SUMMARY_FILENAME
-        if summary.exists():
-            from repro.core.persistence import load_sweep
-
-            rows = list(load_sweep(summary).rows)
-        return cls(manifest=manifest, aggregates=aggregates, rows=rows,
-                   spans=spans, directory=directory,
-                   torn_lines=torn_metrics + torn_spans)
+        run = runlog.find(state.runs_root(results_dir), run_id)
+        manifest = run.checked_manifest()
+        aggregates, bad_metrics = aggregate(run.metrics)
+        spans = [rec for rec in run.spans
+                 if all(key in rec for key in ("name", "start_s", "dur_s"))]
+        return cls(manifest=manifest, aggregates=aggregates, rows=run.rows(),
+                   spans=spans, files=run.files,
+                   torn_lines=run.torn_lines + bad_metrics
+                   + len(run.spans) - len(spans))
 
     # -- output --------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -286,7 +243,8 @@ class RunReport:
                 lines.append(f"    {row.label:<40} "
                              f"{row.elapsed * 1e3:10.3f} ms  "
                              f"[{row.engine}]")
-        lines.append(f"  artifacts: {self.directory}")
+        lines.append("  artifacts: "
+                     + ", ".join(str(path) for path in self.files))
         return "\n".join(lines)
 
 

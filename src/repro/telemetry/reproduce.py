@@ -5,7 +5,7 @@ fault plan are rebuilt from the snapshot alone and re-executed against
 the *current* model, bypassing every persistent cache (a reproduction
 that reads the original's cached rows would only prove the cache
 works).  The replayed rows are then diffed field-by-field against the
-recorded ``summary.json`` within a relative tolerance; any drift names
+run's ``summary`` record within a relative tolerance; any drift names
 the exact config and field, and the CLI exits non-zero.
 
 A fingerprint mismatch (the model changed since the run was recorded)
@@ -23,8 +23,7 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.telemetry import manifest as manifest_mod
-from repro.telemetry import state
-from repro.telemetry.report import run_directory
+from repro.telemetry import runlog, state
 
 #: Row fields compared between the recorded and replayed runs.
 COMPARED_FIELDS = ("elapsed", "gflops", "dram_gbytes_per_s",
@@ -112,19 +111,17 @@ def reproduce_run(run_id: str,
                   results_dir: str | Path | None = None, *,
                   rtol: float = 1e-9, atol: float = 0.0,
                   workers: int = 1) -> ReproduceReport:
-    """Replay a recorded run and diff it against its ``summary.json``."""
+    """Replay a recorded run and diff it against its summary rows."""
     from repro.core.cache import config_digest, model_fingerprint
-    from repro.core.persistence import load_sweep
     from repro.core.runner import run_config, run_sweep
 
-    directory = run_directory(run_id, results_dir)
-    manifest = manifest_mod.read_manifest(directory)
-    summary_path = directory / manifest_mod.SUMMARY_FILENAME
-    if not summary_path.exists():
+    run = runlog.find(state.runs_root(results_dir), run_id)
+    manifest = run.checked_manifest()
+    if run.summary is None:
         raise ConfigurationError(
-            f"run {manifest['run_id']} has no summary.json (status "
+            f"run {run.run_id} has no summary record (status "
             f"{manifest.get('status')!r}) — nothing to reproduce against")
-    recorded = load_sweep(summary_path)
+    recorded = run.rows()
     configs = manifest_mod.manifest_configs(manifest)
     engine = str(manifest["engine"])
 
@@ -167,7 +164,7 @@ def reproduce_run(run_id: str,
 
     replay_by_key = {config_digest(r.config): r for r in replayed_rows}
     failed_labels = dict(errors)
-    for row in recorded.rows:
+    for row in recorded:
         key = config_digest(row.config)
         label = row.label
         replay = replay_by_key.get(key)

@@ -1,21 +1,14 @@
-"""The RunContext: one recorded run = one self-describing directory.
+"""The RunContext: one recorded run = records in its process's run log.
 
-``results/runs/<run_id>/`` holds:
-
-* ``manifest.json`` — the job spec + provenance (:mod:`.manifest`);
-* ``metrics.jsonl`` — counters/gauges/histograms (:mod:`.metrics`);
-* ``spans.jsonl`` — parent-linked orchestration spans (:mod:`.spans`);
-* ``summary.json`` — the result rows, in the same schema
-  :func:`repro.core.persistence.save_sweep` has always used, so
-  ``repro reproduce`` can diff a replay against it with stock loaders.
-
-A run pays for its files once, not once per event: the directory and
-the ``running`` manifest are written at open; metrics and spans are
-queued in memory and written in batches
-(:class:`repro.jsonlog.Buffered`), the last batch at
-:meth:`RunContext.finalize`, before the summary and the final manifest.
-A hard kill therefore loses at most the unflushed tail of the two logs,
-never the manifest.
+A run appends a ``manifest`` (:mod:`.manifest`), ``metric`` events
+(:mod:`.metrics`), closed ``span`` records (:mod:`.spans`) and a
+``summary`` of its rows to the log :mod:`repro.telemetry.runlog` owns.
+It pays two appends, not one per event: the opening manifest is flushed
+at :meth:`RunContext.open`; everything else waits in the process's
+buffered log (:class:`repro.jsonlog.Buffered`) and goes out in batches,
+the last with the summary and the closing manifest at
+:meth:`RunContext.finalize`.  A hard kill loses at most the unflushed
+tail, never the opening manifest.
 
 :func:`run_scope` is the integration point the runner uses: it opens a
 context when telemetry is enabled and no run is active, degrades to a
@@ -30,11 +23,12 @@ from __future__ import annotations
 import time
 import uuid
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.telemetry import manifest as manifest_mod
-from repro.telemetry import state
+from repro.telemetry import runlog, state
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import SpanRecorder
 
@@ -49,50 +43,33 @@ def new_run_id() -> str:
     return time.strftime("%Y%m%d-%H%M%S") + "-" + uuid.uuid4().hex[:6]
 
 
-def find_resumable(root: Path, key: str) -> str | None:
-    """Latest recorded run under ``root`` with the given sweep key.
-
-    This is how a resumed sweep finds the directory it should re-enter
-    instead of minting a fresh run id.  Unreadable manifests are skipped
-    — resume should never be blocked by one corrupt neighbor.
-    """
-    best: tuple[str, str] | None = None
-    if not root.is_dir():
-        return None
-    for entry in root.iterdir():
-        if not entry.is_dir():
-            continue
-        try:
-            mf = manifest_mod.read_manifest(entry)
-        except Exception:  # noqa: BLE001 - skip foreign/corrupt dirs
-            continue
-        if mf.get("sweep_key") != key:
-            continue
-        created = str(mf.get("created") or "")
-        if best is None or (created, entry.name) > best:
-            best = (created, entry.name)
-    return best[1] if best is not None else None
+def find_resumable(root: Path, key: str) -> dict[str, Any] | None:
+    """Manifest of the latest run under ``root`` with this sweep key:
+    the run a resumed sweep re-enters instead of minting a fresh run id.
+    Runs whose manifest fails its checks are skipped — resume should
+    never be blocked by one corrupt neighbor."""
+    found = {(str(mf.get("created") or ""), str(mf["run_id"])): mf
+             for mf in runlog.manifests(root) if mf.get("sweep_key") == key}
+    return found[max(found)] if found else None
 
 
 class RunContext:
-    """Live recording state for one run directory."""
+    """Live recording state for one run."""
 
-    __slots__ = ("run_id", "directory", "manifest", "metrics", "spans",
-                 "_t0", "_sweep", "_summary_name", "_rows", "_errors")
+    __slots__ = ("run_id", "manifest", "metrics", "spans", "log",
+                 "_opened", "_t0", "_summary_name", "_rows", "_errors")
 
-    def __init__(self, directory: str | Path,
-                 manifest: dict[str, Any]) -> None:
-        self.directory = Path(directory)
+    def __init__(self, root: str | Path, manifest: dict[str, Any]) -> None:
         self.manifest = manifest
         self.run_id: str = manifest["run_id"]
-        self.directory.mkdir(parents=True, exist_ok=True)
-        manifest_mod.write_manifest(self.directory, manifest)
-        self.metrics = MetricsRegistry(
-            self.directory / manifest_mod.METRICS_FILENAME)
-        self.spans = SpanRecorder(
-            self.directory / manifest_mod.SPANS_FILENAME)
+        self.log = runlog.process_log(
+            Path(root), renew=manifest["resumed_from"] is not None)
+        self._add("manifest", manifest)
+        self.log.flush()
+        self._opened = dict(manifest)
+        self.metrics = MetricsRegistry(partial(self._add, "metric"))
+        self.spans = SpanRecorder(partial(self._add, "span"))
         self._t0 = time.perf_counter()
-        self._sweep: "SweepResult | None" = None
         self._summary_name: str = manifest["name"]
         self._rows: list[Any] = []
         self._errors: list[Any] = []
@@ -106,24 +83,20 @@ class RunContext:
              fault_plan: "FaultPlan | None" = None,
              reproduces: str | None = None,
              results_dir: str | Path | None = None) -> "RunContext":
-        """Create (or, with ``resume=True``, re-enter) a run directory."""
+        """Open (or, with ``resume=True``, re-enter) a run."""
         root = state.runs_root(results_dir)
         manifest = manifest_mod.build_manifest(
             run_id=new_run_id(), kind=kind, name=name, configs=configs,
             engine=engine, workers=workers, cache_dir=cache_dir,
             advise=advise, fault_plan=fault_plan, reproduces=reproduces)
         if resume:
-            prior = find_resumable(root, manifest["sweep_key"])
-            if prior is not None:
-                # same directory, same run_id; metrics/spans append, the
-                # manifest records the lineage explicitly
-                old = manifest_mod.read_manifest(root / prior)
-                manifest["run_id"] = old["run_id"]
-                manifest["created"] = old["created"]
-                manifest["resumed_from"] = old["run_id"]
-                manifest["status"] = "running"
-        directory = root / manifest["run_id"]
-        ctx = cls(directory, manifest)
+            old = find_resumable(root, manifest["sweep_key"])
+            if old is not None:
+                # same run_id; its records append to a new log of this
+                # process, and the manifest records the lineage explicitly
+                manifest.update(run_id=old["run_id"], created=old["created"],
+                                resumed_from=old["run_id"])
+        ctx = cls(root, manifest)
         ctx.metrics.count("run.opened")
         if manifest["resumed_from"]:
             ctx.metrics.count("run.resumed")
@@ -132,10 +105,7 @@ class RunContext:
     # ------------------------------------------------------------------
     def attach_sweep(self, sweep: "SweepResult") -> None:
         """Hand the finished sweep over for the summary snapshot."""
-        self._sweep = sweep
-        self._summary_name = sweep.name
-        self._rows = list(sweep.rows)
-        self._errors = list(sweep.errors)
+        self.attach_rows(sweep.name, sweep.rows, sweep.errors)
 
     def attach_rows(self, name: str, rows: list[Any],
                     errors: list[Any] | None = None) -> None:
@@ -145,47 +115,40 @@ class RunContext:
         self._errors = list(errors or [])
 
     # ------------------------------------------------------------------
-    def _write_summary(self) -> None:
-        from repro.core.persistence import save_sweep
-        from repro.core.runner import SweepResult
-
-        save_sweep(SweepResult(self._summary_name, self._rows),
-                   self.directory / manifest_mod.SUMMARY_FILENAME)
-
-    def flush(self) -> None:
-        """Write the queued metric and span records now."""
-        self.metrics.flush()
-        self.spans.flush()
+    def _add(self, kind: str, payload: Any) -> None:
+        self.log.add(runlog.record(self.run_id, kind, payload))
 
     def finalize(self, status: str = "completed",
                  error: BaseException | None = None) -> None:
-        """Seal the run: closing metrics, every queued record, summary
-        rows, final manifest."""
+        """Seal the run: closing metrics, then every queued record, the
+        summary rows and the changed manifest fields in one append."""
+        from repro.core.persistence import sweep_to_payload
+        from repro.core.runner import SweepResult
+
         wall = time.perf_counter() - self._t0
         self.metrics.gauge("run.wall_seconds", wall)
         self.metrics.gauge("sweep.rows", len(self._rows))
         self.metrics.gauge("sweep.errors", len(self._errors))
         if wall > 0:
             self.metrics.gauge("sweep.rows_per_s", len(self._rows) / wall)
-        self.flush()
-        self._write_summary()
-        self.manifest["status"] = status
+        self._add("summary", sweep_to_payload(
+            SweepResult(self._summary_name, self._rows)))
         if error is not None:
-            self.manifest["error"] = \
-                f"{type(error).__name__}: {error}"
-        self.manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        self.manifest["wall_seconds"] = round(wall, 6)
-        self.manifest["n_rows"] = len(self._rows)
-        self.manifest["n_errors"] = len(self._errors)
-        self.manifest["errors"] = [
-            {"config": err.config.label(), "error": err.error,
-             "message": err.message}
-            for err in self._errors
-        ]
-        manifest_mod.write_manifest(self.directory, self.manifest)
+            self.manifest["error"] = f"{type(error).__name__}: {error}"
+        self.manifest.update(
+            status=status, finished=time.strftime("%Y-%m-%dT%H:%M:%S"),
+            wall_seconds=round(wall, 6), n_rows=len(self._rows),
+            n_errors=len(self._errors),
+            errors=[{"config": err.config.label(), "error": err.error,
+                     "message": err.message} for err in self._errors])
+        opened = self._opened
+        self._add("manifest", {
+            key: value for key, value in self.manifest.items()
+            if key not in opened or opened[key] != value})
+        self.log.flush()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"<RunContext {self.run_id} at {self.directory}>"
+        return f"<RunContext {self.run_id} in {self.log.path}>"
 
 
 @contextmanager
@@ -201,7 +164,7 @@ def run_scope(*, kind: str, name: str,
     or ``None`` when telemetry is disabled **or** a run is already
     active — in the nested case the block is still wrapped in a span of
     the enclosing run, so a multi-sweep report shows each sweep as a
-    phase rather than scattering sibling run directories.
+    phase rather than scattering sibling runs.
     """
     if not state.enabled():
         yield None

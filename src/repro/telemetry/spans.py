@@ -6,10 +6,9 @@ config → gate/score/cache phases, each with a wall-clock start and
 duration relative to the run's start.  Spans nest through an explicit
 stack in the recorder (the sweep pipeline is single-threaded on the
 parent side), and every record carries its parent's id, so the tree is
-reconstructible from the flat ``spans.jsonl``.  Closed spans are
-queued and written in batches, like the run's metrics (see
-:class:`repro.jsonlog.Buffered`); :meth:`SpanRecorder.flush` writes the
-queue now, and the run calls it when it finalizes.
+reconstructible from the flat list.  Each closed span's record goes to
+the run's sink, which queues it as a ``span`` record of the run log
+(:mod:`repro.telemetry.runlog`), like the run's metrics.
 
 :func:`spans_to_chrome_trace` exports the tree as a Chrome
 ``chrome://tracing`` / Perfetto object — the orchestration complement
@@ -22,13 +21,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Iterator
-
-from repro import jsonlog
-
-#: On-disk span record format version.
-SPANS_FORMAT = 1
+from typing import Any, Callable, Iterator
 
 
 @dataclass
@@ -52,38 +45,37 @@ class Span:
 
 
 class SpanRecorder:
-    """Span sink for one run; queues one JSONL record per closed span.
+    """Span recorder for one run; hands one record per closed span to
+    ``sink`` (``None`` keeps it memory-only).
 
-    A resumed run reopens the same file in append mode; ``session``
+    A resumed run appends more spans under the same run id; ``session``
     (a per-recorder token baked into every span id) keeps ids from two
-    process lifetimes distinct without re-reading the file.
+    process lifetimes distinct without re-reading the log.
     """
 
-    __slots__ = ("path", "session", "_origin", "_next", "_stack", "_log")
+    __slots__ = ("session", "_origin", "_next", "_stack", "_sink")
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self._log = jsonlog.Buffered(self.path) \
-            if self.path is not None else None
+    def __init__(self,
+                 sink: Callable[[dict[str, Any]], None] | None = None,
+                 ) -> None:
+        self._sink = sink
         self.session = f"{os.getpid():x}-{time.time_ns() & 0xFFFFFF:06x}"
         self._origin = time.perf_counter()
         self._next = 0
         self._stack: list[Span] = []
 
     # ------------------------------------------------------------------
-    def _now(self) -> float:
-        return time.perf_counter() - self._origin
+    def _new(self, name: str, parent: Span | None, start_s: float,
+             attrs: dict[str, Any]) -> Span:
+        self._next += 1
+        return Span(f"{self.session}:{self._next}",
+                    parent.span_id if parent is not None else None,
+                    name, start_s, dict(attrs))
 
     def open(self, name: str, **attrs: Any) -> Span:
         """Open a span as the child of the innermost open span."""
-        self._next += 1
-        span = Span(
-            span_id=f"{self.session}:{self._next}",
-            parent_id=self._stack[-1].span_id if self._stack else None,
-            name=name,
-            start_s=self._now(),
-            attrs=dict(attrs),
-        )
+        span = self._new(name, self._stack[-1] if self._stack else None,
+                         self.now(), attrs)
         self._stack.append(span)
         return span
 
@@ -94,14 +86,13 @@ class SpanRecorder:
             top = self._stack.pop()
             if top is span:
                 break
-        span.end_s = self._now()
+        span.end_s = self.now()
         self._write(span)
 
     def _write(self, span: Span) -> None:
-        if self._log is None:
+        if self._sink is None:
             return
         rec: dict[str, Any] = {
-            "format": SPANS_FORMAT,
             "id": span.span_id,
             "parent": span.parent_id,
             "name": span.name,
@@ -110,12 +101,7 @@ class SpanRecorder:
         }
         if span.attrs:
             rec["attrs"] = _json_safe(span.attrs)
-        self._log.add(rec)
-
-    def flush(self) -> None:
-        """Write every queued span record to the file now."""
-        if self._log is not None:
-            self._log.flush()
+        self._sink(rec)
 
     def emit(self, name: str, start_s: float, end_s: float,
              parent: Span | None = None, **attrs: Any) -> Span:
@@ -128,22 +114,15 @@ class SpanRecorder:
         clock, i.e. :func:`time.perf_counter` minus the recorder origin)
         and an explicit parent.
         """
-        self._next += 1
-        span = Span(
-            span_id=f"{self.session}:{self._next}",
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            start_s=start_s,
-            attrs=dict(attrs),
-            end_s=end_s,
-        )
+        span = self._new(name, parent, start_s, attrs)
+        span.end_s = end_s
         self._write(span)
         return span
 
     def now(self) -> float:
         """The current time on this recorder's span clock (for
         :meth:`emit` bounds)."""
-        return self._now()
+        return time.perf_counter() - self._origin
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
@@ -159,7 +138,7 @@ class SpanRecorder:
             self.close(sp)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"<SpanRecorder {self.path} open={len(self._stack)}>"
+        return f"<SpanRecorder open={len(self._stack)}>"
 
 
 def _json_safe(attrs: dict[str, Any]) -> dict[str, Any]:
@@ -171,18 +150,6 @@ def _json_safe(attrs: dict[str, Any]) -> dict[str, Any]:
         else:
             out[key] = repr(value)
     return out
-
-
-def read_spans(path: str | Path) -> tuple[list[dict[str, Any]], int]:
-    """Load span records from ``spans.jsonl`` (ordered as written).
-
-    Returns ``(spans, torn line count)``; a record missing its name or
-    timing counts as torn too.
-    """
-    records, torn = jsonlog.read(path, SPANS_FORMAT)
-    spans = [rec for rec in records
-             if all(key in rec for key in ("name", "start_s", "dur_s"))]
-    return spans, torn + len(records) - len(spans)
 
 
 def spans_to_chrome_trace(spans: list[dict[str, Any]],

@@ -12,7 +12,7 @@ worker processes), with :func:`set_telemetry` as the programmatic,
 env-propagating switch and ``--no-telemetry`` as the CLI spelling.
 Worker processes additionally call :func:`suppress_in_worker` (the
 process-pool initializer) so a forked child never appends to the
-parent's run files — orchestration telemetry is a parent-side story.
+parent's runs — orchestration telemetry is a parent-side story.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 ENV_TELEMETRY = "REPRO_TELEMETRY"
 
 #: Environment variable overriding the results root (default ``results``
-#: under the current directory); run directories live in ``<root>/runs``.
+#: under the current directory); run logs live in ``<root>/runs``.
 ENV_RESULTS_DIR = "REPRO_RESULTS_DIR"
 
 _OFF_VALUES = frozenset({"off", "0", "no", "false"})
@@ -77,7 +77,7 @@ def set_results_dir(path: str | Path) -> None:
 
 
 def runs_root(results_dir: str | Path | None = None) -> Path:
-    """The directory holding one subdirectory per recorded run."""
+    """The directory of the run logs (:mod:`repro.telemetry.runlog`)."""
     base = Path(results_dir) if results_dir is not None else results_root()
     return base / "runs"
 

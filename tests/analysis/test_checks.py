@@ -6,6 +6,7 @@ keep one category of its findings each."""
 
 from repro.analysis import analyze_program
 from repro.analysis.checks import check_traces
+from repro.runtime import replay
 from repro.runtime.replay import trace_program
 from repro.runtime.program import (
     ANY_SOURCE,
@@ -77,12 +78,13 @@ class TestProgramChecks:
         diags = check_programs(trace_program(program, 1))
         assert checks_fired(diags) == {"unknown-op"}
 
-    def test_budget_truncation_is_warning(self):
+    def test_budget_truncation_is_warning(self, monkeypatch):
         def program(rank, size):
             while True:
                 yield Compute(kernel="k", iters=1)
 
-        diags = check_programs(trace_program(program, 1, max_ops=10))
+        monkeypatch.setattr(replay, "DEFAULT_MAX_OPS", 10)
+        diags = check_programs(trace_program(program, 1))
         assert [d.check for d in diags] == ["program-budget"]
         assert diags[0].severity == "warning"
 

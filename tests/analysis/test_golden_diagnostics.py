@@ -15,7 +15,7 @@ from repro.analysis import analyze_job, analyze_program
 from repro.compile import PRESETS
 from repro.kernels import presets
 from repro.machine import catalog
-from repro.runtime import Job, JobPlacement
+from repro.runtime import Job, JobPlacement, replay
 from repro.runtime.program import (
     ANY_SOURCE,
     MAX_PORTABLE_TAG,
@@ -38,8 +38,10 @@ EAGER_32K = 32 * 1024
 PAIR = {"pair": (0, 1)}
 
 #: sha256 of the rendered reports, computed before the analyzer was
-#: rebuilt around one classified walk.
-GOLDEN = "3a3b0433246e2abfea630d6435c375ee7fc31f254db5e2b61939997270d228e2"
+#: rebuilt around one classified walk; since re-pinned once, for the
+#: ``program-budget`` hint alone, which now names the replay's
+#: ``DEFAULT_MAX_OPS`` instead of a ``max_ops`` argument.
+GOLDEN = "27bc4996ed858abf5b5a79c1e96e6a5454340531b1b5b27ecb6e033b62501651"
 
 
 # ----------------------------------------------------------------------
@@ -442,12 +444,22 @@ def job_report(program, n_ranks=2):
     return analyze_job(job)
 
 
+def budgeted(max_ops, factory, n_ranks):
+    """:func:`analyze_program` with every replay cut at ``max_ops``."""
+    saved = replay.DEFAULT_MAX_OPS
+    replay.DEFAULT_MAX_OPS = max_ops
+    try:
+        return analyze_program(factory, n_ranks)
+    finally:
+        replay.DEFAULT_MAX_OPS = saved
+
+
 def cases():
     """(name, report) for every seeded program, in a fixed order."""
     p = analyze_program
     return [
         ("unknown-yield", p(unknown_yield, 1)),
-        ("budget", p(unbounded, 1, max_ops=10)),
+        ("budget", budgeted(10, unbounded, 1)),
         ("send-to-self", p(send_to_self, 2)),
         ("recv-out-of-range", p(recv_out_of_range, 2)),
         ("any-source-irecv", p(any_source_irecv, 2)),
@@ -506,7 +518,7 @@ def cases():
         ("config-error", p(config_error, 2)),
         ("python-crash", p(python_crash, 2)),
         ("one-broken-rank", p(one_broken_rank, 3)),
-        ("op-budget", p(unbounded, 1, max_ops=25)),
+        ("op-budget", budgeted(25, unbounded, 1)),
         ("job-clean", job_report(compute_allreduce)),
         ("job-unknown-kernel", job_report(unknown_kernel)),
         ("job-edge-rank-kernels", job_report(edge_rank_kernels, 4)),

@@ -2,6 +2,7 @@
 
 from repro.analysis.checks import check_traces
 from repro.errors import ConfigurationError
+from repro.runtime import replay
 from repro.runtime.program import Compute, Irecv, Isend, Recv, Send, WaitAll
 from repro.runtime.replay import COMPUTE, SEND, TracedRequest, \
     trace_program, trace_rank
@@ -88,11 +89,12 @@ class TestFailures:
         assert traces[0].error is None and traces[2].error is None
         assert len(traces[0].values) == 1
 
-    def test_op_budget_truncates(self):
+    def test_op_budget_truncates(self, monkeypatch):
         def program(rank, size):
             while True:
                 yield Compute(kernel="k", iters=1)
 
-        trace = trace_rank(program, 0, 1, max_ops=25)
+        monkeypatch.setattr(replay, "DEFAULT_MAX_OPS", 25)
+        trace = trace_rank(program, 0, 1)
         assert trace.truncated
         assert len(trace.values) == 25

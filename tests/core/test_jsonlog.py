@@ -20,8 +20,9 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.journal import SweepJournal
 from repro.core.runner import Row
 from repro.service.jobs import JobLedger, JobRecord, JobSpec
-from repro.telemetry.metrics import MetricsRegistry, read_metrics
-from repro.telemetry.spans import SpanRecorder, read_spans
+from repro.telemetry import runlog
+from repro.telemetry.metrics import MetricsRegistry, aggregate
+from repro.telemetry.spans import SpanRecorder
 
 
 def _config(i):
@@ -79,27 +80,35 @@ def _ledger_read(d):
     return {int(job_id[4:]) for job_id in replayed}, ledger.torn_lines
 
 
+# The metric and span records of a run log, read back through its scan
+# (the ids keep the names of the per-kind file readers the scan replaced).
+RUN_LOG = "runs/log.jsonl"
+
+
+def _run_log_sink(d, kind):
+    return lambda rec: jsonlog.append(d / RUN_LOG,
+                                      runlog.record("r", kind, rec))
+
+
 def _metrics_write(d, i):
-    registry = MetricsRegistry(d / "metrics.jsonl")
-    registry.count(f"m{i}")
-    registry.flush()
+    MetricsRegistry(_run_log_sink(d, "metric")).count(f"m{i}")
 
 
 def _metrics_read(d):
-    aggregates, torn = read_metrics(d / "metrics.jsonl")
-    return {int(name[1:]) for name in aggregates}, torn
+    run = runlog.scan(d / "runs")["r"]
+    aggregates, malformed = aggregate(run.metrics)
+    return {int(name[1:]) for name in aggregates}, \
+        run.torn_lines + malformed
 
 
 def _spans_write(d, i):
-    recorder = SpanRecorder(d / "spans.jsonl")
-    with recorder.span(f"s{i}"):
+    with SpanRecorder(_run_log_sink(d, "span")).span(f"s{i}"):
         pass
-    recorder.flush()
 
 
 def _spans_read(d):
-    spans, torn = read_spans(d / "spans.jsonl")
-    return {int(span["name"][1:]) for span in spans}, torn
+    run = runlog.scan(d / "runs")["r"]
+    return {int(span["name"][1:]) for span in run.spans}, run.torn_lines
 
 
 READERS = {
@@ -108,8 +117,8 @@ READERS = {
     "journal": (SweepJournal.FILENAME, _journal_write, _journal_read),
     "lint-cache": (LintCache.FILENAME, _lint_write, _lint_read),
     "ledger-replay": (JobLedger.FILENAME, _ledger_write, _ledger_read),
-    "read_metrics": ("metrics.jsonl", _metrics_write, _metrics_read),
-    "read_spans": ("spans.jsonl", _spans_write, _spans_read),
+    "read_metrics": (RUN_LOG, _metrics_write, _metrics_read),
+    "read_spans": (RUN_LOG, _spans_write, _spans_read),
 }
 
 # (bad bytes appended after record 0, torn count, survivors).  The

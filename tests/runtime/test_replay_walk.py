@@ -19,8 +19,8 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.kernels import presets
 from repro.machine import catalog
 from repro.miniapps import by_name
-from repro.runtime import Irecv, Isend, Job, JobPlacement, Sleep, WaitAll, \
-    run_job
+from repro.runtime import Irecv, Isend, Job, JobPlacement, Recv, Send, \
+    Sleep, WaitAll, run_job
 from repro.runtime.replay import trace_program
 
 KERNELS = {"triad": presets.stream_triad()}
@@ -120,3 +120,54 @@ def test_waitall_on_another_ranks_token_is_rejected():
     with pytest.raises(SimulationError, match="rank 1: WaitAll on a "
                                               "non-request"):
         run_job(make_job(program))
+
+
+def test_each_executed_config_builds_its_job_once(monkeypatch):
+    app = by_name("ffvc")
+    real = app.build_job
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(app, "build_job", counting)
+    config = ExperimentConfig(app="ffvc", n_ranks=2, n_threads=12)
+    enabled = analyzer.preflight_enabled()
+    analyzer.clear_memos()
+    try:
+        for label, cfg, lint in [
+                ("fresh lint", config, True),
+                ("verdict-memo hit", config, True),
+                ("shape-memo hit", ExperimentConfig(
+                    app="ffvc", n_ranks=2, n_threads=6), True),
+                ("lint off", config, False)]:
+            analyzer.set_preflight(lint)
+            builds.clear()
+            run_config(cfg)
+            assert len(builds) == 1, label
+    finally:
+        analyzer.set_preflight(enabled)
+        analyzer.clear_memos()
+
+
+def _endless(rank, size):
+    while True:
+        if rank == 0:
+            yield Send(dst=1, tag=0, size_bytes=8)
+        else:
+            yield Recv(src=0, tag=0)
+
+
+def test_endless_program_stops_at_the_op_budget(monkeypatch):
+    """With the lint gate off, the run's own replay keeps the budget: an
+    unbounded program raises instead of replaying without end."""
+    from repro.analytic.profile import profile_from_replay
+    from repro.runtime import replay
+
+    monkeypatch.setattr(replay, "DEFAULT_MAX_OPS", 50)
+    budget = r": replay stopped at the op budget \(DEFAULT_MAX_OPS = 50 ops\)"
+    with pytest.raises(SimulationError, match="^rank 0 of job 'job'" + budget):
+        run_job(make_job(_endless))
+    with pytest.raises(SimulationError, match="^rank 0 of job 'x/y'" + budget):
+        profile_from_replay("x", "y", _endless, 2)

@@ -1,7 +1,6 @@
 """Lifecycle and robustness: concurrency, cancel, drain, resume,
 typed unavailability, and per-job telemetry runs."""
 
-import json
 import threading
 import time
 
@@ -217,44 +216,69 @@ def test_draining_server_refuses_submits(cache, socket_path):
 # ----------------------------------------------------------------------
 # per-job telemetry runs
 # ----------------------------------------------------------------------
-def test_each_job_records_a_run_directory(monkeypatch, tmp_path):
+def test_concurrent_jobs_keep_their_own_records(monkeypatch, tmp_path):
+    """Two jobs running at once share the server process's run log; each
+    job's report shows only its own spans, metrics and rows."""
+    from repro.telemetry import runlog
+    from repro.telemetry.report import RunReport
+
     monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
     results = tmp_path / "results"
     cache = ResultCache(tmp_path / "cache")
     socket_path = tmp_path / "svc.sock"
     svc = SweepService(socket_path, cache=cache, workers=1,
                        results_dir=results)
+    configs = {"telemetry-a": tiny_configs(n=4)[:2],
+               "telemetry-b": tiny_configs(n=4)[2:]}
+    failures = []
+
+    def one_client(name):
+        try:
+            with ServiceClient(socket_path, timeout_s=120) as client:
+                client.run_sweep(name, configs[name], engine="event")
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
     thread = serve_in_thread(svc)
     try:
-        with ServiceClient(socket_path, timeout_s=120) as client:
-            client.run_sweep("telemetry-a", tiny_configs(n=2),
-                             engine="event")
-            client.run_sweep("telemetry-b", tiny_configs(n=2),
-                             engine="event")
+        clients = [threading.Thread(target=one_client, args=(name,))
+                   for name in configs]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(120)
     finally:
         thread.stop()
+    assert failures == []
 
-    run_dirs = sorted((results / "runs").iterdir())
-    assert len(run_dirs) == 2  # one run directory per job
-    manifests = [json.loads((d / "manifest.json").read_text())
-                 for d in run_dirs]
-    assert {m["kind"] for m in manifests} == {"service-job"}
-    assert {m["name"] for m in manifests} \
-        == {"telemetry-a", "telemetry-b"}
-    assert all(m["status"] == "completed" for m in manifests)
-    assert all(m.get("job_id") for m in manifests)
-    for directory in run_dirs:
-        spans = (directory / "spans.jsonl").read_text()
-        assert "queue-wait" in spans
-        assert "execute" in spans
-        summary = json.loads((directory / "summary.json").read_text())
-        assert len(summary["rows"]) == 2
+    assert len(list((results / "runs").iterdir())) == 1  # one log
+    runs = runlog.scan(results / "runs")
+    assert len(runs) == 2  # one run per job
+    for run_id in runs:
+        report = RunReport.load(run_id, results)
+        manifest = report.manifest
+        name = manifest["name"]
+        assert manifest["kind"] == "service-job"
+        assert manifest["status"] == "completed"
+        job_id = manifest["job_id"]
+        assert job_id
+        names = [span["name"] for span in report.spans]
+        assert "queue-wait" in names and "execute" in names
+        assert {span["attrs"]["job"] for span in report.spans
+                if "job" in span.get("attrs", {})} == {job_id}
+        labels = {c.label() for c in configs[name]}
+        assert {span["attrs"]["config"] for span in report.spans
+                if "config" in span.get("attrs", {})} == labels
+        assert report.metric("service.jobs") == 1
+        assert {row.label for row in report.rows} == labels
+        assert report.torn_lines == 0
 
 
 def test_torn_down_job_still_flushes_its_run(monkeypatch, tmp_path):
     """A job cancelled by a server teardown never finalizes its run;
-    the records it had queued must still reach the run directory."""
+    the records it had queued must still reach the run log."""
     from repro.core.parallel import simulate_config
+    from repro.telemetry import runlog
 
     monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
     results = tmp_path / "results"
@@ -280,12 +304,11 @@ def test_torn_down_job_still_flushes_its_run(monkeypatch, tmp_path):
         release.set()
         thread.stop()
 
-    (run_dir,) = list((results / "runs").iterdir())
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["status"] == "running"
-    spans = (run_dir / "spans.jsonl").read_text()
-    assert "queue-wait" in spans and "execute" in spans
-    assert "service.jobs" in (run_dir / "metrics.jsonl").read_text()
+    (run,) = runlog.scan(results / "runs").values()
+    assert run.checked_manifest()["status"] == "running"
+    names = [span["name"] for span in run.spans]
+    assert "queue-wait" in names and "execute" in names
+    assert "service.jobs" in [metric["name"] for metric in run.metrics]
 
 
 def test_jobs_queue_behind_max_jobs(cache, socket_path):

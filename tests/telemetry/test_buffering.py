@@ -1,12 +1,12 @@
-"""A run pays its telemetry once: buffered metrics and spans, the write
-count of one run, the flush bounds, and what a hard kill leaves."""
+"""A run pays its telemetry once: buffered records in the process's
+run log, the write count of one run, no file created after the first
+run, the flush bounds, and what a hard kill leaves."""
 
 import os
 import subprocess
 import sys
 import time
 import types
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,20 +16,16 @@ from repro import jsonlog, telemetry
 from repro.analytic import engine as analytic_engine
 from repro.core.cache import ResultCache
 from repro.core.experiment import MPI_OMP_CONFIGS, ExperimentConfig
-from repro.core.runner import run_sweep
+from repro.core.runner import run_config, run_sweep
 from repro.runtime.affinity import ProcessAllocation, ThreadBinding
 from repro.telemetry import manifest as manifest_mod
-from repro.telemetry.metrics import read_metrics
+from repro.telemetry.metrics import aggregate
 from repro.telemetry.report import RunReport
-from repro.telemetry.spans import read_spans
+
+from .conftest import log_files, only_run
 
 F1 = [ExperimentConfig(app="ffvc", n_ranks=r, n_threads=t)
       for r, t in MPI_OMP_CONFIGS]
-
-
-def _only_run_dir(results_dir):
-    (entry,) = list((results_dir / "runs").iterdir())
-    return entry
 
 
 def _lines(path):
@@ -79,24 +75,50 @@ class _CountingOS(types.SimpleNamespace):
         return os.replace(src, dst)
 
 
-def test_one_run_writes_each_file_once(results_dir, monkeypatch):
-    """One 9-config analytic sweep: one append to each log and three
-    atomic replaces, however many events the sweep records."""
+def test_one_run_appends_twice_to_the_log(results_dir, monkeypatch):
+    """One 9-config analytic sweep: the opening manifest, then one batch
+    with every event, the summary and the closing manifest — however
+    many events the sweep records."""
     counting = _CountingOS()
     monkeypatch.setattr(jsonlog, "os", counting)
     monkeypatch.setattr(jsonlog, "FLUSH_SECONDS", float("inf"))
     sweep = run_sweep("writes", F1, engine="analytic")
     assert len(sweep.rows) == len(F1)
-    writes = [name for op, name in counting.calls if op == "write"]
-    appends = Counter(name for name in writes if not name.endswith(".tmp"))
-    replaces = Counter(name for op, name in counting.calls
-                       if op == "replace")
-    assert appends == {"metrics.jsonl": 1, "spans.jsonl": 1}
-    assert replaces == {"manifest.json": 2, "summary.json": 1}
-    assert len(writes) == 5
-    # and the single batch holds every event of the run
-    aggs, torn = read_metrics(_only_run_dir(results_dir) / "metrics.jsonl")
-    assert torn == 0 and aggs["run.opened"].total == 1
+    (log,) = log_files(results_dir)
+    assert counting.calls == [("write", log.name)] * 2
+    run = only_run(results_dir)
+    aggs, _ = aggregate(run.metrics)
+    assert run.torn_lines == 0 and aggs["run.opened"].total == 1
+
+
+def test_runs_after_the_first_create_no_file(results_dir, monkeypatch,
+                                             tmp_path):
+    """After a process's first recorded run, 20 more runs create no
+    file and no directory, and rename nothing."""
+    run_config(F1[0], None, engine="analytic")
+    before = sorted(tmp_path.rglob("*"))
+    created, renames = [], []
+    real_open = os.open
+
+    def counting_open(path, flags, mode=0o777, **kw):
+        if flags & os.O_CREAT and not os.path.exists(path):
+            created.append(path)
+        return real_open(path, flags, mode, **kw)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    for name in ("mkdir", "makedirs"):
+        monkeypatch.setattr(os, name, lambda path, *a, **kw:
+                            created.append(path))
+    for name in ("replace", "rename"):
+        monkeypatch.setattr(os, name, lambda *a: renames.append(a))
+    for i in range(10):
+        run_sweep(f"more-{i}", F1[:2], {}, engine="analytic")
+        run_config(F1[i % len(F1)], None, engine="analytic")
+    assert created == [] and renames == []
+    assert sorted(tmp_path.rglob("*")) == before
+    assert len(RunReport.load(
+        list(telemetry.runlog.scan(results_dir / "runs"))[-1],
+        results_dir).rows) == 1
 
 
 class TestFlushBounds:
@@ -116,16 +138,20 @@ class TestFlushBounds:
         seen = []
 
         def probe(run):
-            path = run.metrics.path
+            path = run.log.path
             before = _lines(path)
-            for _ in range(jsonlog.FLUSH_RECORDS):
+            pending = len(run.log._pending)
+            for _ in range(jsonlog.FLUSH_RECORDS - pending):
                 telemetry.count("test.event")
-            seen.append((before, _lines(path)))
+            seen.append((before, _lines(path), pending))
 
         self._sweep_probing(monkeypatch, probe)
-        assert seen == [(0, jsonlog.FLUSH_RECORDS)]
-        aggs, _ = read_metrics(_only_run_dir(results_dir) / "metrics.jsonl")
-        assert aggs["test.event"].total == jsonlog.FLUSH_RECORDS
+        # the opening manifest, then one batch of FLUSH_RECORDS records:
+        # the ones queued before the probe and every probe event
+        ((before, after, pending),) = seen
+        assert (before, after) == (1, 1 + jsonlog.FLUSH_RECORDS)
+        aggs, _ = aggregate(only_run(results_dir).metrics)
+        assert aggs["test.event"].total == jsonlog.FLUSH_RECORDS - pending
 
     def test_time_bound(self, results_dir, monkeypatch):
         clock = [0.0]
@@ -134,7 +160,7 @@ class TestFlushBounds:
         seen = []
 
         def probe(run):
-            path = run.metrics.path
+            path = run.log.path
             telemetry.count("test.early")
             before = _lines(path)
             clock[0] += jsonlog.FLUSH_SECONDS
@@ -143,8 +169,8 @@ class TestFlushBounds:
 
         self._sweep_probing(monkeypatch, probe)
         ((before, after),) = seen
-        assert before == 0 and after >= 2  # everything pending, at once
-        aggs, _ = read_metrics(_only_run_dir(results_dir) / "metrics.jsonl")
+        assert before == 1 and after >= 3  # everything pending, at once
+        aggs, _ = aggregate(only_run(results_dir).metrics)
         assert aggs["test.late"].total == 1
 
 
@@ -202,21 +228,21 @@ def test_sigkill_mid_sweep_leaves_a_readable_resumable_run(results_dir,
         child.wait()
         child.stderr.close()
 
-    run_dir = _only_run_dir(results_dir)
-    manifest = manifest_mod.read_manifest(run_dir)
+    run = only_run(results_dir)
+    manifest = run.checked_manifest()
     assert manifest["status"] == "running"
     report = RunReport.load(manifest["run_id"], results_dir)
     assert report.aggregates["run.opened"].total == 1  # flushed tail
-    for reader, name in ((read_metrics, "metrics.jsonl"),
-                         (read_spans, "spans.jsonl")):
-        assert reader(run_dir / name)[1] <= 1
+    assert report.torn_lines <= 1
 
     configs = [ExperimentConfig(app="ffvc", n_ranks=r, n_threads=t)
                for r, t in ((1, 2), (2, 2), (4, 2), (2, 4))]
     resumed = run_sweep("crash", configs, ResultCache(cache_dir),
                         engine="event", resume=True)
     assert len(resumed.rows) == len(configs)
-    assert _only_run_dir(results_dir) == run_dir
-    manifest = manifest_mod.read_manifest(run_dir)
+    resumed_run = only_run(results_dir)
+    assert resumed_run.run_id == run.run_id
+    assert len(resumed_run.files) == 2  # the killed process's log + ours
+    manifest = resumed_run.checked_manifest()
     assert manifest["resumed_from"] == manifest["run_id"]
     assert manifest["status"] == "completed"

@@ -1,8 +1,17 @@
-"""Tests for the metrics registry and its JSONL stream."""
+"""Tests for the metrics registry and its records in the run log."""
 
 import json
 
-from repro.telemetry.metrics import MetricsRegistry, read_metrics
+from repro.telemetry import runlog
+from repro.telemetry.metrics import MetricsRegistry, aggregate
+
+
+def _logged_registry(root):
+    """A registry whose records go to this process's log under root as
+    records of run ``run-1``; returns (registry, log)."""
+    log = runlog.process_log(root)
+    return MetricsRegistry(
+        lambda rec: log.add(runlog.record("run-1", "metric", rec))), log
 
 
 class TestRegistry:
@@ -44,29 +53,29 @@ class TestRegistry:
 
 class TestStream:
     def test_lines_are_json_records(self, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        reg = MetricsRegistry(path)
+        reg, log = _logged_registry(tmp_path)
         reg.count("cache.hit")
         reg.observe("gate.lint.seconds", 0.25, config="x")
-        reg.flush()
+        log.flush()
         recs = [json.loads(line)
-                for line in path.read_text().splitlines()]
+                for line in log.path.read_text().splitlines()]
         assert [r["name"] for r in recs] == ["cache.hit",
                                              "gate.lint.seconds"]
         assert recs[1]["labels"] == {"config": "x"}
-        assert all(r["format"] == 1 for r in recs)
+        assert all(r["format"] == 1 and r["metric"] == "run-1"
+                   for r in recs)
 
     def test_read_metrics_rebuilds_aggregates(self, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        reg = MetricsRegistry(path)
+        reg, log = _logged_registry(tmp_path)
         reg.count("cache.hit", 2)
         reg.count("cache.hit")
         reg.gauge("run.wall_seconds", 1.5)
-        reg.flush()
-        aggs, torn = read_metrics(path)
+        log.flush()
+        aggs, torn = aggregate(runlog.scan(tmp_path)["run-1"].metrics)
         assert torn == 0
         assert aggs["cache.hit"].total == 3
         assert aggs["run.wall_seconds"].last == 1.5
 
     def test_read_metrics_missing_file(self, tmp_path):
-        assert read_metrics(tmp_path / "absent.jsonl") == ({}, 0)
+        assert runlog.scan(tmp_path / "absent") == {}
+        assert aggregate([]) == ({}, 0)

@@ -10,12 +10,10 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.journal import SweepJournal
 from repro.core.runner import run_sweep
 from repro.errors import ConfigurationError
-from repro.telemetry.report import (
-    RunReport,
-    list_runs,
-    render_runs,
-    run_directory,
-)
+from repro.telemetry import runlog
+from repro.telemetry.report import RunReport, list_runs, render_runs
+
+from .conftest import log_files
 
 CFGS = [ExperimentConfig(app="ccs-qcd", n_ranks=r, n_threads=48 // r)
         for r in (4, 8)]
@@ -52,18 +50,17 @@ class TestListRuns:
         assert list_runs(tmp_path / "nothing") == []
         assert render_runs([]) == "no recorded runs"
 
-    def test_run_directory_prefix_resolution(self, results_dir,
-                                             warm_run):
-        exact = run_directory(warm_run.run_id, results_dir)
-        assert exact.name == warm_run.run_id
+    def test_run_id_prefix_resolution(self, results_dir, warm_run):
+        root = results_dir / "runs"
+        exact = runlog.find(root, warm_run.run_id)
+        assert exact.run_id == warm_run.run_id
         # a unique prefix resolves; a shared one is an explicit error
-        unique = run_directory(warm_run.run_id[:-1], results_dir)
-        assert unique == exact
+        assert runlog.find(root, warm_run.run_id[:-1]) == exact
         shared = warm_run.run_id[:9]  # the YYYYmmdd- timestamp prefix
         with pytest.raises(ConfigurationError, match="ambiguous"):
-            run_directory(shared, results_dir)
+            runlog.find(root, shared)
         with pytest.raises(ConfigurationError, match="no recorded run"):
-            run_directory("zzz-nope", results_dir)
+            runlog.find(root, "zzz-nope")
 
 
 class TestRunReport:
@@ -89,12 +86,9 @@ class TestRunReport:
         assert f"engine picks: {engine} x{len(CFGS)}" in rep.render()
 
     def test_event_sweep_opens_no_config_span(self, results_dir):
-        from repro.telemetry.spans import read_spans
-
         run_sweep("spans-event", CFGS, {}, engine="event")
         entry = list_runs(results_dir, name="spans-event")[0]
-        spans = read_spans(
-            run_directory(entry.run_id, results_dir) / "spans.jsonl")[0]
+        spans = RunReport.load(entry.run_id, results_dir).spans
         names = [s["name"] for s in spans]
         assert names.count("score.event") == len(CFGS)
         assert "config" not in names
@@ -131,13 +125,15 @@ class TestRunReport:
         run_sweep("torn-journal", CFGS, ResultCache(tmp_path / "cache"),
                   engine="analytic")
         entry = list_runs(results_dir, name="torn-journal")[0]
-        metrics = run_directory(entry.run_id, results_dir) / "metrics.jsonl"
-        with open(metrics, "ab") as fh:
+        (log,) = log_files(results_dir)
+        with open(log, "ab") as fh:
             fh.write(b"[1]\n")
         rep = RunReport.load(entry.run_id, results_dir)
         assert rep.metric("journal.torn_lines") == 1
         assert rep.torn_lines == 1 and rep.to_dict()["torn_lines"] == 1
-        assert "torn lines skipped: journal 1, telemetry 1" in rep.render()
+        text = rep.render()
+        assert "torn lines skipped: journal 1, telemetry 1" in text
+        assert f"artifacts: {log}" in text
 
 
 class TestCli:

@@ -8,8 +8,12 @@ from repro.cli import main
 from repro.core.experiment import ExperimentConfig
 from repro.core.runner import run_sweep
 from repro.errors import ConfigurationError
-from repro.telemetry.report import list_runs, run_directory
+from repro.jsonlog import append
+from repro.telemetry import runlog
+from repro.telemetry.report import list_runs
 from repro.telemetry.reproduce import reproduce_run
+
+from .conftest import log_files
 
 CFGS = [ExperimentConfig(app="ccs-qcd", n_ranks=r, n_threads=48 // r)
         for r in (4, 8)]
@@ -22,11 +26,12 @@ def recorded(results_dir):
 
 
 def _mutate_summary(results_dir, run_id, field="elapsed", factor=1.5):
-    """Corrupt one recorded row, returning the drifted config's label."""
-    path = run_directory(run_id, results_dir) / "summary.json"
-    payload = json.loads(path.read_text())
+    """Corrupt one recorded row by appending a later summary record (the
+    last one wins), returning the drifted config's label."""
+    run = runlog.find(results_dir / "runs", run_id)
+    payload = run.summary
     payload["rows"][0][field] *= factor
-    path.write_text(json.dumps(payload))
+    append(run.files[-1], runlog.record(run_id, "summary", payload))
     from repro.core.persistence import config_from_dict
 
     return config_from_dict(payload["rows"][0]["config"]).label()
@@ -62,22 +67,23 @@ class TestReproduce:
 
     def test_replay_does_not_record_itself(self, results_dir, recorded):
         reproduce_run(recorded.run_id, results_dir, rtol=0.0)
-        assert len(list((results_dir / "runs").iterdir())) == 1
+        assert len(runlog.scan(results_dir / "runs")) == 1
+        assert len(log_files(results_dir)) == 1
 
     def test_run_without_summary_is_an_error(self, results_dir,
                                              recorded):
-        (run_directory(recorded.run_id, results_dir)
-         / "summary.json").unlink()
+        (log,) = log_files(results_dir)
+        lines = [line for line in log.read_text().splitlines(True)
+                 if '"summary":' not in line]
+        log.write_text("".join(lines))
         with pytest.raises(ConfigurationError, match="no summary"):
             reproduce_run(recorded.run_id, results_dir)
 
     def test_fingerprint_mismatch_is_flagged(self, results_dir,
                                              recorded):
-        path = run_directory(recorded.run_id, results_dir) \
-            / "manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest["model_fingerprint"] = "0123456789abcdef"
-        path.write_text(json.dumps(manifest))
+        (log,) = log_files(results_dir)
+        append(log, runlog.record(recorded.run_id, "manifest",
+                                  {"model_fingerprint": "0123456789abcdef"}))
         report = reproduce_run(recorded.run_id, results_dir, rtol=0.0)
         assert not report.fingerprint_match
         assert "fingerprint changed" in report.render()

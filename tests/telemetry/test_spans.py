@@ -2,58 +2,51 @@
 
 import json
 
-from repro.telemetry.spans import (
-    SpanRecorder,
-    read_spans,
-    spans_to_chrome_trace,
-)
+from repro.telemetry import runlog
+from repro.telemetry.spans import SpanRecorder, spans_to_chrome_trace
 
 
 class TestRecorder:
-    def test_nesting_links_parents(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        rec = SpanRecorder(path)
+    def test_nesting_links_parents(self):
+        records = []
+        rec = SpanRecorder(records.append)
         with rec.span("sweep", label="f1") as outer:
             with rec.span("dispatch") as inner:
                 assert inner.parent_id == outer.span_id
-        rec.flush()
-        spans, _ = read_spans(path)
+        spans = records
         # children close (and are written) before their parents
         assert [s["name"] for s in spans] == ["dispatch", "sweep"]
         assert spans[0]["parent"] == spans[1]["id"]
         assert spans[1]["parent"] is None
 
-    def test_durations_are_nonnegative_and_nested(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        rec = SpanRecorder(path)
+    def test_durations_are_nonnegative_and_nested(self):
+        records = []
+        rec = SpanRecorder(records.append)
         with rec.span("outer"):
             with rec.span("inner"):
                 pass
-        rec.flush()
-        (inner, outer), _ = read_spans(path)
+        inner, outer = records
         assert inner["dur_s"] >= 0
         assert outer["dur_s"] >= inner["dur_s"]
         assert outer["start_s"] <= inner["start_s"]
 
-    def test_exception_marks_span(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        rec = SpanRecorder(path)
+    def test_exception_marks_span(self):
+        records = []
+        rec = SpanRecorder(records.append)
         try:
             with rec.span("gate.lint"):
                 raise ValueError("boom")
         except ValueError:
             pass
-        rec.flush()
-        (span,), _ = read_spans(path)
+        (span,) = records
         assert span["attrs"]["error"] == "ValueError"
 
-    def test_attrs_are_json_safe(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        rec = SpanRecorder(path)
+    def test_attrs_are_json_safe(self):
+        records = []
+        rec = SpanRecorder(records.append)
         with rec.span("x", count=3, obj=object()):
             pass
-        rec.flush()
-        (span,), _ = read_spans(path)
+        (span,) = records
         assert span["attrs"]["count"] == 3
         assert isinstance(span["attrs"]["obj"], str)
 
@@ -66,16 +59,15 @@ class TestRecorder:
 
 class TestReaders:
     def test_read_spans_missing_file(self, tmp_path):
-        assert read_spans(tmp_path / "absent.jsonl") == ([], 0)
+        assert runlog.scan(tmp_path / "absent") == {}
 
-    def test_chrome_trace_shape(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        rec = SpanRecorder(path)
+    def test_chrome_trace_shape(self):
+        records = []
+        rec = SpanRecorder(records.append)
         with rec.span("sweep"):
             with rec.span("dispatch"):
                 pass
-        rec.flush()
-        trace = spans_to_chrome_trace(read_spans(path)[0], "run-1")
+        trace = spans_to_chrome_trace(records, "run-1")
         # serializable, complete slices, on one named orchestrator track
         json.dumps(trace)
         meta, *slices = trace["traceEvents"]
