@@ -1,4 +1,4 @@
-"""The one worker pool: dedup, batching and sharding of executions.
+"""The one worker pool: dedup and sharding of executions.
 
 The scheduler answers one question — *give me the row for this config
 under this engine* — while guaranteeing **at most one in-flight
@@ -12,10 +12,10 @@ execution per engine-tagged config digest** across every caller:
   config all await the same simulation;
 * a genuine miss starts one execution: **event**-engine configs are
   sharded over a process pool (:func:`repro.core.parallel
-  .simulate_config`), **analytic**-engine configs are micro-batched —
-  every request that arrives while the scorer is busy is swept into the
-  next :func:`repro.analytic.engine.score_configs` call, so a burst of
-  jobs costs one hop to the scoring thread, not one per config;
+  .simulate_config`), **analytic**-engine configs are scored inline on
+  the loop's thread, one :func:`repro.analytic.engine.score_configs`
+  call per config — the scorer is a pure-Python per-config loop, so a
+  batch saves nothing and a worker thread would buy no parallelism;
 * fresh completions are checkpointed by
   :func:`~repro.core.runner.record_completion` — cache plus journal
   under the requesting sweep's name — so resume and quarantine see
@@ -48,7 +48,6 @@ in-process threads, and no row is lost.
 from __future__ import annotations
 
 import asyncio
-import time
 from contextlib import nullcontext
 from typing import Any, Callable
 
@@ -69,14 +68,6 @@ def _simulate_suppressed(config: ExperimentConfig) -> tuple[bool, Any]:
     silenced (the caller records the orchestration story)."""
     with telemetry.suppressed():
         return simulate_config(config)
-
-
-def _score_batch(configs: list[ExperimentConfig]) -> list[Any]:
-    """Thread worker: score one analytic micro-batch."""
-    from repro.analytic.engine import score_configs
-
-    with telemetry.suppressed():
-        return score_configs(configs)
 
 
 class Scheduler:
@@ -116,13 +107,9 @@ class Scheduler:
         self._refs: dict[str, int] = {}
         self._pool: Any = None
         self._pool_broken = False
-        self._analytic_pending: list[
-            tuple[ExperimentConfig, asyncio.Future[tuple[bool, Any]]]] = []
-        self._analytic_drainer: asyncio.Task[None] | None = None
         self.stats: dict[str, int] = {
             "cache_hits": 0, "dedup_hits": 0, "executed": 0,
-            "failed": 0, "analytic_batches": 0, "analytic_batched_rows": 0,
-            "pool_fallbacks": 0, "watchdog_kills": 0,
+            "failed": 0, "pool_fallbacks": 0, "watchdog_kills": 0,
             "abandoned_executions": 0,
         }
 
@@ -194,7 +181,7 @@ class Scheduler:
         if engine == "event":
             ok, value = await self._execute_event(config)
         else:
-            ok, value = await self._execute_analytic(config)
+            ok, value = self._execute_analytic(config)
         self.stats["executed"] += 1
         if not ok:
             self.stats["failed"] += 1
@@ -319,41 +306,14 @@ class Scheduler:
             f"(watchdog, {attempts} attempt(s))")
         return False, timeout_exc
 
-    # -- analytic engine: micro-batch onto the scoring thread ----------
-    async def _execute_analytic(self,
-                                config: ExperimentConfig
-                                ) -> tuple[bool, Any]:
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future[tuple[bool, Any]] = loop.create_future()
-        self._analytic_pending.append((config, fut))
-        if self._analytic_drainer is None or self._analytic_drainer.done():
-            self._analytic_drainer = asyncio.ensure_future(
-                self._drain_analytic())
-        return await fut
+    # -- analytic engine: score inline on the loop's thread ------------
+    def _execute_analytic(self, config: ExperimentConfig
+                          ) -> tuple[bool, Any]:
+        from repro.analytic.engine import score_configs
 
-    async def _drain_analytic(self) -> None:
-        """Score pending analytic requests until none are left.
-
-        Each pass takes *everything* queued at that moment as one batch,
-        so requests arriving while the scorer is busy coalesce into the
-        next call instead of each paying its own thread hop.
-        """
-        loop = asyncio.get_running_loop()
-        while self._analytic_pending:
-            batch = self._analytic_pending
-            self._analytic_pending = []
-            self.stats["analytic_batches"] += 1
-            self.stats["analytic_batched_rows"] += len(batch)
-            configs = [config for config, _ in batch]
-            try:
-                outcomes = await loop.run_in_executor(
-                    None, _score_batch, configs)
-            except Exception as exc:  # noqa: BLE001 - per-batch capture
-                outcomes = [exc] * len(batch)
-            for (_, fut), outcome in zip(batch, outcomes):
-                if not fut.done():
-                    fut.set_result(
-                        (not isinstance(outcome, Exception), outcome))
+        with telemetry.suppressed():
+            (outcome,) = score_configs([config])
+        return not isinstance(outcome, Exception), outcome
 
     # ------------------------------------------------------------------
     @property
@@ -371,29 +331,6 @@ class Scheduler:
         return len(self._inflight)
 
     # ------------------------------------------------------------------
-    async def wait_idle(self, timeout: float | None = None) -> bool:
-        """Wait for every in-flight execution to finish (drain helper).
-
-        Returns ``True`` when idle, ``False`` on timeout.
-        """
-        deadline = None if timeout is None \
-            else time.monotonic() + timeout
-        while self._inflight or self._analytic_pending:
-            pending: list[asyncio.Task[Any]] = list(self._inflight.values())
-            if self._analytic_drainer is not None \
-                    and not self._analytic_drainer.done():
-                pending.append(self._analytic_drainer)
-            if not pending:
-                await asyncio.sleep(0.01)
-                continue
-            remaining = None if deadline is None \
-                else max(0.0, deadline - time.monotonic())
-            done, _ = await asyncio.wait(pending, timeout=remaining)
-            if deadline is not None and time.monotonic() >= deadline \
-                    and not done:
-                return False
-        return True
-
     def close(self, wait: bool = True) -> None:
         """Shut the worker pool down (drained servers pass
         ``wait=True``; aborts pass ``False``)."""

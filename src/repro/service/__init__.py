@@ -9,9 +9,9 @@ sweep jobs over a local unix socket; the server
   — in the same job or another client's — shares the result, and the
   content-addressed :class:`~repro.core.cache.ResultCache` serves warm
   rows without any dispatch at all;
-* **batches and shards** — analytic-engine rows are micro-batched
-  onto the closed-form scorer's thread, event-engine rows fan out
-  over a process pool;
+* **scores and shards** — analytic-engine rows are scored inline on
+  the loop, one config per call, event-engine rows fan out over a
+  process pool;
 * **streams** — each client receives per-row results the moment they
   complete, tagged with the submission index so the final
   :class:`~repro.core.runner.SweepResult` is bit-identical to a direct
@@ -23,7 +23,7 @@ sweep jobs over a local unix socket; the server
 
 Layers: :mod:`.protocol` (wire frames), :mod:`.jobs` (specs, state
 machine, ledger), :mod:`.fairshare` (weighted fair-share run-slot
-queue), :mod:`repro.core.scheduler` (dedup/batch/shard execution,
+queue), :mod:`repro.core.scheduler` (dedup/shard execution,
 shared with parallel library sweeps),
 :mod:`.server` (the asyncio daemon), :mod:`.client` (blocking SDK).
 """

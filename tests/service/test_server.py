@@ -62,15 +62,57 @@ def test_duplicate_configs_within_a_job_simulate_once(client):
     assert client.status()["executed"] == 1
 
 
-def test_analytic_jobs_batch_through_the_scorer(client):
+@pytest.mark.parametrize("engine", ["analytic", "auto"])
+def test_analytic_and_auto_jobs_match_direct_bit_for_bit(client, tmp_path,
+                                                         engine):
     configs = tiny_configs(n=4)
-    result = client.run_sweep("analytic", configs, engine="analytic")
-    assert len(result.rows) == 4
-    assert all(row.engine == "analytic" for row in result.rows)
-    stats = client.status()
-    assert stats["analytic_batched_rows"] == 4
-    # coalescing means strictly fewer scorer calls than rows
-    assert stats["analytic_batches"] < 4
+    direct = run_sweep("parity", configs,
+                       ResultCache(tmp_path / "direct"), engine=engine)
+    via_service = client.run_sweep("parity", configs, engine=engine)
+    assert via_service.rows == direct.rows
+    assert [r.elapsed for r in via_service.rows] \
+        == [r.elapsed for r in direct.rows]
+    assert via_service.errors == []
+
+
+def test_analytic_scoring_error_is_one_row_error(client, tmp_path,
+                                                 monkeypatch):
+    from repro.analytic import engine as analytic_engine
+
+    configs = tiny_configs(n=4)
+    direct = run_sweep("direct", configs,
+                       ResultCache(tmp_path / "direct"), engine="analytic")
+    broken = configs[2]
+    real_score = analytic_engine._score
+
+    def score(config):
+        if config == broken:
+            raise RuntimeError("synthetic scoring failure")
+        return real_score(config)
+
+    monkeypatch.setattr(analytic_engine, "_score", score)
+    frames = list(client.stream("one-bad", configs, engine="analytic"))
+    row_errors = [f for f in frames if f["type"] == "row-error"]
+    assert len(row_errors) == 1
+    assert row_errors[0]["index"] == 2
+    assert "synthetic scoring failure" in row_errors[0]["message"]
+    done = [f for f in frames if f["type"] == "done"][0]["job"]
+    assert done["state"] == "completed"
+    assert done["n_done"] == 3 and done["n_failed"] == 1
+    rows = {i: row for i, row, _source in
+            (protocol.parse_row(f) for f in frames if f["type"] == "row")}
+    assert rows == {i: row for i, row in enumerate(direct.rows) if i != 2}
+
+
+def test_overlapping_analytic_jobs_score_each_config_once(client):
+    configs = tiny_configs(n=5)
+    first = client.submit("overlap-a", configs[:4], engine="analytic")
+    second = client.submit("overlap-b", configs[1:], engine="analytic")
+    for job in (first, second):
+        frames = list(client.watch(job["job_id"]))
+        assert frames[-1]["job"]["state"] == "completed"
+        assert frames[-1]["job"]["n_done"] == 4
+    assert client.status()["executed"] == len(configs)
 
 
 def test_quarantined_configs_reported_per_job(service, client, cache_dir):
