@@ -125,9 +125,37 @@ def payload_digest(payload: Any) -> str:
         .hexdigest()[:16]
 
 
+#: Per-process memo of :func:`config_digest`, emptied whole when it
+#: reaches :data:`_DIGEST_MEMO_MAX` entries (the cache's default bound).
+_digest_memo: dict[Any, str] = {}
+_DIGEST_MEMO_MAX = 65536
+
+
+def _memoizable(key: Any) -> bool:
+    """Whether keys equal to ``key`` all have its canonical JSON: a bare
+    config, or a config followed by ``str`` extras.  ``(cfg, 1)``,
+    ``(cfg, 1.0)`` and ``(cfg, True)`` are equal but encode differently,
+    so other extras are digested every time."""
+    if type(key) is ExperimentConfig:
+        return True
+    return (type(key) is tuple and len(key) > 1
+            and type(key[0]) is ExperimentConfig
+            and all(type(item) is str for item in key[1:]))
+
+
 def config_digest(key: Any) -> str:
-    """Stable content digest of a cache key (hex, 16 chars)."""
-    return payload_digest(_key_payload(key))
+    """Stable content digest of a cache key (hex, 16 chars), computed
+    once per process for a config or an engine-tagged config."""
+    if not _memoizable(key):
+        return payload_digest(_key_payload(key))
+    memo = _digest_memo
+    digest = memo.get(key)
+    if digest is None:
+        digest = payload_digest(_key_payload(key))
+        if len(memo) >= _DIGEST_MEMO_MAX:
+            memo.clear()
+        memo[key] = digest
+    return digest
 
 
 class ResultCache:

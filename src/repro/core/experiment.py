@@ -63,6 +63,18 @@ class ExperimentConfig:
     data_policy: str = "first-touch"
 
     def __post_init__(self) -> None:
+        # equal configs must encode alike (the cache digests the JSON):
+        # 4.0 and True compare equal to 4 and 1 but are not ints
+        for name in ("app", "dataset", "processor", "data_policy"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigurationError(
+                    f"{name} must be a str, not {value!r}")
+        for name in ("n_nodes", "n_ranks", "n_threads"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{name} must be an int, not {value!r}")
         if self.options_preset not in PRESETS:
             raise ConfigurationError(
                 f"unknown compiler preset {self.options_preset!r}"

@@ -18,6 +18,14 @@ which configs are **quarantined** — recorded straight into
 ``SweepResult.errors`` without burning another attempt.  A later
 success clears a config's strike count, so transient failures (a
 worker OOM-killed once) do not poison the config forever.
+
+A write never reads: :meth:`SweepJournal.record` only appends, so a
+sweep that does not resume costs one append per completion however long
+the file grows.  The file is read on the first quarantine query
+(:meth:`~SweepJournal.status`, ``failures``, ``quarantined``), and the
+reader sees it as it is at that moment: its own earlier appends and
+those of other processes included.  Records written after that are
+applied to the loaded state as they are appended.
 """
 
 from __future__ import annotations
@@ -120,9 +128,9 @@ class SweepJournal:
 
     def record(self, sweep: str, config: ExperimentConfig, ok: bool,
                exc: BaseException | None = None) -> None:
-        """Journal one fresh completion (called as each config finishes)."""
-        if not self._loaded:
-            self._load()
+        """Journal one fresh completion (called as each config finishes).
+
+        Appends only; the state is updated too once a query loaded it."""
         digest = config_digest(config)
         rec: dict[str, Any] = {
             "format": JOURNAL_FORMAT,
@@ -137,7 +145,8 @@ class SweepJournal:
             if pid is not None:
                 rec["pid"] = pid
         telemetry.count("journal.done" if ok else "journal.failed")
-        self._apply((sweep, digest), rec["status"], rec)
+        if self._loaded:
+            self._apply((sweep, digest), rec["status"], rec)
         jsonlog.append(self.path, rec)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety

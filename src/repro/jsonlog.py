@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable
 
 # The one line encoding every store has always written (sorted keys,
 # compact separators).  Encoder and decoder are built once: every
-# cache put is an append, and every sweep re-reads its journal.
+# cache put and every journaled completion is an append.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODE = json.JSONDecoder().decode
 

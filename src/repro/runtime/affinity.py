@@ -62,6 +62,9 @@ class ThreadBinding:
     def __post_init__(self) -> None:
         if self.policy not in ("compact", "scatter", "stride"):
             raise ConfigurationError(f"unknown binding policy {self.policy!r}")
+        if not isinstance(self.stride, int) or isinstance(self.stride, bool):
+            raise ConfigurationError(
+                f"stride must be an int, not {self.stride!r}")
         if self.stride < 1:
             raise ConfigurationError("stride must be positive")
         if self.policy == "compact" and self.stride != 1:

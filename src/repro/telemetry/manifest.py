@@ -43,22 +43,19 @@ _git_memo: dict[str, Any] | None = None
 _git_loaded = False
 
 
-def sweep_key(kind: str, name: str, config_dicts: list[dict[str, Any]],
+def sweep_key(kind: str, name: str, configs: list["ExperimentConfig"],
               engine: str) -> str:
     """Content digest identifying "the same sweep, run again".
 
     Resume uses it to find the run a restarted sweep should re-enter:
-    same kind, sweep name, ordered config digests, and engine.
-    ``config_dicts`` are the configs'
-    :func:`~repro.core.persistence.config_to_dict` records; each digest
-    hashes the bytes :func:`~repro.core.cache.config_digest` hashes for
-    that config, so keys match those of runs recorded before.
+    same kind, sweep name, ordered
+    :func:`~repro.core.cache.config_digest` of the configs, and engine.
     """
-    from repro.core.cache import payload_digest
+    from repro.core.cache import config_digest, payload_digest
 
     return payload_digest(
         {"kind": kind, "name": name, "engine": engine,
-         "configs": [payload_digest({"config": d}) for d in config_dicts]})
+         "configs": [config_digest(c) for c in configs]})
 
 
 def git_info() -> dict[str, Any] | None:
@@ -119,7 +116,7 @@ def build_manifest(*, run_id: str, kind: str, name: str,
         # deterministically in `repro runs` / resume lookup
         "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.localtime(now))
         + f".{int(now * 1e6) % 1_000_000:06d}",
-        "sweep_key": sweep_key(kind, name, config_dicts, engine),
+        "sweep_key": sweep_key(kind, name, configs, engine),
         "engine": engine,
         "workers": workers,
         "resumed_from": None,

@@ -1,6 +1,7 @@
 """Tests for the persistent content-addressed result cache."""
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -12,9 +13,10 @@ from repro.core.cache import (
     default_cache_dir,
     model_fingerprint,
 )
-from repro.core.experiment import ExperimentConfig
-from repro.core.runner import run_config
+from repro.core.experiment import MPI_OMP_CONFIGS, ExperimentConfig
+from repro.core.runner import cache_key, run_config
 from repro.errors import ConfigurationError
+from repro.miniapps import SUITE
 from repro.runtime.affinity import ThreadBinding
 
 
@@ -50,6 +52,51 @@ class TestKeys:
             config_digest("not-a-config")
         with pytest.raises(ConfigurationError):
             config_digest((CFG, object()))
+
+    def test_memoized_digests_match_fresh_ones(self):
+        for app in sorted(SUITE):
+            for ranks, threads in MPI_OMP_CONFIGS:
+                config = ExperimentConfig(app=app, n_ranks=ranks,
+                                          n_threads=threads)
+                for key in (config, cache_key(config, "analytic")):
+                    fresh = cache_mod.payload_digest(
+                        cache_mod._key_payload(key))
+                    assert config_digest(key) == fresh
+                    assert config_digest(key) == fresh  # memo hit
+
+    def test_equal_extras_of_other_types_keep_their_digests(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(cache_mod, "_digest_memo", {})
+        extras = (1, 1.0, True)
+        assert (CFG, 1) == (CFG, 1.0) == (CFG, True)
+        for order in itertools.permutations(extras):
+            digests = [(x, config_digest((CFG, x))) for x in order]
+            assert len({digest for _, digest in digests}) == 3
+            for x, digest in digests:
+                assert digest == cache_mod.payload_digest(
+                    cache_mod._key_payload((CFG, x)))
+
+    def test_each_key_is_digested_once(self, monkeypatch):
+        monkeypatch.setattr(cache_mod, "_digest_memo", {})
+        calls = []
+        real = cache_mod.payload_digest
+
+        def counting(payload):
+            calls.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(cache_mod, "payload_digest", counting)
+        for _ in range(3):
+            config_digest(CFG)
+            config_digest((CFG, "engine=analytic"))
+        assert len(calls) == 2
+
+    def test_memo_is_emptied_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(cache_mod, "_digest_memo", {})
+        monkeypatch.setattr(cache_mod, "_DIGEST_MEMO_MAX", 4)
+        for threads in range(1, 11):
+            config_digest(dataclasses.replace(CFG, n_threads=threads))
+            assert len(cache_mod._digest_memo) <= 4
 
     def test_default_dir_honours_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv(cache_mod.ENV_CACHE_DIR, str(tmp_path / "x"))

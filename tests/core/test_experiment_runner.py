@@ -43,6 +43,16 @@ class TestConfigSpaces:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(app="ffvc", n_ranks=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_ranks", 4.0), ("n_threads", 12.0), ("n_nodes", True),
+        ("n_ranks", False), ("app", 1), ("processor", None),
+    ])
+    def test_fields_keep_their_types(self, field, value):
+        """An equal value of another type would encode (and so digest)
+        differently from the config it equals."""
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig(**{"app": "ffvc", field: value})
+
     def test_label_contents(self):
         c = ExperimentConfig(app="ffvc", n_ranks=8, n_threads=6,
                              options_preset="as-is")

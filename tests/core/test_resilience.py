@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import repro.core.journal as journal_mod
 import repro.core.parallel as par
 from repro.core.cache import ResultCache
 from repro.core.experiment import ExperimentConfig
@@ -251,6 +252,73 @@ class TestJournal:
         assert SweepJournal.for_cache(None) is None
         j = SweepJournal.for_cache(ResultCache(tmp_path))
         assert j is not None and j.path.parent == tmp_path
+
+
+class TestJournalReads:
+    """A write never reads the journal; a quarantine query reads it
+    once, as the file stands, whoever appended to it."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Paths of journal files read through :mod:`repro.jsonlog`."""
+        seen = []
+        real = journal_mod.jsonlog.read
+
+        def counting(path, fmt):
+            if os.path.basename(path) == SweepJournal.FILENAME:
+                seen.append(path)
+            return real(path, fmt)
+
+        monkeypatch.setattr(journal_mod.jsonlog, "read", counting)
+        return seen
+
+    def test_write_sweeps_never_read_and_resume_reads_once(self, tmp_path,
+                                                          reads):
+        cache = ResultCache(tmp_path)
+        for threads in range(1, 21):
+            config = ExperimentConfig(app="ffvc", n_ranks=1,
+                                      n_threads=threads)
+            run_sweep("w", [config], cache, engine="analytic")
+        assert cache.misses == 20
+        assert len(SweepJournal.for_cache(cache).path.read_bytes()
+                   .splitlines()) == 20
+        assert reads == []
+
+        resumed = run_sweep("w", list(CONFIGS), cache, engine="analytic",
+                            resume=True)
+        assert resumed.errors == [] and len(reads) == 1
+
+    def test_records_after_a_query_update_the_loaded_state(self, tmp_path,
+                                                          reads):
+        j = SweepJournal(tmp_path / SweepJournal.FILENAME)
+        assert j.failures("s", CONFIGS[0]) == 0
+        j.record("s", CONFIGS[0], ok=False, exc=ValueError("x"))
+        assert j.failures("s", CONFIGS[0]) == 1
+        j.record("s", CONFIGS[0], ok=True)
+        assert j.status("s", CONFIGS[0])["done"]
+        assert len(reads) == 1
+
+    def test_other_instances_appends_quarantine_and_clear(self, tmp_path,
+                                                         no_lint):
+        first = ResultCache(tmp_path)
+        run_sweep("q", list(CONFIGS), first)
+        second = ResultCache(tmp_path)
+        for _ in range(QUARANTINE_AFTER):
+            failed = run_sweep("q", [BAD_CONFIG], second, errors="capture")
+            assert "quarantined" not in failed.errors[0].message
+
+        sweep = run_sweep("q", CONFIGS + [BAD_CONFIG], first,
+                          errors="capture", resume=True)
+        assert len(sweep.rows) == len(CONFIGS)
+        [err] = sweep.errors
+        assert err.config == BAD_CONFIG
+        assert "quarantined" in err.message
+
+        SweepJournal.for_cache(second).record("q", BAD_CONFIG, ok=True)
+        assert SweepJournal.for_cache(first).failures("q", BAD_CONFIG) == 0
+        retried = run_sweep("q", [BAD_CONFIG], first, errors="capture",
+                            resume=True)
+        assert "quarantined" not in retried.errors[0].message
 
 
 class _InterruptNth:

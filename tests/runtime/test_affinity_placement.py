@@ -43,6 +43,11 @@ class TestThreadBinding:
         with pytest.raises(ConfigurationError):
             ThreadBinding("compact", stride=2)
 
+    @pytest.mark.parametrize("stride", [2.0, True])
+    def test_stride_must_be_an_int(self, stride):
+        with pytest.raises(ConfigurationError, match="stride must be an int"):
+            ThreadBinding("stride", stride=stride)
+
     def test_labels(self):
         assert ThreadBinding("stride", stride=4).label() == "stride-4"
         assert ThreadBinding("scatter").label() == "scatter"

@@ -122,8 +122,9 @@ class TestRunReport:
         journal = tmp_path / "cache" / SweepJournal.FILENAME
         journal.parent.mkdir()
         journal.write_bytes(b"7\n")  # not a record: torn
+        # only a sweep that reads the journal (a resume) meets the line
         run_sweep("torn-journal", CFGS, ResultCache(tmp_path / "cache"),
-                  engine="analytic")
+                  engine="analytic", resume=True)
         entry = list_runs(results_dir, name="torn-journal")[0]
         (log,) = log_files(results_dir)
         with open(log, "ab") as fh:
