@@ -14,15 +14,15 @@ Three entry points at increasing altitude:
   exception.
 
 :func:`preflight` is the gate every event execution calls before
-simulating: it memoizes verdicts per config digest (in-process, plus a
-persistent :class:`~repro.analysis.cache.LintCache` when the caller
-passes one — ``repro lint`` does; the run path does not) and raises :class:`~repro.errors.LintError` when
-the report contains error-severity findings.  Below the verdicts,
-:func:`analyze_config` memoizes the program analysis per *program
-shape* — everything ``analyze_job``'s findings depend on — so configs
-that differ only in threads, binding, allocation, preset or data policy
-share one trace; placement feasibility and job assembly stay per
-config.  Both memos are bounded and emptied by :func:`clear_memos`.
+simulating: it memoizes verdicts per config digest in-process and
+raises :class:`~repro.errors.LintError` when the report contains
+error-severity findings (``repro lint`` calls :func:`analyze_config`
+instead, with a persistent :class:`~repro.analysis.cache.LintCache`).
+Below the verdicts, :func:`analyze_config` memoizes the program
+analysis per *program shape* — everything ``analyze_job``'s findings
+depend on — so configs that differ only in threads, binding,
+allocation, preset or data policy share one trace; placement
+feasibility and job assembly stay per config.  Both memos are bounded and emptied by :func:`clear_memos`.
 ``REPRO_NO_LINT=1`` (or :func:`set_preflight`) disables the gate — the
 environment variable travels into sweep worker processes.
 """
@@ -129,24 +129,16 @@ def analyze_config(config: ExperimentConfig,
     cluster, placement, or job becomes a diagnostic.  ``cache`` is an
     optional :class:`~repro.analysis.cache.LintCache`.
     """
+    if cache is None:
+        return _analyze_config_fresh(config, None)[0]
     from repro.core.cache import config_digest
 
-    return _analyze_config(config, config_digest(config), cache)[0]
-
-
-def _analyze_config(config: ExperimentConfig, digest: str,
-                    cache: LintCache | None, keep: Traces | None = None,
-                    ) -> tuple[DiagnosticReport, Job | None]:
-    """The config's report, and the job a fresh analysis assembled."""
-    if cache is not None:
-        cached = cache.get(digest)
-        if cached is not None:
-            return cached, None
-
-    report, job = _analyze_config_fresh(config, keep)
-    if cache is not None:
+    digest = config_digest(config)
+    report = cache.get(digest)
+    if report is None:
+        report = _analyze_config_fresh(config, None)[0]
         cache.put(digest, report)
-    return report, job
+    return report
 
 
 def _analyze_config_fresh(config: ExperimentConfig, keep: Traces | None,
@@ -275,7 +267,6 @@ def set_preflight(enabled: bool) -> None:
 
 
 def preflight(config: ExperimentConfig,
-              lint_cache: LintCache | None = None,
               ) -> tuple[Job, Traces | None] | None:
     """Raise :class:`~repro.errors.LintError` if ``config`` has
     error-severity findings; warnings pass silently.
@@ -285,8 +276,8 @@ def preflight(config: ExperimentConfig,
     another placement of the same program — repeatedly pays for one
     analysis.  When this call assembled the job, it returns it with the
     traces it replayed (``None`` on a program-shape memo hit) for
-    :func:`~repro.runtime.executor.run_job` to walk; on a verdict memo or
-    lint cache hit it returns ``None``.
+    :func:`~repro.runtime.executor.run_job` to walk; on a verdict memo
+    hit it returns ``None``.
     """
     from repro.core.cache import config_digest
 
@@ -297,7 +288,7 @@ def preflight(config: ExperimentConfig,
             raise LintError("\n".join(cached))
         return None
     traces: Traces = {}
-    report, job = _analyze_config(config, digest, lint_cache, traces)
+    report, job = _analyze_config_fresh(config, traces)
     errors = report.errors
     if errors:
         lines = (f"pre-flight lint failed for {report.subject} "

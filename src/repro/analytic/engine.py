@@ -52,6 +52,7 @@ from repro.kernels.timing import phase_time
 from repro.machine import catalog
 from repro.machine.topology import Cluster
 from repro.miniapps import by_name
+from repro.names import ENGINES
 from repro.runtime import program as ops
 from repro.runtime.affinity import ProcessAllocation, ThreadBinding
 from repro.runtime.collectives import (
@@ -61,9 +62,6 @@ from repro.runtime.collectives import (
 )
 from repro.runtime.openmp import _thread_iters, fork_join_overhead
 from repro.runtime.placement import JobPlacement
-
-#: Engine names accepted by ``run_config`` / ``run_sweep`` / the CLI.
-ENGINES = ("event", "analytic", "auto")
 
 #: Agreement tolerances of the seeded sim-vs-analytic cross-validation.
 #: The analytic model's largest divergence is synchronization skew it

@@ -36,6 +36,7 @@ from typing import Sequence
 
 from repro.machine import catalog
 from repro.miniapps import SUITE, by_name
+from repro.names import ENGINES, PRIORITIES
 from repro.units import fmt_bw, fmt_rate, fmt_time
 
 
@@ -122,7 +123,7 @@ def _add_exec_flags(parser: argparse.ArgumentParser,
              "(default: $REPRO_ADVISE or off)")
     parser.add_argument(
         "--engine", default="event",
-        choices=["event", "analytic", "auto"],
+        choices=ENGINES,
         help="scoring engine: 'event' simulates, 'analytic' scores the "
              "sweep in closed form from memoized kernel and placement "
              "tables (~100x faster, no fault/protocol effects), 'auto' "
@@ -711,13 +712,15 @@ def _service_client(args):
 
 
 def _cmd_serve(args) -> int:
+    from repro.core.parallel import RetryPolicy
     from repro.service.server import SweepService
 
     heartbeat = args.heartbeat if args.heartbeat > 0 else None
     service = SweepService(
         args.socket, cache=_cache_from_args(args), workers=args.jobs,
         max_jobs=args.max_jobs, max_queued=args.max_queued,
-        heartbeat_s=heartbeat, exec_timeout_s=args.exec_timeout,
+        heartbeat_s=heartbeat,
+        retry=RetryPolicy(timeout_s=args.exec_timeout),
         results_dir=args.results_dir,
         drain_timeout_s=args.drain_timeout)
     resumable = len(service.ledger.incomplete())
@@ -940,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the campaign report as JSON")
     chaos.add_argument(
         "--engine", default="event",
-        choices=["event", "analytic", "auto"],
+        choices=ENGINES,
         help="must be 'event': fault injection needs the event executor "
              "(anything else is rejected rather than silently ignoring "
              "the fault plans)")
@@ -1122,12 +1125,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_app_flags(submit)
     _add_service_client_flags(submit)
     submit.add_argument("--engine", default="event",
-                        choices=["event", "analytic", "auto"])
+                        choices=ENGINES)
     submit.add_argument("--detach", action="store_true",
                         help="print the job id and return immediately "
                              "(reattach with `repro watch <id>`)")
     submit.add_argument("--priority", default="normal",
-                        choices=["low", "normal", "high"],
+                        choices=PRIORITIES,
                         help="fair-share weight class (high is picked "
                              "earlier but never starves others)")
     submit.add_argument("--deadline", type=float, default=None,

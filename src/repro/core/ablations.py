@@ -120,25 +120,13 @@ def a2_power_modes(
 # A3 — micro-architecture sensitivity
 # ----------------------------------------------------------------------
 def _a64fx_variant(**core_changes) -> "catalog.Cluster":
-    base = catalog.a64fx()
-    chip = base.node.chips[0]
-    dom = chip.domains[0]
-    core = dataclasses.replace(dom.core, **core_changes)
-    dom = dataclasses.replace(dom, core=core)
-    chip = dataclasses.replace(chip, domains=(dom,) * 4)
-    node = dataclasses.replace(base.node, chips=(chip,))
-    return dataclasses.replace(base, node=node)
+    return catalog.a64fx_variant(lambda cmg: dataclasses.replace(
+        cmg, core=dataclasses.replace(cmg.core, **core_changes)))
 
 
 def _a64fx_line_variant(line_bytes: int) -> "catalog.Cluster":
-    base = catalog.a64fx()
-    chip = base.node.chips[0]
-    dom = chip.domains[0]
-    l2 = dataclasses.replace(dom.l2, line_bytes=line_bytes)
-    dom = dataclasses.replace(dom, l2=l2)
-    chip = dataclasses.replace(chip, domains=(dom,) * 4)
-    node = dataclasses.replace(base.node, chips=(chip,))
-    return dataclasses.replace(base, node=node)
+    return catalog.a64fx_variant(lambda cmg: dataclasses.replace(
+        cmg, l2=dataclasses.replace(cmg.l2, line_bytes=line_bytes)))
 
 
 def _time_on(cluster, app_name: str, dataset: str = "as-is") -> float:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compile.compiler import Compiler
+from repro.compile.compiler import CompiledKernel, Compiler
 from repro.compile.options import CompilerOptions, PRESETS
 from repro.kernels.kernel import LoopKernel
-from repro.kernels.timing import phase_time
+from repro.kernels.timing import PhaseTiming, phase_time
 from repro.kernels.workingset import level_traffic
 from repro.machine.topology import Cluster
 from repro.miniapps.base import MiniApp
@@ -61,6 +61,24 @@ def machine_roofline(cluster: Cluster) -> Roofline:
     )
 
 
+def roofline_phase(
+    kernel: LoopKernel,
+    cluster: Cluster,
+    options: CompilerOptions | None = None,
+) -> tuple[CompiledKernel, PhaseTiming]:
+    """One kernel compiled for the cluster's core and timed with every
+    core of its NUMA domain active: the phase a roofline point places."""
+    dom = cluster.node.chips[0].domains[0]
+    opts = options if options is not None else PRESETS["kfast"]
+    ck = Compiler(opts).compile(kernel, dom.core)
+    return ck, phase_time(
+        ck, 1e6, dom.core, dom.l1d, dom.l2,
+        mem_bandwidth_share=dom.memory.per_stream_bandwidth(dom.n_cores),
+        l2_bandwidth_share=dom.l2_bandwidth_share(dom.n_cores),
+        mem_latency_s=dom.memory.latency_s,
+    )
+
+
 def kernel_roofline_point(
     kernel: LoopKernel,
     cluster: Cluster,
@@ -68,15 +86,8 @@ def kernel_roofline_point(
 ) -> RooflinePoint:
     """Place one kernel on a cluster's roofline (all cores active)."""
     dom = cluster.node.chips[0].domains[0]
-    opts = options if options is not None else PRESETS["kfast"]
-    ck = Compiler(opts).compile(kernel, dom.core)
     traffic = level_traffic(kernel, dom.l1d, dom.l2)
-    pt = phase_time(
-        ck, 1e6, dom.core, dom.l1d, dom.l2,
-        mem_bandwidth_share=dom.memory.per_stream_bandwidth(dom.n_cores),
-        l2_bandwidth_share=dom.l2_bandwidth_share(dom.n_cores),
-        mem_latency_s=dom.memory.latency_s,
-    )
+    pt = roofline_phase(kernel, cluster, options)[1]
     roof = machine_roofline(cluster)
     ai = kernel.dram_arithmetic_intensity(traffic.dram_bytes)
     return RooflinePoint(

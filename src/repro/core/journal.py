@@ -77,13 +77,12 @@ class SweepJournal:
         self._loaded = True
         records, torn = jsonlog.read(self.path, JOURNAL_FORMAT)
         for rec in records:
-            try:
-                key = (str(rec["sweep"]), str(rec["key"]))
-                status = rec["status"]
-            except KeyError:
+            status = rec.get("status")
+            if status not in ("done", "failed") \
+                    or "sweep" not in rec or "key" not in rec:
                 torn += 1
                 continue
-            self._apply(key, status, rec)
+            self._apply((str(rec["sweep"]), str(rec["key"])), status, rec)
         if torn:
             self.torn_lines += torn
             telemetry.count("journal.torn_lines", torn)
@@ -93,7 +92,7 @@ class SweepJournal:
         if status == "done":
             entry["done"] = True
             entry["fails"] = 0  # success clears the strike count
-        elif status == "failed":
+        else:
             entry["done"] = False
             entry["fails"] += 1
             entry["error"] = str(rec.get("error", ""))

@@ -84,18 +84,11 @@ def app_time(app_name: str, cluster: Cluster, dataset: str = "as-is") -> float:
 # has more observations than weights
 # ----------------------------------------------------------------------
 def _a64fx_ddr4() -> Cluster:
-    base = catalog.a64fx()
-    chip = base.node.chips[0]
-    dom = dataclasses.replace(
-        chip.domains[0],
-        memory=MemorySpec(kind="DDR4", capacity_bytes=32 * GIB,
-                          peak_bandwidth=42.6 * GB_S, sustained_fraction=0.8,
-                          single_stream_bandwidth=13 * GB_S,
-                          latency_s=90 * NS),
-    )
-    chip = dataclasses.replace(chip, domains=(dom,) * 4)
-    node = dataclasses.replace(base.node, chips=(chip,))
-    return dataclasses.replace(base, name="A64FX-DDR4", node=node)
+    ddr4 = MemorySpec(kind="DDR4", capacity_bytes=32 * GIB,
+                      peak_bandwidth=42.6 * GB_S, sustained_fraction=0.8,
+                      single_stream_bandwidth=13 * GB_S, latency_s=90 * NS)
+    return catalog.a64fx_variant(
+        lambda cmg: dataclasses.replace(cmg, memory=ddr4), name="A64FX-DDR4")
 
 
 def machine_pool() -> dict[str, Cluster]:

@@ -142,9 +142,9 @@ def _gate(kind: str, config: ExperimentConfig, cache,
     every engine — the advisor consumes only the closed-form model.
 
     Both record a ``gate.<kind>`` span, a ``gate.<kind>.seconds``
-    histogram and a ``gate.<kind>.blocked`` count; when ``cache`` is
-    persistent, verdicts share its directory (the run path lints with
-    no cache, since its workers never get one).
+    histogram and a ``gate.<kind>.blocked`` count.  When ``cache`` is
+    persistent, advise verdicts share its directory; lint verdicts are
+    memoized in-process only.
     """
     if kind == "lint":
         from repro.analysis import analyzer
@@ -159,17 +159,19 @@ def _gate(kind: str, config: ExperimentConfig, cache,
             advisor.check_mode(advise)
         if mode == "off":
             return None
-        check, attrs = partial(advisor.advise_gate, mode=mode), {"mode": mode}
-    lint_cache = None
-    directory = getattr(cache, "directory", None)
-    if directory is not None:
-        from repro.analysis.cache import lint_cache_for
+        lint_cache = None
+        directory = getattr(cache, "directory", None)
+        if directory is not None:
+            from repro.analysis.cache import lint_cache_for
 
-        lint_cache = lint_cache_for(directory)
+            lint_cache = lint_cache_for(directory)
+        check = partial(advisor.advise_gate, lint_cache=lint_cache,
+                        mode=mode)
+        attrs = {"mode": mode}
     t0 = time.perf_counter()
     try:
         with telemetry.span(f"gate.{kind}", config=config.label(), **attrs):
-            return check(config, lint_cache)
+            return check(config)
     except Exception:
         telemetry.count(f"gate.{kind}.blocked")
         raise

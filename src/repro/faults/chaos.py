@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.faults.plan import CrashRank, FaultPlan, MessageFault, Straggler
@@ -60,14 +60,13 @@ class Invariant:
                 "ok": self.ok, "detail": self.detail}
 
 
-@dataclass
-class ChaosReport:
-    """The campaign artifact: scenario outcomes plus invariant verdicts."""
+@dataclass(kw_only=True)
+class CampaignReport:
+    """What every chaos campaign reports: scenario outcomes plus
+    invariant verdicts, as bit-reproducible JSON and as text."""
 
     seed: int
-    processor: str
-    apps: list[str]
-    scenarios: list[dict] = field(default_factory=list)
+    scenarios: list[dict[str, Any]] = field(default_factory=list)
     invariants: list[Invariant] = field(default_factory=list)
 
     @property
@@ -82,27 +81,38 @@ class ChaosReport:
         return {
             "version": 1,
             "seed": self.seed,
-            "processor": self.processor,
-            "apps": list(self.apps),
             "ok": self.ok,
             "scenarios": list(self.scenarios),
             "invariants": [inv.to_dict() for inv in self.invariants],
         }
 
-    def render(self) -> str:
-        lines = [
-            f"chaos campaign: seed={self.seed} processor={self.processor} "
-            f"apps={','.join(self.apps)}",
-            f"  {len(self.scenarios)} scenario runs, "
-            f"{len(self.invariants)} invariants checked",
-        ]
-        for inv in self.invariants:
-            if not inv.ok:
-                lines.append(f"  VIOLATION {inv.app}/{inv.scenario} "
-                             f"[{inv.id}]: {inv.detail}")
+    def _render(self, title: str, noun: str,
+                where: Callable[[Invariant], str]) -> str:
+        lines = [title, f"  {len(self.scenarios)} {noun}, "
+                        f"{len(self.invariants)} invariants checked"]
+        lines += [f"  VIOLATION {where(inv)} [{inv.id}]: {inv.detail}"
+                  for inv in self.violations]
         lines.append("  all invariants hold" if self.ok
                      else f"  {len(self.violations)} violation(s)")
         return "\n".join(lines)
+
+
+@dataclass
+class ChaosReport(CampaignReport):
+    """The per-app fault campaign's artifact."""
+
+    processor: str
+    apps: list[str]
+
+    def to_json(self) -> dict[str, Any]:
+        return {**super().to_json(), "processor": self.processor,
+                "apps": list(self.apps)}
+
+    def render(self) -> str:
+        return self._render(
+            f"chaos campaign: seed={self.seed} processor={self.processor} "
+            f"apps={','.join(self.apps)}", "scenario runs",
+            lambda inv: f"{inv.app}/{inv.scenario}")
 
 
 def _signature(result, profile) -> dict[str, Any]:

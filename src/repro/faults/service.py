@@ -42,14 +42,13 @@ from __future__ import annotations
 import json
 import socket as socket_module
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.parallel import RetryPolicy, simulate_config
 from repro.errors import ServiceError, ServiceUnavailable
-from repro.faults.chaos import Invariant
+from repro.faults.chaos import CampaignReport, Invariant
 from repro.service.client import ServiceClient
 from repro.service.jobs import TERMINAL_STATES, JobLedger
 from repro.service.server import ServiceThread, SweepService
@@ -64,45 +63,15 @@ class SimulatedKill(BaseException):
     """
 
 
-@dataclass
-class ServiceChaosReport:
+class ServiceChaosReport(CampaignReport):
     """The ``--service`` campaign artifact (bit-reproducible JSON)."""
 
-    seed: int
-    scenarios: list[dict[str, Any]] = field(default_factory=list)
-    invariants: list[Invariant] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(inv.ok for inv in self.invariants)
-
-    @property
-    def violations(self) -> list[Invariant]:
-        return [inv for inv in self.invariants if not inv.ok]
-
     def to_json(self) -> dict[str, Any]:
-        return {
-            "version": 1,
-            "kind": "service-chaos",
-            "seed": self.seed,
-            "ok": self.ok,
-            "scenarios": list(self.scenarios),
-            "invariants": [inv.to_dict() for inv in self.invariants],
-        }
+        return {**super().to_json(), "kind": "service-chaos"}
 
     def render(self) -> str:
-        lines = [
-            f"service chaos campaign: seed={self.seed}",
-            f"  {len(self.scenarios)} scenarios, "
-            f"{len(self.invariants)} invariants checked",
-        ]
-        for inv in self.invariants:
-            if not inv.ok:
-                lines.append(f"  VIOLATION {inv.scenario} [{inv.id}]: "
-                             f"{inv.detail}")
-        lines.append("  all invariants hold" if self.ok
-                     else f"  {len(self.violations)} violation(s)")
-        return "\n".join(lines)
+        return self._render(f"service chaos campaign: seed={self.seed}",
+                            "scenarios", lambda inv: inv.scenario)
 
 
 def _configs(n: int = 2) -> list[ExperimentConfig]:
@@ -378,8 +347,7 @@ def _scenario_hung_worker(report: ServiceChaosReport, root: Path) -> None:
         return simulate_config(config)
 
     service = h.start(
-        exec_timeout_s=0.25,
-        retry=RetryPolicy(max_attempts=2, backoff_s=0.01),
+        retry=RetryPolicy(max_attempts=2, backoff_s=0.01, timeout_s=0.25),
         simulate_fn=fn)
     try:
         with h.client() as client:

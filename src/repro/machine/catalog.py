@@ -21,6 +21,9 @@ companion evaluation papers (Kodama et al., Odajima et al.):
 
 from __future__ import annotations
 
+import dataclasses
+from typing import Any, Callable
+
 from repro.machine.cache import CacheSpec
 from repro.machine.core import CoreSpec
 from repro.machine.interconnect import infiniband_edr, tofu_d
@@ -87,23 +90,30 @@ def a64fx(n_nodes: int = 1, boost: bool = False, eco: bool = False) -> Cluster:
     )
 
 
+def a64fx_variant(cmg: Callable[[NumaDomain], NumaDomain], *,
+                  n_nodes: int = 1, node: dict[str, Any] | None = None,
+                  **cluster: Any) -> Cluster:
+    """The A64FX with ``cmg`` applied to its CMG: the chip of four such
+    CMGs, its node (with the ``node`` field changes) and the cluster
+    (with the ``cluster`` field changes) are rebuilt around it."""
+    base = a64fx(n_nodes=n_nodes)
+    chip = base.node.chips[0]
+    chip = dataclasses.replace(chip, domains=(cmg(chip.domains[0]),) * 4)
+    return dataclasses.replace(
+        base, node=dataclasses.replace(base.node, chips=(chip,),
+                                       **(node or {})),
+        **cluster)
+
+
 def a64fx_fx700(n_nodes: int = 1) -> Cluster:
     """Fujitsu PRIMEHPC FX700: the commercial A64FX at 1.8 GHz with
     InfiniBand EDR instead of Tofu-D (the configuration many early A64FX
     evaluations, including parts of this paper's, actually ran on)."""
-    import dataclasses
-
-    base = a64fx(n_nodes=n_nodes)
-    chip = base.node.chips[0]
-    dom = chip.domains[0]
-    core = dataclasses.replace(dom.core, name="a64fx-fx700-core",
-                               freq_hz=1.8 * GHZ)
-    dom = dataclasses.replace(dom, core=core)
-    chip = dataclasses.replace(chip, domains=(dom,) * 4)
-    node = dataclasses.replace(base.node, chips=(chip,),
-                               nic_injection_bandwidth=12.5 * GB_S)
-    return dataclasses.replace(base, name="A64FX-FX700", node=node,
-                               network=infiniband_edr())
+    return a64fx_variant(
+        lambda cmg: dataclasses.replace(cmg, core=dataclasses.replace(
+            cmg.core, name="a64fx-fx700-core", freq_hz=1.8 * GHZ)),
+        n_nodes=n_nodes, node={"nic_injection_bandwidth": 12.5 * GB_S},
+        name="A64FX-FX700", network=infiniband_edr())
 
 
 def xeon_skylake(n_nodes: int = 1) -> Cluster:

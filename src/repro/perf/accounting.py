@@ -27,9 +27,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
-from repro.compile.compiler import Compiler
-from repro.compile.options import PRESETS, CompilerOptions
-from repro.core.analysis import kernel_roofline_point, machine_roofline
+from repro.compile.options import CompilerOptions
+from repro.core.analysis import (
+    kernel_roofline_point,
+    machine_roofline,
+    roofline_phase,
+)
 from repro.core.report import Table
 from repro.errors import SimulationError
 from repro.machine.topology import Cluster
@@ -208,24 +211,6 @@ def roofline_crosscheck_table(
 # ----------------------------------------------------------------------
 # cross-validation (the `repro validate --counters` CI gate)
 # ----------------------------------------------------------------------
-def _phase_for_analysis(kernel, cluster: Cluster,
-                        options: CompilerOptions | None):
-    """(compiled kernel, core, PhaseTiming) exactly as
-    :func:`repro.core.analysis.kernel_roofline_point` computes them."""
-    from repro.kernels.timing import phase_time
-
-    dom = cluster.node.chips[0].domains[0]
-    opts = options if options is not None else PRESETS["kfast"]
-    ck = Compiler(opts).compile(kernel, dom.core)
-    pt = phase_time(
-        ck, 1e6, dom.core, dom.l1d, dom.l2,
-        mem_bandwidth_share=dom.memory.per_stream_bandwidth(dom.n_cores),
-        l2_bandwidth_share=dom.l2_bandwidth_share(dom.n_cores),
-        mem_latency_s=dom.memory.latency_s,
-    )
-    return ck, dom.core, pt
-
-
 def cross_validate_counters(
     cluster: Cluster,
     apps: list[str] | None = None,
@@ -244,12 +229,13 @@ def cross_validate_counters(
     report = DiagnosticReport(
         f"counter cross-validation on {cluster.name} (tol {tol:.1%})")
     names = sorted(SUITE) if apps is None else list(apps)
+    core = cluster.node.chips[0].domains[0].core
     for app_name in names:
         app = by_name(app_name)
         ds = app.dataset("as-is")
         for kernel in app.kernels(ds).values():
             analytic = kernel_roofline_point(kernel, cluster, options)
-            ck, core, phase = _phase_for_analysis(kernel, cluster, options)
+            ck, phase = roofline_phase(kernel, cluster, options)
             c = derive_counters(ck, core, phase)
 
             stalls = sum(c.stall_cycles().values())

@@ -298,12 +298,8 @@ class ServiceClient:
                engine: str = "event", priority: str = "normal",
                deadline_s: float | None = None) -> dict[str, Any]:
         """Fire-and-forget submit; returns the queued job record."""
-        reply = self._roundtrip(
-            protocol.submit_frame(name, configs, engine, watch=False,
-                                  priority=priority,
-                                  deadline_s=deadline_s,
-                                  client=self.client_name),
-            "job")
+        reply = self._submit(name, configs, engine, priority, deadline_s,
+                             watch=False)
         return dict(reply.get("job") or {})
 
     def watch(self, job_id: str) -> Iterator[dict[str, Any]]:
@@ -330,14 +326,16 @@ class ServiceClient:
                ) -> Iterator[dict[str, Any]]:
         """Submit and stream: yields the job snapshot, then every
         ``row`` / ``row-error`` event as it completes, then ``done``."""
-        reply = self._roundtrip(
-            protocol.submit_frame(name, configs, engine, watch=True,
-                                  priority=priority,
-                                  deadline_s=deadline_s,
-                                  client=self.client_name),
-            "job")
-        yield reply
+        yield self._submit(name, configs, engine, priority, deadline_s,
+                           watch=True)
         yield from self._stream()
+
+    def _submit(self, name: str, configs: list[ExperimentConfig],
+                engine: str, priority: str, deadline_s: float | None, *,
+                watch: bool) -> dict[str, Any]:
+        return self._roundtrip(protocol.submit_frame(
+            name, configs, engine, watch, priority=priority,
+            deadline_s=deadline_s, client=self.client_name), "job")
 
     def _stream(self) -> Iterator[dict[str, Any]]:
         while True:

@@ -35,7 +35,8 @@ from typing import Any, Callable
 from repro import jsonlog, telemetry
 from repro.core.experiment import ExperimentConfig
 from repro.core.persistence import config_from_dict, config_to_dict
-from repro.errors import ConfigurationError, ServiceError
+from repro.errors import ConfigurationError, ProtocolError, ServiceError
+from repro.names import ENGINES, PRIORITIES
 
 #: On-disk ledger record format version.
 LEDGER_FORMAT = 1
@@ -61,11 +62,6 @@ _TRANSITIONS: dict[str, frozenset[str]] = {
     EXPIRED: frozenset(),
 }
 
-#: Job priorities, in ascending weight order.  Priorities *weight* the
-#: fair-share scheduler (see :mod:`repro.service.fairshare`) but never
-#: starve lower ones.
-PRIORITIES = ("low", "normal", "high")
-
 #: Fair-share weight per priority (a ``high`` job accrues virtual time
 #: 4x slower than a ``low`` one, so it is picked earlier — but every
 #: queued client's virtual time eventually becomes minimal, so nothing
@@ -89,30 +85,36 @@ class JobSpec:
     knobs added for fair-share: ``client`` is the submitter's identity
     (fair-share is computed across identities), ``deadline_s`` is a
     wall-clock budget measured from ``submitted_at`` after which the
-    job expires instead of running.  All default to the pre-deadline
-    wire/ledger format, so old ledgers replay unchanged.
+    job expires instead of running.  The server assigns ``job_id`` and
+    ``submitted_at`` when it accepts the job.
+
+    :meth:`to_dict` / :meth:`from_dict` are the one spec codec of the
+    wire and the ledger, so replay is exactly as strict as the wire.
     """
 
-    job_id: str
     name: str
     engine: str
     configs: tuple[ExperimentConfig, ...]
     priority: str = "normal"
     deadline_s: float | None = None
     client: str = ""
+    job_id: str = ""
     submitted_at: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
+        """The spec's encoding; fields at their defaults are left out,
+        so a pre-deadline spec encodes as the pre-deadline format."""
         record: dict[str, Any] = {
-            "job_id": self.job_id,
             "name": self.name,
             "engine": self.engine,
             "configs": [config_to_dict(c) for c in self.configs],
         }
+        if self.job_id:
+            record["job_id"] = self.job_id
         if self.priority != "normal":
             record["priority"] = self.priority
         if self.deadline_s is not None:
-            record["deadline_s"] = self.deadline_s
+            record["deadline_s"] = float(self.deadline_s)
         if self.client:
             record["client"] = self.client
         if self.submitted_at:
@@ -121,25 +123,48 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, record: dict[str, Any]) -> "JobSpec":
-        try:
-            configs = tuple(config_from_dict(c) for c in record["configs"])
-            priority = str(record.get("priority", "normal"))
-            if priority not in PRIORITIES:
-                priority = "normal"
-            raw_deadline = record.get("deadline_s")
-            deadline_s = (float(raw_deadline)
-                          if raw_deadline is not None else None)
-            return cls(job_id=str(record["job_id"]),
-                       name=str(record["name"]),
-                       engine=str(record["engine"]),
-                       configs=configs,
-                       priority=priority,
-                       deadline_s=deadline_s,
-                       client=str(record.get("client", "")),
-                       submitted_at=float(record.get("submitted_at", 0.0)))
-        except (KeyError, TypeError, ValueError,
-                ConfigurationError) as exc:
-            raise ServiceError(f"malformed job spec: {exc}") from None
+        """Decode an encoded spec, revalidating every config through the
+        persistence loader; raises :class:`~repro.errors.ProtocolError`
+        naming the first bad field."""
+        name = record.get("name")
+        if not isinstance(name, str) or not name:
+            raise ProtocolError("submit needs a non-empty string 'name'")
+        engine = record.get("engine", "event")
+        if engine not in ENGINES:
+            raise ProtocolError(
+                f"unknown engine {engine!r} (expected one of {ENGINES})")
+        priority = record.get("priority", "normal")
+        if priority not in PRIORITIES:
+            raise ProtocolError(
+                f"unknown priority {priority!r} "
+                f"(expected one of {PRIORITIES})")
+        numbers: dict[str, float | None] = {}
+        for key in ("deadline_s", "submitted_at"):
+            raw = record.get(key)
+            try:
+                numbers[key] = None if raw is None else float(raw)
+            except (TypeError, ValueError):
+                raise ProtocolError(
+                    f"{key} must be a number, got {raw!r}") from None
+        deadline_s = numbers["deadline_s"]
+        if deadline_s is not None and deadline_s <= 0:
+            raise ProtocolError("deadline_s must be positive")
+        items = record.get("configs")
+        if not isinstance(items, list) or not items:
+            raise ProtocolError("submit needs a non-empty 'configs' list")
+        configs: list[ExperimentConfig] = []
+        for i, item in enumerate(items):
+            if not isinstance(item, dict):
+                raise ProtocolError(f"configs[{i}] is not an object")
+            try:
+                configs.append(config_from_dict(item))
+            except (ConfigurationError, TypeError) as exc:
+                raise ProtocolError(f"configs[{i}]: {exc}") from None
+        return cls(name=name, engine=str(engine), configs=tuple(configs),
+                   priority=str(priority), deadline_s=deadline_s,
+                   client=str(record.get("client", "")),
+                   job_id=str(record.get("job_id", "")),
+                   submitted_at=numbers["submitted_at"] or 0.0)
 
 
 @dataclass
@@ -321,9 +346,10 @@ class JobLedger:
         """Rebuild ``job_id -> (spec, last recorded state)`` from disk.
 
         Torn and foreign lines are skipped as :mod:`repro.jsonlog`
-        defines them, and so is a submit whose spec no longer decodes
-        (counted torn); a transition for an unknown job id (its submit
-        line was lost) is ignored rather than fatal.  A terminal
+        defines them, and so is a submit whose spec the wire would
+        refuse or that has no job id (counted torn); a transition for
+        an unknown job id (its submit line was lost) is ignored rather
+        than fatal.  A terminal
         transition for an already-terminal job — the signature of a
         crash between the append and the ack, replayed on restart —
         keeps the *first* terminal state and bumps
@@ -338,9 +364,13 @@ class JobLedger:
         for record in records:
             event = record.get("event")
             if event == "submitted":
+                job = record.get("job")
                 try:
-                    spec = JobSpec.from_dict(record["job"])
-                except (ServiceError, KeyError, TypeError):
+                    spec = JobSpec.from_dict(job) \
+                        if isinstance(job, dict) else None
+                except ProtocolError:
+                    spec = None
+                if spec is None or not spec.job_id:
                     self.torn_lines += 1
                     continue
                 state[spec.job_id] = (spec, QUEUED)

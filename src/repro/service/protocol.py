@@ -43,7 +43,9 @@ fair-share is computed across); all optional and backward compatible.
   rejection); the connection stays usable unless the transport itself
   broke.
 
-Config and row payloads reuse the persistence schema
+A submit's fields are the encoding of a
+:class:`~repro.service.jobs.JobSpec`, the same one the job ledger
+stores, and config and row payloads reuse the persistence schema
 (:func:`repro.core.persistence.config_to_dict` /
 :func:`~repro.core.persistence.row_to_dict`), so a job spec is exactly
 the manifest vocabulary and floats survive the JSON round-trip
@@ -53,18 +55,13 @@ bit-for-bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.experiment import ExperimentConfig
-from repro.core.persistence import (
-    config_from_dict,
-    config_to_dict,
-    row_from_dict,
-    row_to_dict,
-)
+from repro.core.persistence import row_from_dict, row_to_dict
 from repro.core.runner import Row
 from repro.errors import ConfigurationError, ProtocolError
+from repro.service.jobs import JobSpec
 
 #: Wire protocol version; bump on breaking frame changes.
 PROTOCOL_VERSION = 1
@@ -76,12 +73,6 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 #: Request operations the server understands.
 OPS = ("submit", "watch", "jobs", "status", "cancel", "ping", "health",
        "shutdown")
-
-#: Engines a job may request (mirrors ``run_sweep``).
-ENGINES = ("event", "analytic", "auto")
-
-#: Priorities a submit may request (mirrors the job ledger).
-PRIORITIES = ("low", "normal", "high")
 
 
 def encode_frame(frame: dict[str, Any]) -> bytes:
@@ -172,99 +163,28 @@ def heartbeat_frame() -> dict[str, Any]:
     return {"type": "heartbeat"}
 
 
-@dataclass(frozen=True)
-class SubmitRequest:
-    """A decoded ``submit`` request (see :func:`parse_submit`)."""
-
-    name: str
-    configs: list[ExperimentConfig] = field(default_factory=list)
-    engine: str = "event"
-    watch: bool = True
-    priority: str = "normal"
-    deadline_s: float | None = None
-    client: str = ""
-
-
 def submit_frame(name: str, configs: list[ExperimentConfig], engine: str,
                  watch: bool = True, *, priority: str = "normal",
                  deadline_s: float | None = None,
                  client: str = "") -> dict[str, Any]:
-    """Build a ``submit`` request from live config objects."""
-    if engine not in ENGINES:
-        raise ProtocolError(
-            f"unknown engine {engine!r} (expected one of {ENGINES})"
-        )
-    if priority not in PRIORITIES:
-        raise ProtocolError(
-            f"unknown priority {priority!r} "
-            f"(expected one of {PRIORITIES})"
-        )
-    frame: dict[str, Any] = {
-        "v": PROTOCOL_VERSION,
-        "op": "submit",
-        "name": name,
-        "engine": engine,
-        "watch": bool(watch),
-        "configs": [config_to_dict(c) for c in configs],
-    }
-    if priority != "normal":
-        frame["priority"] = priority
-    if deadline_s is not None:
-        frame["deadline_s"] = float(deadline_s)
-    if client:
-        frame["client"] = client
-    return frame
+    """Build a ``submit`` request from live config objects: the job
+    spec's encoding plus ``v``, ``op`` and ``watch``.  The server's
+    :func:`parse_submit` is the one gate on the values."""
+    spec = JobSpec(name=name, engine=engine, configs=tuple(configs),
+                   priority=priority, deadline_s=deadline_s, client=client)
+    return {"v": PROTOCOL_VERSION, "op": "submit", "watch": bool(watch),
+            **spec.to_dict()}
 
 
-def parse_submit(frame: dict[str, Any]) -> SubmitRequest:
-    """Decode a ``submit`` request into a :class:`SubmitRequest`.
+def parse_submit(frame: dict[str, Any]) -> tuple[JobSpec, bool]:
+    """Decode a ``submit`` request into its job spec (without id or
+    submission time, which the server assigns) and its ``watch`` flag.
 
-    Every config is revalidated through the persistence loader, so a
-    malformed spec is rejected at the door rather than poisoning the
-    queue.
+    :meth:`JobSpec.from_dict <repro.service.jobs.JobSpec.from_dict>` is
+    the decoder, the same one ledger replay uses, so a spec the wire
+    refuses is never replayed either.
     """
-    name = frame.get("name")
-    if not isinstance(name, str) or not name:
-        raise ProtocolError("submit needs a non-empty string 'name'")
-    engine = frame.get("engine", "event")
-    if engine not in ENGINES:
-        raise ProtocolError(
-            f"unknown engine {engine!r} (expected one of {ENGINES})"
-        )
-    priority = frame.get("priority", "normal")
-    if priority not in PRIORITIES:
-        raise ProtocolError(
-            f"unknown priority {priority!r} "
-            f"(expected one of {PRIORITIES})"
-        )
-    raw_deadline = frame.get("deadline_s")
-    if raw_deadline is not None:
-        try:
-            deadline_s: float | None = float(raw_deadline)
-        except (TypeError, ValueError):
-            raise ProtocolError(
-                f"deadline_s must be a number, got {raw_deadline!r}"
-            ) from None
-        if deadline_s is not None and deadline_s <= 0:
-            raise ProtocolError("deadline_s must be positive")
-    else:
-        deadline_s = None
-    raw = frame.get("configs")
-    if not isinstance(raw, list) or not raw:
-        raise ProtocolError("submit needs a non-empty 'configs' list")
-    configs: list[ExperimentConfig] = []
-    for i, record in enumerate(raw):
-        if not isinstance(record, dict):
-            raise ProtocolError(f"configs[{i}] is not an object")
-        try:
-            configs.append(config_from_dict(record))
-        except ConfigurationError as exc:
-            raise ProtocolError(f"configs[{i}]: {exc}") from None
-    return SubmitRequest(name=str(name), configs=configs,
-                         engine=str(engine),
-                         watch=bool(frame.get("watch", True)),
-                         priority=str(priority), deadline_s=deadline_s,
-                         client=str(frame.get("client", "")))
+    return JobSpec.from_dict(frame), bool(frame.get("watch", True))
 
 
 def row_frame(index: int, row: Row, source: str) -> dict[str, Any]:

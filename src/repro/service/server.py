@@ -113,15 +113,13 @@ class SweepService:
         Emit a ``heartbeat`` frame on a watch stream after this many
         seconds of silence, so clients can tell "slow job" from "dead
         server".  ``None`` disables heartbeats.
-    exec_timeout_s:
-        Per-execution progress watchdog: one config attempt exceeding
-        this is killed and retried (``retry`` bounds attempts), then
-        failed + journaled so quarantine accrues.  ``None`` disables
-        the watchdog.
     retry:
-        :class:`~repro.core.parallel.RetryPolicy` bounding watchdog
-        retries (attempts, backoff); ``exec_timeout_s`` replaces its
-        ``timeout_s``.
+        :class:`~repro.core.parallel.RetryPolicy` of the event
+        executions.  Its ``timeout_s`` is the per-execution progress
+        watchdog: a config attempt exceeding it is killed and retried
+        (``max_attempts``, ``backoff_s``), then failed and journaled so
+        quarantine accrues.  ``None`` (the default) serves with no
+        watchdog: one attempt per execution.
     results_dir:
         Telemetry results root for per-job runs (default:
         the usual ``$REPRO_RESULTS_DIR`` / ``./results`` resolution).
@@ -134,7 +132,6 @@ class SweepService:
                  cache: Any = None, workers: int | None = None,
                  max_jobs: int = 4, max_queued: int | None = None,
                  heartbeat_s: float | None = 10.0,
-                 exec_timeout_s: float | None = None,
                  retry: RetryPolicy | None = None,
                  results_dir: str | Path | None = None,
                  drain_timeout_s: float | None = None,
@@ -151,8 +148,7 @@ class SweepService:
         self.drain_timeout_s = drain_timeout_s
         self.scheduler = Scheduler(
             cache, workers=workers, start_method="spawn",
-            retry=dataclasses.replace(retry or RetryPolicy(),
-                                      timeout_s=exec_timeout_s),
+            retry=retry or RetryPolicy(timeout_s=None),
             simulate_fn=simulate_fn)
         self.ledger = JobLedger.for_cache(cache)
         self.jobs: dict[str, JobRecord] = {}
@@ -249,17 +245,26 @@ class SweepService:
         await self._stop_event.wait()
         await self.shutdown()
 
-    async def shutdown(self) -> None:
-        """Drain: refuse new work, finish running jobs, journal the
-        rest, release the socket and the pool."""
+    def _begin_stop(self) -> bool:
+        """The stop preamble of :meth:`shutdown` and :meth:`abort`:
+        refuse new work, stop the reaper, close the listening socket.
+        False when the service was already stopping."""
         if self._stopped:
-            return
+            return False
         self._stopped = True
         self.draining = True
         if self._reaper is not None:
             self._reaper.cancel()
         if self._server is not None:
             self._server.close()
+        return True
+
+    async def shutdown(self) -> None:
+        """Drain: refuse new work, finish running jobs, journal the
+        rest, release the socket and the pool."""
+        if not self._begin_stop():
+            return
+        if self._server is not None:
             await self._server.wait_closed()
         tasks = [t for t in self._job_tasks.values() if not t.done()]
         if tasks:
@@ -291,14 +296,8 @@ class SweepService:
         file is **left behind**, exactly like a killed process leaves
         it; the restart path must connect-probe and reclaim it.
         """
-        if self._stopped:
+        if not self._begin_stop():
             return
-        self._stopped = True
-        self.draining = True
-        if self._reaper is not None:
-            self._reaper.cancel()
-        if self._server is not None:
-            self._server.close()
         doomed: list[asyncio.Task[Any]] = [
             t for t in (*self._job_tasks.values(), *self._conn_tasks)
             if not t.done()]
@@ -779,7 +778,7 @@ class SweepService:
     async def _op_submit(self, frame: dict[str, Any],
                          writer: asyncio.StreamWriter) -> bool:
         try:
-            req = protocol.parse_submit(frame)
+            spec, watch = protocol.parse_submit(frame)
         except ProtocolError as exc:
             return await self._send(writer, protocol.error_frame(
                 "bad-request", str(exc)))
@@ -805,11 +804,8 @@ class SweepService:
                 f"--max-queued {self.max_queued}); retry with backoff",
                 queue_depth=pending, max_queued=self.max_queued,
                 retry_after_s=retry_after))
-        job = self._register(JobRecord(JobSpec(
-            job_id=new_job_id(), name=req.name, engine=req.engine,
-            configs=tuple(req.configs), priority=req.priority,
-            deadline_s=req.deadline_s, client=req.client,
-            submitted_at=time.time())))
+        job = self._register(JobRecord(dataclasses.replace(
+            spec, job_id=new_job_id(), submitted_at=time.time())))
         # Durability order matters: ledger append *before* the ack
         # frame, so a crash in between loses an un-acked submission
         # (client retries) — never an acked one.
@@ -817,7 +813,7 @@ class SweepService:
         if not await self._send(writer, {"type": "job",
                                          "job": job.to_dict()}):
             return False
-        if req.watch:
+        if watch:
             return await self._stream_job(job, writer)
         return True
 

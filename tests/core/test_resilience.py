@@ -242,6 +242,18 @@ class TestJournal:
         j2 = SweepJournal(j.path)
         assert j2.status("s", CONFIGS[0])["done"]
 
+    def test_unknown_status_is_torn(self, tmp_path):
+        j = SweepJournal(tmp_path / "j.jsonl")
+        j.record("s", CONFIGS[0], ok=True)
+        with open(j.path, "a") as fh:
+            fh.write('{"format": 1, "sweep": "s", "key": "%s", '
+                     '"status": "paused"}\n'
+                     % journal_mod.config_digest(CONFIGS[1]))
+        j2 = SweepJournal(j.path)
+        assert j2.status("s", CONFIGS[1]) is None
+        assert j2.status("s", CONFIGS[0])["done"]
+        assert j2.torn_lines == 1
+
     def test_sweeps_are_namespaced(self, tmp_path):
         j = SweepJournal(tmp_path / "j.jsonl")
         j.record("a", CONFIGS[0], ok=False, exc=ValueError("x"))

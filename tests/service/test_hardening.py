@@ -99,6 +99,18 @@ def test_heartbeats_can_be_disabled(cache, socket_path):
 # ----------------------------------------------------------------------
 # execution watchdog
 # ----------------------------------------------------------------------
+def test_retry_policy_timeout_arms_the_watchdog(socket_path):
+    svc = SweepService(socket_path, retry=RetryPolicy(timeout_s=5))
+    assert svc.scheduler.retry.timeout_s == 5
+    assert svc.scheduler._slots is not None
+
+
+def test_default_service_has_no_watchdog(socket_path):
+    svc = SweepService(socket_path)
+    assert svc.scheduler.retry.timeout_s is None
+    assert svc.scheduler._slots is None
+
+
 def test_watchdog_kills_stalled_execution_and_retry_succeeds(
         cache, socket_path):
     hang = threading.Event()
@@ -111,8 +123,8 @@ def test_watchdog_kills_stalled_execution_and_retry_succeeds(
         return simulate_config(config)
 
     svc = SweepService(socket_path, cache=cache, workers=1,
-                       exec_timeout_s=0.25,
-                       retry=RetryPolicy(max_attempts=2, backoff_s=0.01),
+                       retry=RetryPolicy(max_attempts=2, backoff_s=0.01,
+                                         timeout_s=0.25),
                        simulate_fn=stall_once)
     thread = serve_in_thread(svc)
     try:
@@ -137,8 +149,8 @@ def test_watchdog_exhausting_retries_fails_the_config(cache,
         return simulate_config(config)
 
     svc = SweepService(socket_path, cache=cache, workers=1,
-                       exec_timeout_s=0.2,
-                       retry=RetryPolicy(max_attempts=2, backoff_s=0.01),
+                       retry=RetryPolicy(max_attempts=2, backoff_s=0.01,
+                                         timeout_s=0.2),
                        simulate_fn=always_stalls)
     thread = serve_in_thread(svc)
     try:

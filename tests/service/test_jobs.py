@@ -1,11 +1,13 @@
 """Job state machine and crash-durable ledger tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.experiment import ExperimentConfig
 from repro.errors import ServiceError
+from repro.runtime.affinity import ProcessAllocation, ThreadBinding
 from repro.service import jobs as jobs_mod
 from repro.service.jobs import (
     CANCELLED,
@@ -184,3 +186,45 @@ def test_memory_only_ledger_is_silent(tmp_path):
     ledger.record_submit(JobRecord(spec()))
     assert ledger.replay() == {}
     assert ledger.incomplete() == []
+
+
+def test_ledger_written_before_the_shared_codec_replays_unchanged():
+    """``data/ledger-v1.jsonl`` was written by the ledger of an earlier
+    release: submits with and without the scheduling fields (one with
+    neither ``priority`` nor ``submitted_at``), transitions, and one
+    duplicate terminal transition."""
+    ledger = JobLedger(Path(__file__).parent / "data" / "ledger-v1.jsonl")
+    c1 = ExperimentConfig(app="ffvc", n_ranks=2, n_threads=2)
+    c2 = ExperimentConfig(app="ccs-qcd", n_ranks=4, n_threads=12,
+                          allocation=ProcessAllocation("cyclic"),
+                          binding=ThreadBinding("stride", 2))
+    c3 = ExperimentConfig(app="mvmc", n_ranks=1, n_threads=48,
+                          options_preset="tuned")
+    expected = {
+        "20260101-000000-0001-aaaaaa": (JobSpec(
+            job_id="20260101-000000-0001-aaaaaa", name="legacy",
+            engine="event", configs=(c1,)), COMPLETED),
+        "20260101-000001-0002-bbbbbb": (JobSpec(
+            job_id="20260101-000001-0002-bbbbbb", name="plain",
+            engine="analytic", configs=(c1, c2),
+            submitted_at=1767225601.25), FAILED),
+        "20260101-000002-0003-cccccc": (JobSpec(
+            job_id="20260101-000002-0003-cccccc", name="sched",
+            engine="auto", configs=(c2, c3), priority="high",
+            deadline_s=30.0, client="bench-7",
+            submitted_at=1767225602.5), RUNNING),
+        "20260101-000003-0004-dddddd": (JobSpec(
+            job_id="20260101-000003-0004-dddddd", name="low",
+            engine="event", configs=(c3,), priority="low",
+            client="pid-42", submitted_at=1767225603.0), QUEUED),
+        "20260101-000004-0005-eeeeee": (JobSpec(
+            job_id="20260101-000004-0005-eeeeee", name="expiring",
+            engine="event", configs=(c1,), deadline_s=0.5,
+            submitted_at=1767225604.0), jobs_mod.EXPIRED),
+    }
+    replayed = ledger.replay()
+    assert replayed == expected
+    assert list(replayed) == list(expected)     # ledger order
+    assert (ledger.torn_lines, ledger.duplicate_transitions) == (0, 1)
+    assert [s.job_id for s in ledger.incomplete()] == [
+        "20260101-000002-0003-cccccc", "20260101-000003-0004-dddddd"]

@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+from repro import jsonlog
 from repro.core.experiment import ExperimentConfig
+from repro.core.persistence import config_to_dict
 from repro.core.runner import run_config
 from repro.errors import ProtocolError
 from repro.service import protocol
+from repro.service.jobs import JobLedger, JobSpec
 
 
 def test_frame_round_trip():
@@ -48,11 +51,11 @@ def test_submit_frame_round_trip():
     frame = protocol.submit_frame("f1", configs, "event", watch=False)
     # survives the actual wire encoding
     frame = protocol.decode_frame(protocol.encode_frame(frame))
-    req = protocol.parse_submit(frame)
-    assert (req.name, req.engine, req.watch) == ("f1", "event", False)
-    assert req.configs == configs
+    spec, watch = protocol.parse_submit(frame)
+    assert (spec.name, spec.engine, watch) == ("f1", "event", False)
+    assert list(spec.configs) == configs
     # defaults: the pre-deadline wire format decodes unchanged
-    assert (req.priority, req.deadline_s, req.client) \
+    assert (spec.priority, spec.deadline_s, spec.client) \
         == ("normal", None, "")
 
 
@@ -62,8 +65,8 @@ def test_submit_frame_scheduling_fields_round_trip():
                                   priority="high", deadline_s=12.5,
                                   client="bench-7")
     frame = protocol.decode_frame(protocol.encode_frame(frame))
-    req = protocol.parse_submit(frame)
-    assert (req.priority, req.deadline_s, req.client) \
+    spec, _watch = protocol.parse_submit(frame)
+    assert (spec.priority, spec.deadline_s, spec.client) \
         == ("high", 12.5, "bench-7")
 
 
@@ -78,6 +81,63 @@ def test_parse_submit_rejects_bad_specs():
         frame = {**good, **breakage}
         with pytest.raises(ProtocolError):
             protocol.parse_submit(frame)
+
+
+#: One breakage per check of the spec decoder.
+BREAKAGES = [
+    {"name": ""}, {"engine": "warp"}, {"configs": []},
+    {"configs": "nope"}, {"configs": [{"app": "no-such-app"}]},
+    {"priority": "urgent"}, {"deadline_s": -1}, {"deadline_s": "soon"},
+]
+
+
+@pytest.mark.parametrize("breakage", BREAKAGES, ids=repr)
+def test_bad_spec_is_refused_on_the_wire_and_torn_in_the_ledger(
+        breakage, tmp_path):
+    configs = [ExperimentConfig(app="ffvc")]
+    with pytest.raises(ProtocolError):
+        protocol.parse_submit(
+            {**protocol.submit_frame("f1", configs, "event"), **breakage})
+
+    ledger = JobLedger(tmp_path / JobLedger.FILENAME)
+    spec = JobSpec(name="f1", engine="event", configs=tuple(configs),
+                   job_id="job-1", submitted_at=1.0)
+    jsonlog.append(ledger.path, {
+        "format": 1, "event": "submitted", "t": 1.0,
+        "job": {**spec.to_dict(), **breakage}})
+    assert ledger.replay() == {}
+    assert ledger.torn_lines == 1
+
+
+def test_ledger_submit_without_job_id_is_torn(tmp_path):
+    ledger = JobLedger(tmp_path / JobLedger.FILENAME)
+    record = {"name": "f1", "engine": "event",
+              "configs": [config_to_dict(ExperimentConfig(app="ffvc"))]}
+    jsonlog.append(ledger.path, {"format": 1, "event": "submitted",
+                                 "t": 1.0, "job": record})
+    assert ledger.replay() == {}
+    assert ledger.torn_lines == 1
+
+
+_CONFIG_JSON = (
+    b'{"allocation":"block","app":"ffvc","binding":{"policy":"compact",'
+    b'"stride":1},"data_policy":"first-touch","dataset":"as-is",'
+    b'"n_nodes":1,"n_ranks":2,"n_threads":2,"options_preset":"kfast",'
+    b'"processor":"A64FX"}')
+
+
+def test_submit_frame_bytes_are_pinned():
+    configs = [ExperimentConfig(app="ffvc", n_ranks=2, n_threads=2)]
+    assert protocol.encode_frame(
+        protocol.submit_frame("f1", configs, "event")) == (
+        b'{"configs":[' + _CONFIG_JSON + b'],"engine":"event",'
+        b'"name":"f1","op":"submit","v":1,"watch":true}\n')
+    assert protocol.encode_frame(protocol.submit_frame(
+        "f1", configs, "analytic", watch=False, priority="high",
+        deadline_s=12.5, client="bench-7")) == (
+        b'{"client":"bench-7","configs":[' + _CONFIG_JSON + b'],'
+        b'"deadline_s":12.5,"engine":"analytic","name":"f1","op":"submit",'
+        b'"priority":"high","v":1,"watch":false}\n')
 
 
 def test_row_frame_is_bit_exact():
