@@ -25,7 +25,6 @@ parameter in :mod:`repro.core` accepts either a throwaway dict or a
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from collections import OrderedDict
 from pathlib import Path
@@ -115,13 +114,10 @@ def _key_payload(key: Any) -> dict:
     )
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def payload_digest(payload: Any) -> str:
     """SHA-256 (hex, 16 chars) of ``payload``'s canonical JSON: sorted
     keys, compact separators."""
-    return hashlib.sha256(_CANONICAL.encode(payload).encode()) \
+    return hashlib.sha256(jsonlog.encode(payload).encode()) \
         .hexdigest()[:16]
 
 
@@ -143,19 +139,52 @@ def _memoizable(key: Any) -> bool:
             and all(type(item) is str for item in key[1:]))
 
 
+def _memoize(key: Any, digest: str) -> None:
+    memo = _digest_memo
+    if len(memo) >= _DIGEST_MEMO_MAX:
+        memo.clear()
+    memo[key] = digest
+
+
 def config_digest(key: Any) -> str:
     """Stable content digest of a cache key (hex, 16 chars), computed
     once per process for a config or an engine-tagged config."""
     if not _memoizable(key):
         return payload_digest(_key_payload(key))
-    memo = _digest_memo
-    digest = memo.get(key)
+    digest = _digest_memo.get(key)
     if digest is None:
         digest = payload_digest(_key_payload(key))
-        if len(memo) >= _DIGEST_MEMO_MAX:
-            memo.clear()
-        memo[key] = digest
+        _memoize(key, digest)
     return digest
+
+
+def config_text(config: ExperimentConfig) -> str:
+    """The canonical JSON of a config: what its digest hashes, inside
+    ``{"config": ...}``."""
+    return jsonlog.encode(config_to_dict(config))
+
+
+def config_snapshot(config: ExperimentConfig) -> tuple[str, str | None]:
+    """``(config_digest(config), text)``, where ``text`` is
+    :func:`config_text` when this call computed the digest and ``None``
+    when the memo held it.
+
+    A run log writes a config's record from this text, so a config is
+    encoded once for its digest and its record together.  The text is
+    not memoized: a caller that needs it after a memo hit encodes the
+    config again.
+    """
+    memoizable = type(config) is ExperimentConfig
+    if memoizable:
+        digest = _digest_memo.get(config)
+        if digest is not None:
+            return digest, None
+    text = config_text(config)
+    # payload_digest({"config": ...}) without encoding the config twice
+    digest = hashlib.sha256(f'{{"config":{text}}}'.encode()).hexdigest()[:16]
+    if memoizable:
+        _memoize(config, digest)
+    return digest, text
 
 
 class ResultCache:

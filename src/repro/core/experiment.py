@@ -75,6 +75,12 @@ class ExperimentConfig:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigurationError(
                     f"{name} must be an int, not {value!r}")
+        for name, kind in (("binding", ThreadBinding),
+                           ("allocation", ProcessAllocation)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"{name} must be a {kind.__name__}, not {value!r}")
         if self.options_preset not in PRESETS:
             raise ConfigurationError(
                 f"unknown compiler preset {self.options_preset!r}"

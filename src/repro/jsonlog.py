@@ -7,6 +7,8 @@ log — is a file of JSON objects, one per line, each carrying a
 ``"format"`` version.  This module owns the whole on-disk discipline so
 the stores keep only their record semantics:
 
+* :func:`encode` is the line encoding (sorted keys, compact
+  separators), which the result cache's content digests hash too.
 * :func:`append` writes one record as one ``O_APPEND`` ``os.write``.
   Concurrent appenders interleave whole lines, and a killed process
   leaves at most one torn line.
@@ -42,6 +44,23 @@ from typing import Any, Callable, Iterable
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODE = json.JSONDecoder().decode
 
+
+def _canonical_encoder() -> Callable[[Any], str]:
+    """``_ENCODER.encode`` with its C encoder built once (``encode``
+    builds one per call: about 30% of the time of encoding a config).
+    The circular-reference check is off: records are trees."""
+    make = getattr(json.encoder, "c_make_encoder", None)
+    if make is None:  # an interpreter without the C accelerator
+        return _ENCODER.encode
+    chunks = make(None, _ENCODER.default, json.encoder.encode_basestring_ascii,
+                  None, ":", ",", True, False, True)
+    return lambda obj: "".join(chunks(obj, 0))
+
+
+#: ``encode(obj) -> str``: the line encoding of a record, and the
+#: canonical JSON the content digests hash.
+encode = _canonical_encoder()
+
 _APPEND = os.O_WRONLY | os.O_CREAT | os.O_APPEND
 
 #: A :class:`Buffered` log flushes once this many records are pending...
@@ -52,8 +71,10 @@ FLUSH_RECORDS = 256
 FLUSH_SECONDS = 1.0
 
 
-def _lines(records: Iterable[dict[str, Any]]) -> bytes:
-    return "".join(_ENCODER.encode(record) + "\n"
+def _lines(records: Iterable[dict[str, Any] | str]) -> bytes:
+    # a str is a record its writer encoded already, as the encoder would
+    return "".join((record if type(record) is str
+                    else encode(record)) + "\n"
                    for record in records).encode()
 
 
@@ -94,20 +115,22 @@ class Buffered:
     :meth:`add` queues a record and flushes when :data:`FLUSH_RECORDS`
     are pending or :data:`FLUSH_SECONDS` have passed since the last
     flush; :meth:`flush` writes everything pending as one ``O_APPEND``
-    write, encoded exactly as :func:`append` encodes it.  Records may
-    be added from several threads: a flush takes the records pending
-    when it starts and leaves later ones queued.
+    write, encoded exactly as :func:`append` encodes it.  A record may
+    also be queued as its line, already encoded that way (a run log
+    writes a config record around the text its digest hashed).  Records
+    may be added from several threads: a flush takes the records
+    pending when it starts and leaves later ones queued.
     """
 
     __slots__ = ("path", "_pending", "_flushed_at", "_lock")
 
     def __init__(self, path: Path) -> None:
         self.path = path
-        self._pending: list[dict[str, Any]] = []
+        self._pending: list[dict[str, Any] | str] = []
         self._flushed_at = time.monotonic()
         self._lock = threading.Lock()
 
-    def add(self, record: dict[str, Any]) -> None:
+    def add(self, record: dict[str, Any] | str) -> None:
         pending = self._pending
         pending.append(record)
         if len(pending) >= FLUSH_RECORDS \

@@ -26,6 +26,7 @@ configs that never finished.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -147,6 +148,10 @@ class JobSpec:
                 raise ProtocolError(
                     f"{key} must be a number, got {raw!r}") from None
         deadline_s = numbers["deadline_s"]
+        if deadline_s is not None and not math.isfinite(deadline_s):
+            # NaN passes `<= 0` and never expires
+            raise ProtocolError(
+                f"deadline_s must be finite, got {deadline_s!r}")
         if deadline_s is not None and deadline_s <= 0:
             raise ProtocolError("deadline_s must be positive")
         items = record.get("configs")

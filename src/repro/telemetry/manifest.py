@@ -1,8 +1,8 @@
 """Run manifests: the self-describing job spec of every recorded run.
 
 A manifest pins everything needed to re-execute a run and to audit the
-numbers it produced: the full config snapshots, the model fingerprint
-the result cache keys on, the engine and worker count, the fault-plan
+numbers it produced: the config snapshots, the model fingerprint the
+result cache keys on, the engine and worker count, the fault-plan
 (verbatim plus digest), package/python/git versions, and the resume
 lineage.  ``repro reproduce`` consumes nothing but the manifest and the
 recorded summary — if the two plus the current model agree, the run is
@@ -11,9 +11,12 @@ reproducible; if not, the drift is named.
 A manifest is stored as ``manifest`` records of the run log
 (:mod:`repro.telemetry.runlog`): every field but the :data:`CLOSING`
 ones when the run opens, the fields that changed when it finalizes.
-:func:`check_manifest` applies the format and field checks to the
-merged result and gives a run that never finalized the closing fields
-of a running one.
+The log stores the configs once each, so the opening record lists
+their :func:`~repro.core.cache.config_digest` values, and it stores the
+:func:`session_fields` every run of a process shares once per log; its
+reader puts both back.  :func:`check_manifest` applies the format and
+field checks to the merged result and gives a run that never finalized
+the closing fields of a running one.
 """
 
 from __future__ import annotations
@@ -43,19 +46,19 @@ _git_memo: dict[str, Any] | None = None
 _git_loaded = False
 
 
-def sweep_key(kind: str, name: str, configs: list["ExperimentConfig"],
+def sweep_key(kind: str, name: str, digests: list[str],
               engine: str) -> str:
     """Content digest identifying "the same sweep, run again".
 
     Resume uses it to find the run a restarted sweep should re-enter:
     same kind, sweep name, ordered
-    :func:`~repro.core.cache.config_digest` of the configs, and engine.
+    :func:`~repro.core.cache.config_digest` of the configs
+    (``digests``), and engine.
     """
-    from repro.core.cache import config_digest, payload_digest
+    from repro.core.cache import payload_digest
 
     return payload_digest(
-        {"kind": kind, "name": name, "engine": engine,
-         "configs": [config_digest(c) for c in configs]})
+        {"kind": kind, "name": name, "engine": engine, "configs": digests})
 
 
 def git_info() -> dict[str, Any] | None:
@@ -93,20 +96,37 @@ def fault_plan_record(plan: "FaultPlan | None") -> dict[str, Any] | None:
             "seed": plan.seed}
 
 
+def session_fields() -> dict[str, Any]:
+    """The manifest fields every run of this process shares, as a run
+    log's ``session`` record holds them."""
+    import repro
+    from repro.core.cache import model_fingerprint
+
+    return {
+        "repro_version": repro.__version__,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "argv": list(sys.argv),
+        "git": git_info(),
+        "model_fingerprint": model_fingerprint(),
+    }
+
+
 def build_manifest(*, run_id: str, kind: str, name: str,
                    configs: list["ExperimentConfig"], engine: str,
                    workers: int = 1, cache_dir: str | None = None,
                    advise: str | None = None,
                    fault_plan: "FaultPlan | None" = None,
-                   reproduces: str | None = None) -> dict[str, Any]:
-    """Assemble a fresh manifest dict, without the :data:`CLOSING`
-    fields."""
-    import repro
-    from repro.core.cache import model_fingerprint
-    from repro.core.persistence import config_to_dict
+                   reproduces: str | None = None,
+                   digests: list[str] | None = None) -> dict[str, Any]:
+    """Assemble a fresh manifest dict, without the :data:`CLOSING` or
+    :func:`session_fields`; it names the configs by digest
+    (``digests``, when the caller has them already)."""
+    if digests is None:
+        from repro.core.cache import config_digest
 
+        digests = [config_digest(c) for c in configs]
     now = time.time()
-    config_dicts = [config_to_dict(c) for c in configs]
     return {
         "format": MANIFEST_FORMAT,
         "run_id": run_id,
@@ -116,23 +136,17 @@ def build_manifest(*, run_id: str, kind: str, name: str,
         # deterministically in `repro runs` / resume lookup
         "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.localtime(now))
         + f".{int(now * 1e6) % 1_000_000:06d}",
-        "sweep_key": sweep_key(kind, name, configs, engine),
+        "sweep_key": sweep_key(kind, name, digests, engine),
         "engine": engine,
         "workers": workers,
         "resumed_from": None,
         "reproduces": reproduces,
-        "repro_version": repro.__version__,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "argv": list(sys.argv),
-        "git": git_info(),
-        "model_fingerprint": model_fingerprint(),
         "cache_dir": cache_dir,
         "advise": advise,
         "fault_plan": fault_plan_record(fault_plan),
         "seeds": {"fault_plan": fault_plan.seed}
         if fault_plan is not None and not fault_plan.empty else {},
-        "configs": config_dicts,
+        "configs": digests,
     }
 
 
@@ -150,7 +164,21 @@ def check_manifest(manifest: Any, where: str) -> dict[str, Any]:
     for field in ("run_id", "kind", "name", "configs", "engine"):
         if field not in manifest:
             raise ConfigurationError(f"{where}: manifest missing {field!r}")
+    missing = unresolved(manifest["configs"])
+    if missing:
+        raise ConfigurationError(
+            f"{where}: manifest config {missing} is not in the run log")
     return {**CLOSING, **manifest}
+
+
+def unresolved(configs: Any) -> str | None:
+    """The first config digest the reader left in ``configs`` because
+    no ``config`` record held it, or ``None``."""
+    if isinstance(configs, list):
+        for config in configs:
+            if isinstance(config, str):
+                return config
+    return None
 
 
 def manifest_configs(manifest: dict[str, Any]) -> list["ExperimentConfig"]:

@@ -2,13 +2,15 @@
 
 A run appends a ``manifest`` (:mod:`.manifest`), ``metric`` events
 (:mod:`.metrics`), closed ``span`` records (:mod:`.spans`) and a
-``summary`` of its rows to the log :mod:`repro.telemetry.runlog` owns.
-It pays two appends, not one per event: the opening manifest is flushed
-at :meth:`RunContext.open`; everything else waits in the process's
+``summary`` of its rows to the log :mod:`repro.telemetry.runlog` owns,
+with the ``config`` and ``session`` records that log does not hold yet.
+It pays two appends, not one per event: the opening manifest, with the
+config and session records it names, is flushed at
+:meth:`RunContext.open`; everything else waits in the process's
 buffered log (:class:`repro.jsonlog.Buffered`) and goes out in batches,
 the last with the summary and the closing manifest at
 :meth:`RunContext.finalize`.  A hard kill loses at most the unflushed
-tail, never the opening manifest.
+tail, never the opening manifest or the configs it names.
 
 :func:`run_scope` is the integration point the runner uses: it opens a
 context when telemetry is enabled and no run is active, degrades to a
@@ -59,13 +61,10 @@ class RunContext:
     __slots__ = ("run_id", "manifest", "metrics", "spans", "log",
                  "_opened", "_t0", "_summary_name", "_rows", "_errors")
 
-    def __init__(self, root: str | Path, manifest: dict[str, Any]) -> None:
+    def __init__(self, log: runlog.RunLog, manifest: dict[str, Any]) -> None:
         self.manifest = manifest
         self.run_id: str = manifest["run_id"]
-        self.log = runlog.process_log(
-            Path(root), renew=manifest["resumed_from"] is not None)
-        self._add("manifest", manifest)
-        self.log.flush()
+        self.log = log
         self._opened = dict(manifest)
         self.metrics = MetricsRegistry(partial(self._add, "metric"))
         self.spans = SpanRecorder(partial(self._add, "span"))
@@ -84,11 +83,15 @@ class RunContext:
              reproduces: str | None = None,
              results_dir: str | Path | None = None) -> "RunContext":
         """Open (or, with ``resume=True``, re-enter) a run."""
+        from repro.core.cache import config_snapshot
+
         root = state.runs_root(results_dir)
+        snapshots = [config_snapshot(c) for c in configs]
         manifest = manifest_mod.build_manifest(
             run_id=new_run_id(), kind=kind, name=name, configs=configs,
             engine=engine, workers=workers, cache_dir=cache_dir,
-            advise=advise, fault_plan=fault_plan, reproduces=reproduces)
+            advise=advise, fault_plan=fault_plan, reproduces=reproduces,
+            digests=[digest for digest, _ in snapshots])
         if resume:
             old = find_resumable(root, manifest["sweep_key"])
             if old is not None:
@@ -96,8 +99,14 @@ class RunContext:
                 # process, and the manifest records the lineage explicitly
                 manifest.update(run_id=old["run_id"], created=old["created"],
                                 resumed_from=old["run_id"])
-        ctx = cls(root, manifest)
-        ctx.metrics.count("run.opened")
+        log = runlog.process_log(root,
+                                 renew=manifest["resumed_from"] is not None)
+        log.add_session(manifest_mod.session_fields())
+        for config, (digest, text) in zip(configs, snapshots):
+            log.add_config(config, digest, text)
+        ctx = cls(log, manifest)
+        ctx._add("manifest", manifest)
+        log.flush()
         if manifest["resumed_from"]:
             ctx.metrics.count("run.resumed")
         return ctx
@@ -122,17 +131,17 @@ class RunContext:
                  error: BaseException | None = None) -> None:
         """Seal the run: closing metrics, then every queued record, the
         summary rows and the changed manifest fields in one append."""
+        from repro.core.cache import config_snapshot
         from repro.core.persistence import sweep_to_payload
         from repro.core.runner import SweepResult
 
         wall = time.perf_counter() - self._t0
-        self.metrics.gauge("run.wall_seconds", wall)
-        self.metrics.gauge("sweep.rows", len(self._rows))
-        self.metrics.gauge("sweep.errors", len(self._errors))
         if wall > 0:
             self.metrics.gauge("sweep.rows_per_s", len(self._rows) / wall)
+        add_config = self.log.add_config
         self._add("summary", sweep_to_payload(
-            SweepResult(self._summary_name, self._rows)))
+            SweepResult(self._summary_name, self._rows),
+            lambda config: add_config(config, *config_snapshot(config))))
         if error is not None:
             self.manifest["error"] = f"{type(error).__name__}: {error}"
         self.manifest.update(

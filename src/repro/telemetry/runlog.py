@@ -4,19 +4,33 @@ log per process — the one module that knows this layout.
 A process appends to ``<results>/runs/<session>.jsonl`` (session =
 timestamp, pid, random tail), named at the first run it records, again
 when the pid changes, and again when it resumes a run.  A record is its
-payload's fields plus ``"format": 1`` and one tag naming both its kind
-and its run, ``<kind>: <run id>``; the kinds are ``manifest`` (all
-fields but the closing ones when the run opens, the fields that changed
-when it finalizes), ``metric``, ``span`` and ``summary`` (the
-:func:`repro.core.persistence.save_sweep` payload).
+payload's fields plus ``"format": 1`` and one tag naming its kind and
+what it belongs to, ``<kind>: <id>``.  Run records name their run:
+``manifest`` (all fields but the closing ones when the run opens, the
+fields that changed when it finalizes), ``metric``, ``span`` and
+``summary`` (the :func:`repro.core.persistence.save_sweep` payload,
+each row naming its config by digest).  Two kinds are content records
+of the log, written before the first run record that needs them and in
+the same flush: ``config`` (tag: the
+:func:`~repro.core.cache.config_digest`; ``snapshot``: the config),
+once per digest per log, and ``session`` (tag: the log's session; the
+:func:`~repro.telemetry.manifest.session_fields`), again only when
+those change.
 
 :func:`scan` reads the logs in name order and their records in file
 order.  A run's records sit in one log unless it was resumed, and a
 resume starts a new log, so this order is the order they were written
-in.  An opening manifest (one naming ``run_id``) replaces the run's
-manifest and a closing one updates it; the last summary wins.  Per-run
-directories of the old layout (``<run_id>/manifest.json``,
-``metrics.jsonl``, ``spans.jsonl``, ``summary.json``) are ignored.
+in.  An opening manifest (one naming ``run_id``) takes the fields of
+its log's latest session record and replaces the run's manifest, and a
+closing one updates it; the last summary wins.  Digests in manifests
+and summaries resolve through every ``config`` record under the root.
+Logs written before these content records existed (configs inline,
+every field in each manifest, the ``run.opened``, ``run.wall_seconds``,
+``sweep.rows`` and ``sweep.errors`` metrics recorded) read unchanged;
+in a log with a session record, those four metrics are rebuilt from
+the manifests.  Per-run directories of the old layout
+(``<run_id>/manifest.json``, ``metrics.jsonl``, ``spans.jsonl``,
+``summary.json``) are ignored.
 """
 
 from __future__ import annotations
@@ -26,23 +40,67 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro import jsonlog
 from repro.errors import ConfigurationError
-from repro.telemetry.manifest import check_manifest
+from repro.telemetry.manifest import check_manifest, unresolved
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.core.experiment import ExperimentConfig
 
 #: Format version of every run log record.
 LOG_FORMAT = 1
 
-#: The record kinds: each record names its run under one of these.
-KINDS = ("manifest", "metric", "span", "summary")
+#: The record kinds: each record names what it belongs to under one.
+KINDS = ("manifest", "metric", "span", "summary", "config", "session")
+
+#: A log forgets which configs it holds past this many (a long-lived
+#: service scores without bound); it then writes some of them again,
+#: which readers take as the same config.
+CONFIGS_HELD_MAX = 65536
 
 #: (runs root, pid) -> that process's log.
-_logs: dict[tuple[Path, int], jsonlog.Buffered] = {}
+_logs: dict[tuple[Path, int], "RunLog"] = {}
 
 
-def process_log(root: Path, *, renew: bool = False) -> jsonlog.Buffered:
+class RunLog(jsonlog.Buffered):
+    """A process's run log, which knows the content records it holds:
+    each config's digest, and the last session fields."""
+
+    __slots__ = ("_configs", "_session")
+
+    def __init__(self, path: Path) -> None:
+        super().__init__(path)
+        self._configs: set[str] = set()
+        self._session: dict[str, Any] | None = None
+
+    def add_session(self, fields: dict[str, Any]) -> None:
+        """Queue a ``session`` record unless the last one holds
+        ``fields``."""
+        if fields != self._session:
+            self._session = fields
+            self.add(record(self.path.stem, "session", fields))
+
+    def add_config(self, config: "ExperimentConfig", digest: str,
+                   text: str | None = None) -> str:
+        """Queue ``config``'s record unless this log holds ``digest``,
+        from ``text``, its canonical JSON, when the caller has it;
+        returns ``digest``."""
+        if digest not in self._configs:
+            if text is None:
+                from repro.core.cache import config_text
+
+                text = config_text(config)
+            if len(self._configs) >= CONFIGS_HELD_MAX:
+                self._configs.clear()
+            self._configs.add(digest)
+            self.add(f'{{"config":"{digest}","format":{LOG_FORMAT},'
+                     f'"snapshot":{text}}}')
+        return digest
+
+
+def process_log(root: Path, *, renew: bool = False) -> RunLog:
     """This process's log under ``root``, named on first use; ``renew``
     names a new one (a resumed run's records then sort after the logs
     that hold its earlier records)."""
@@ -53,14 +111,15 @@ def process_log(root: Path, *, renew: bool = False) -> jsonlog.Buffered:
         session = (time.strftime("%Y%m%d-%H%M%S", time.localtime(now // 10**9))
                    + f".{now // 1000 % 1_000_000:06d}-{key[1]}-"
                    f"{uuid.uuid4().hex[:6]}")
-        log = _logs[key] = jsonlog.Buffered(root / f"{session}.jsonl")
+        log = _logs[key] = RunLog(root / f"{session}.jsonl")
     return log
 
 
-def record(run_id: str, kind: str, payload: dict[str, Any]
+def record(tag: str, kind: str, payload: dict[str, Any]
            ) -> dict[str, Any]:
-    """One log record of run ``run_id``; ``payload`` names no kind."""
-    return {**payload, "format": LOG_FORMAT, kind: run_id}
+    """One log record of kind ``kind`` belonging to ``tag`` (a run id,
+    for the run records); ``payload`` names no kind."""
+    return {**payload, "format": LOG_FORMAT, kind: tag}
 
 
 @dataclass
@@ -84,16 +143,30 @@ class RunRecords:
         """The summary's rows, after the schema checks (none without)."""
         from repro.core.persistence import sweep_from_payload
 
-        return [] if self.summary is None else list(sweep_from_payload(
-            self.summary, f"run {self.run_id} summary").rows)
+        if self.summary is None:
+            return []
+        where = f"run {self.run_id} summary"
+        rows = self.summary.get("rows")
+        missing = isinstance(rows, list) and unresolved(
+            [row.get("config") for row in rows if isinstance(row, dict)])
+        if missing:
+            raise ConfigurationError(
+                f"{where}: config {missing} is not in the run log")
+        return list(sweep_from_payload(self.summary, where).rows)
+
+
+def _metric(name: str, kind: str, value: Any) -> dict[str, Any]:
+    return {"name": name, "kind": kind, "v": value}
 
 
 def scan(root: Path) -> dict[str, RunRecords]:
     """Every run recorded under ``root``, keyed by run id."""
     runs: dict[str, RunRecords] = {}
+    configs: dict[str, Any] = {}
     for path in sorted(root.glob("*.jsonl")):
         records, file_torn = jsonlog.read(path, LOG_FORMAT)
         held: dict[str, RunRecords] = {}
+        session: dict[str, Any] | None = None
         for rec in records:
             kinds = [kind for kind in KINDS if kind in rec]
             if len(kinds) != 1 or not isinstance(rec[kinds[0]], str):
@@ -101,22 +174,58 @@ def scan(root: Path) -> dict[str, RunRecords]:
                 file_torn += 1
                 continue
             kind = kinds[0]
-            run_id = rec.pop(kind)
-            run = held.get(run_id)
+            tag = rec.pop(kind)
+            if kind == "config":
+                if isinstance(rec.get("snapshot"), dict):
+                    configs[tag] = rec["snapshot"]
+                else:
+                    file_torn += 1
+                continue
+            if kind == "session":
+                session = rec
+                continue
+            run = held.get(tag)
             if run is None:
-                run = held[run_id] = runs.setdefault(run_id,
-                                                     RunRecords(run_id))
+                run = held[tag] = runs.setdefault(tag, RunRecords(tag))
                 run.files.append(path)
             if kind == "summary":
                 run.summary = rec
-            elif kind == "manifest":  # an opening one names run_id
-                run.manifest = rec if "run_id" in rec \
-                    else {**run.manifest, **rec}
+            elif kind == "manifest" and "run_id" in rec:  # an opening one
+                run.manifest = rec if session is None \
+                    else {**session, **rec}
+                if session is not None:
+                    run.metrics.append(_metric("run.opened", "counter", 1))
+            elif kind == "manifest":
+                run.manifest = {**run.manifest, **rec}
+                if session is not None and "wall_seconds" in rec:
+                    run.metrics += [
+                        _metric(name, "gauge", rec.get(field))
+                        for name, field in (("run.wall_seconds",
+                                             "wall_seconds"),
+                                            ("sweep.rows", "n_rows"),
+                                            ("sweep.errors", "n_errors"))]
             else:
                 (run.metrics if kind == "metric" else run.spans).append(rec)
         for run in held.values():
             run.torn_lines += file_torn
+    for run in runs.values():
+        _resolve(run, configs)
     return runs
+
+
+def _resolve(run: RunRecords, configs: dict[str, Any]) -> None:
+    """Put the configs a run's manifest and summary name by digest in
+    place; a digest no ``config`` record holds stays, for the checks."""
+    refs = run.manifest.get("configs")
+    if isinstance(refs, list):
+        run.manifest["configs"] = [
+            configs.get(ref, ref) if isinstance(ref, str) else ref
+            for ref in refs]
+    rows = run.summary.get("rows") if run.summary is not None else None
+    for row in rows if isinstance(rows, list) else ():
+        ref = row.get("config") if isinstance(row, dict) else None
+        if isinstance(ref, str):
+            row["config"] = configs.get(ref, ref)
 
 
 def manifests(root: Path) -> Iterator[dict[str, Any]]:

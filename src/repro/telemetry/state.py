@@ -76,10 +76,21 @@ def set_results_dir(path: str | Path) -> None:
     os.environ[ENV_RESULTS_DIR] = str(path)
 
 
+#: ``$REPRO_RESULTS_DIR`` (or ``None``) -> the runs root it names.
+_default_roots: dict[str | None, Path] = {}
+
+
 def runs_root(results_dir: str | Path | None = None) -> Path:
-    """The directory of the run logs (:mod:`repro.telemetry.runlog`)."""
-    base = Path(results_dir) if results_dir is not None else results_root()
-    return base / "runs"
+    """The directory of the run logs (:mod:`repro.telemetry.runlog`);
+    the default one is resolved once per value of
+    :data:`ENV_RESULTS_DIR`."""
+    if results_dir is not None:
+        return Path(results_dir) / "runs"
+    env = os.environ.get(ENV_RESULTS_DIR)
+    root = _default_roots.get(env)
+    if root is None:
+        root = _default_roots[env] = results_root() / "runs"
+    return root
 
 
 def current_run() -> "RunContext | None":

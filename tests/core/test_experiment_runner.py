@@ -53,6 +53,17 @@ class TestConfigSpaces:
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig(**{"app": "ffvc", field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("allocation", "cyclic"), ("allocation", None),
+        ("binding", "compact"), ("binding", {"policy": "compact",
+                                             "stride": 1}),
+    ])
+    def test_binding_and_allocation_keep_their_types(self, field, value):
+        """A plain string would construct, then fail with an
+        AttributeError wherever the config is encoded or labelled."""
+        with pytest.raises(ConfigurationError, match=f"{field} must be a"):
+            ExperimentConfig(**{"app": "ffvc", field: value})
+
     def test_label_contents(self):
         c = ExperimentConfig(app="ffvc", n_ranks=8, n_threads=6,
                              options_preset="as-is")

@@ -1,6 +1,6 @@
 """The shared JSONL-log primitive and every store that reads through it.
 
-One torn-input policy for all seven readers: a line that fails to
+One torn-input policy for all eight readers: a line that fails to
 decode, fails to parse, or is not a JSON object is skipped and counted;
 an object of another format is skipped silently; every intact record
 survives; nothing raises.
@@ -15,12 +15,14 @@ import pytest
 from repro import jsonlog
 from repro.analysis.cache import LintCache
 from repro.analysis.diagnostics import DiagnosticReport
-from repro.core.cache import ResultCache
+from repro.core.cache import ResultCache, config_snapshot
 from repro.core.experiment import ExperimentConfig
 from repro.core.journal import SweepJournal
 from repro.core.runner import Row
+from repro.errors import ConfigurationError
 from repro.service.jobs import JobLedger, JobRecord, JobSpec
 from repro.telemetry import runlog
+from repro.telemetry.manifest import manifest_configs
 from repro.telemetry.metrics import MetricsRegistry, aggregate
 from repro.telemetry.spans import SpanRecorder
 
@@ -111,6 +113,30 @@ def _spans_read(d):
     return {int(span["name"][1:]) for span in run.spans}, run.torn_lines
 
 
+def _configs_write(d, i):
+    # a config record and a manifest naming it, flushed as one write
+    log = runlog.RunLog(d / RUN_LOG)
+    digest = log.add_config(_config(i), *config_snapshot(_config(i)))
+    log.add(runlog.record(f"r{i}", "manifest", {
+        "run_id": f"r{i}", "kind": "sweep", "name": f"n{i}",
+        "engine": "event", "configs": [digest]}))
+    log.flush()
+
+
+def _configs_read(d):
+    runs = runlog.scan(d / "runs").values()
+    survived = {int(run.run_id[1:]) for run in runs
+                if _resolves(run, _config(int(run.run_id[1:])))}
+    return survived, max(run.torn_lines for run in runs)
+
+
+def _resolves(run, config):
+    try:
+        return manifest_configs(run.checked_manifest()) == [config]
+    except ConfigurationError:
+        return False
+
+
 READERS = {
     "cache-load": (ResultCache.FILENAME, _cache_write, _cache_read),
     "cache-compact": (ResultCache.FILENAME, _cache_write, _compact_read),
@@ -119,6 +145,7 @@ READERS = {
     "ledger-replay": (JobLedger.FILENAME, _ledger_write, _ledger_read),
     "read_metrics": (RUN_LOG, _metrics_write, _metrics_read),
     "read_spans": (RUN_LOG, _spans_write, _spans_read),
+    "read_configs": (RUN_LOG, _configs_write, _configs_read),
 }
 
 # (bad bytes appended after record 0, torn count, survivors).  The
@@ -153,6 +180,24 @@ def test_append_bytes_match_the_canonical_line(tmp_path):
     expected = json.dumps(record, sort_keys=True,
                           separators=(",", ":")) + "\n"
     assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("value", [
+    {"format": 1, "b": [1.5, None, -0.0, 1e300, 5e-324], "a": "é\x00\u2028"},
+    {"n": float("nan"), "i": float("inf"), "m": float("-inf")},
+    {"z": {"y": [[], {}], "x": True, "w": False}, "big": 2**70, "neg": -3},
+    [{"k": 1}, "s", 0.1], "plain", 7, None,
+], ids=repr)
+def test_encode_is_the_stdlib_encoding(value):
+    """The encoder built once writes what ``json`` writes with the same
+    settings, so digests and log lines do not depend on which ran."""
+    assert jsonlog.encode(value) == json.dumps(
+        value, sort_keys=True, separators=(",", ":"))
+
+
+def test_encode_falls_back_without_the_c_accelerator(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert jsonlog._canonical_encoder() == jsonlog._ENCODER.encode
 
 
 def test_rewrite_round_trips_appended_bytes(tmp_path):

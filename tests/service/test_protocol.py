@@ -109,6 +109,29 @@ def test_bad_spec_is_refused_on_the_wire_and_torn_in_the_ledger(
     assert ledger.torn_lines == 1
 
 
+@pytest.mark.parametrize("deadline", [float("nan"), float("inf"), "nan"],
+                         ids=repr)
+def test_non_finite_deadline_is_refused_on_the_wire_and_torn_in_the_ledger(
+        deadline, tmp_path):
+    """A NaN deadline passes ``<= 0`` and never expires; an infinite
+    one is no deadline.  Both are refused like any bad field."""
+    configs = [ExperimentConfig(app="ffvc")]
+    frame = {**protocol.submit_frame("f1", configs, "event"),
+             "deadline_s": deadline}
+    with pytest.raises(ProtocolError, match="deadline_s must be finite"):
+        protocol.parse_submit(protocol.decode_frame(
+            protocol.encode_frame(frame)))
+
+    ledger = JobLedger(tmp_path / JobLedger.FILENAME)
+    spec = JobSpec(name="f1", engine="event", configs=tuple(configs),
+                   job_id="job-1", submitted_at=1.0)
+    jsonlog.append(ledger.path, {
+        "format": 1, "event": "submitted", "t": 1.0,
+        "job": {**spec.to_dict(), "deadline_s": deadline}})
+    assert ledger.replay() == {}
+    assert ledger.torn_lines == 1
+
+
 def test_ledger_submit_without_job_id_is_torn(tmp_path):
     ledger = JobLedger(tmp_path / JobLedger.FILENAME)
     record = {"name": "f1", "engine": "event",

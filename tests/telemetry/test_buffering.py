@@ -2,6 +2,7 @@
 run log, the write count of one run, no file created after the first
 run, the flush bounds, and what a hard kill leaves."""
 
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 import repro
 from repro import jsonlog, telemetry
 from repro.analytic import engine as analytic_engine
-from repro.core.cache import ResultCache
+from repro.core.cache import ResultCache, model_fingerprint
 from repro.core.experiment import MPI_OMP_CONFIGS, ExperimentConfig
 from repro.core.runner import run_config, run_sweep
 from repro.runtime.affinity import ProcessAllocation, ThreadBinding
@@ -91,6 +92,43 @@ def test_one_run_appends_twice_to_the_log(results_dir, monkeypatch):
     assert run.torn_lines == 0 and aggs["run.opened"].total == 1
 
 
+def _kinds(log):
+    """Record kind -> count, in one log."""
+    counts = {}
+    for line in log.read_text().splitlines():
+        kind = next(k for k in telemetry.runlog.KINDS if k in json.loads(line))
+        counts[kind] = counts.get(kind, 0) + 1
+    return counts
+
+
+class TestContentRecords:
+    """A log holds each config once and the session fields once."""
+
+    def test_two_sweeps_write_each_config_once(self, results_dir):
+        for name in ("first", "second"):
+            run_sweep(name, F1, engine="analytic")
+        (log,) = log_files(results_dir)
+        counts = _kinds(log)
+        assert (counts["config"], counts["session"]) == (len(F1), 1)
+        assert (counts["manifest"], counts["summary"]) == (4, 2)
+        assert [len(run.rows()) for run in
+                telemetry.runlog.scan(results_dir / "runs").values()] \
+            == [len(F1)] * 2
+
+    def test_resumed_run_writes_its_own_config_records(self, results_dir,
+                                                       tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        run_sweep("res", F1, cache, engine="analytic")
+        run_sweep("res", F1, cache, engine="analytic", resume=True)
+        first, resumed = log_files(results_dir)
+        assert _kinds(first)["config"] == _kinds(resumed)["config"] \
+            == len(F1)
+        first.unlink()  # the resumed log resolves on its own
+        run = only_run(results_dir)
+        assert manifest_mod.manifest_configs(run.checked_manifest()) == F1
+        assert [row.config for row in run.rows()] == F1
+
+
 def test_runs_after_the_first_create_no_file(results_dir, monkeypatch,
                                              tmp_path):
     """After a process's first recorded run, 20 more runs create no
@@ -124,6 +162,10 @@ def test_runs_after_the_first_create_no_file(results_dir, monkeypatch,
 class TestFlushBounds:
     """Both bounds flush a long sweep before its finalize."""
 
+    #: Lines the opening flush of the 2-config sweep writes: the session
+    #: record, the two config records and the manifest.
+    OPENING = 4
+
     def _sweep_probing(self, monkeypatch, probe):
         real = analytic_engine.score_configs
 
@@ -149,7 +191,8 @@ class TestFlushBounds:
         # the opening manifest, then one batch of FLUSH_RECORDS records:
         # the ones queued before the probe and every probe event
         ((before, after, pending),) = seen
-        assert (before, after) == (1, 1 + jsonlog.FLUSH_RECORDS)
+        assert (before, after) == (self.OPENING,
+                                   self.OPENING + jsonlog.FLUSH_RECORDS)
         aggs, _ = aggregate(only_run(results_dir).metrics)
         assert aggs["test.event"].total == jsonlog.FLUSH_RECORDS - pending
 
@@ -169,7 +212,8 @@ class TestFlushBounds:
 
         self._sweep_probing(monkeypatch, probe)
         ((before, after),) = seen
-        assert before == 1 and after >= 3  # everything pending, at once
+        # everything pending, at once
+        assert before == self.OPENING and after >= self.OPENING + 2
         aggs, _ = aggregate(only_run(results_dir).metrics)
         assert aggs["test.late"].total == 1
 
@@ -203,16 +247,36 @@ run_sweep("crash", configs, ResultCache(cache_dir), engine="event")
 """
 
 
-def test_sigkill_mid_sweep_leaves_a_readable_resumable_run(results_dir,
-                                                           tmp_path):
-    cache_dir = tmp_path / "cache"
-    marker = tmp_path / "mid-sweep"
+_CHILD_OPEN = """
+import sys, time
+from pathlib import Path
+from repro import jsonlog
+from repro.analytic import engine
+from repro.core.experiment import MPI_OMP_CONFIGS, ExperimentConfig
+from repro.core.runner import run_sweep
+
+marker = Path(sys.argv[1])
+jsonlog.FLUSH_SECONDS = float("inf")  # only the opening flush is written
+
+def score(configs):
+    marker.touch()
+    time.sleep(120)
+
+engine.score_configs = score
+run_sweep("killed", [ExperimentConfig(app="ffvc", n_ranks=r, n_threads=t)
+                     for r, t in MPI_OMP_CONFIGS], engine="analytic")
+"""
+
+
+def _kill_when_marked(script, marker, *args):
+    """Run ``script`` in a child until it touches ``marker``, then
+    SIGKILL it."""
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src, *filter(None, [env.get("PYTHONPATH")])])
     child = subprocess.Popen(
-        [sys.executable, "-c", _CHILD, str(cache_dir), str(marker)],
+        [sys.executable, "-c", script, *args, str(marker)],
         env=env, stderr=subprocess.PIPE)
     try:
         deadline = time.monotonic() + 120
@@ -221,12 +285,33 @@ def test_sigkill_mid_sweep_leaves_a_readable_resumable_run(results_dir,
                 pytest.fail("child exited before the kill: "
                             + child.stderr.read().decode())
             if time.monotonic() > deadline:
-                pytest.fail("child never reached the third config")
+                pytest.fail("child never reached the marker")
             time.sleep(0.02)
     finally:
         child.kill()
         child.wait()
         child.stderr.close()
+
+
+def test_sigkill_right_after_open_leaves_resolvable_configs(results_dir,
+                                                            tmp_path):
+    """The opening flush holds the session, every config the manifest
+    names, and the manifest: a run killed before any other write still
+    reads, configs and all."""
+    _kill_when_marked(_CHILD_OPEN, tmp_path / "opened")
+    (log,) = log_files(results_dir)
+    assert _kinds(log) == {"session": 1, "config": len(F1), "manifest": 1}
+    run = only_run(results_dir)
+    manifest = run.checked_manifest()
+    assert manifest["status"] == "running"
+    assert manifest_mod.manifest_configs(manifest) == F1
+    assert manifest["model_fingerprint"] == model_fingerprint()
+
+
+def test_sigkill_mid_sweep_leaves_a_readable_resumable_run(results_dir,
+                                                           tmp_path):
+    cache_dir = tmp_path / "cache"
+    _kill_when_marked(_CHILD, tmp_path / "mid-sweep", str(cache_dir))
 
     run = only_run(results_dir)
     manifest = run.checked_manifest()

@@ -23,9 +23,11 @@ class TestRecording:
         sweep = run_sweep("rec", CFGS, {}, engine="analytic")
         assert len(sweep.rows) == 2
         (log,) = log_files(results_dir)
-        kinds = [next(k for k in ("manifest", "metric", "span", "summary")
-                      if k in rec)
+        kinds = [next(k for k in telemetry.runlog.KINDS if k in rec)
                  for rec in map(json.loads, log.read_text().splitlines())]
+        # the log's session and config records come first
+        assert kinds[:3] == ["session", "config", "config"]
+        kinds = kinds[3:]
         # the run opens with a manifest and closes with summary, manifest
         assert kinds[0] == "manifest" and kinds[-2:] == ["summary",
                                                         "manifest"]
