@@ -22,6 +22,11 @@ process, ``results/runs/<session>.jsonl``, by default;
 ``--no-telemetry`` (or ``REPRO_TELEMETRY=off``) restores the unrecorded
 path.
 
+A command whose standard output is closed before it finishes printing
+(``repro report <id> | head -1``) stops there without a traceback and
+exits with status 141 (:data:`EXIT_BROKEN_PIPE`), the status a shell
+reports for a process that ``SIGPIPE`` ended.
+
 ``run`` and ``profile`` accept the same app/placement flags (one shared
 wiring, :func:`_add_app_flags` / :func:`_add_placement_flags`), with
 forgiving spellings: ``--app ccs_qcd`` and ``--processor a64fx`` resolve
@@ -31,6 +36,7 @@ to ``ccs-qcd`` / ``A64FX``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -38,6 +44,11 @@ from repro.machine import catalog
 from repro.miniapps import SUITE, by_name
 from repro.names import ENGINES, PRIORITIES
 from repro.units import fmt_bw, fmt_rate, fmt_time
+
+
+#: Exit status of a command whose standard output closed early: 128 +
+#: ``SIGPIPE``, as a shell reports a process that signal ended.
+EXIT_BROKEN_PIPE = 141
 
 
 def _app_name(value: str) -> str:
@@ -165,7 +176,6 @@ def _cmd_list_processors(_args) -> int:
 def _run_error(args, exc: Exception) -> int:
     """Surface a failed ``repro run`` as a one-config sweep error:
     class, message, originating pid, and the full traceback."""
-    import os
     import traceback
 
     from repro.core.experiment import ExperimentConfig
@@ -1260,7 +1270,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.analysis import set_advise_mode
 
         set_advise_mode(mode)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: send the rest of the output, and the flush
+        # at interpreter exit, to devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable
 
 from repro import jsonlog
 from repro.core.experiment import ExperimentConfig
@@ -62,12 +61,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             from None
 
 
-def row_to_dict(row: Row, encode_config: Callable[[ExperimentConfig], Any]
-                = config_to_dict) -> dict:
-    """A row as JSON; ``encode_config`` writes its config (a run log
-    writes the config's digest)."""
+def row_to_dict(row: Row) -> dict:
     return {
-        "config": encode_config(row.config),
+        "config": config_to_dict(row.config),
         "elapsed": row.elapsed,
         "gflops": row.gflops,
         "dram_gbytes_per_s": row.dram_gbytes_per_s,
@@ -92,15 +88,12 @@ def row_from_dict(d: dict) -> Row:
             from None
 
 
-def sweep_to_payload(sweep: SweepResult,
-                     encode_config: Callable[[ExperimentConfig], Any]
-                     = config_to_dict) -> dict:
-    """The JSON payload :func:`save_sweep` writes (and a run log's
-    ``summary`` record holds, with config digests for configs)."""
+def sweep_to_payload(sweep: SweepResult) -> dict:
+    """The JSON payload :func:`save_sweep` writes."""
     return {
         "schema": SCHEMA_VERSION,
         "name": sweep.name,
-        "rows": [row_to_dict(r, encode_config) for r in sweep.rows],
+        "rows": [row_to_dict(r) for r in sweep.rows],
     }
 
 

@@ -16,7 +16,9 @@ the stores keep only their record semantics:
   per run (a process's run log, :mod:`repro.telemetry.runlog`): records
   wait in memory and go out as one ``O_APPEND`` write per flush, at most
   :data:`FLUSH_RECORDS` records or :data:`FLUSH_SECONDS` after the last
-  flush.  A killed process loses at most the unflushed tail.
+  flush.  A queued record may be *held* and updated in place until the
+  flush that writes it (a run's counters fold their events that way).
+  A killed process loses at most the unflushed tail.
 * :func:`read` never raises on content.  A line that fails to decode as
   UTF-8, fails to parse, or is not a JSON object is *torn*: skipped and
   counted.  An object of another ``format`` is *foreign*: skipped, not
@@ -120,27 +122,45 @@ class Buffered:
     writes a config record around the text its digest hashed).  Records
     may be added from several threads: a flush takes the records
     pending when it starts and leaves later ones queued.
+
+    A record queued with :meth:`hold` stays in :attr:`held` under its
+    writer's key until the flush that writes it, and its writer may
+    update it in place till then.  Holding, and every update of a held
+    record, happens under :attr:`lock`, which the flush takes too: an
+    update lands in the batch that writes the record or finds it gone.
     """
 
-    __slots__ = ("path", "_pending", "_flushed_at", "_lock")
+    __slots__ = ("path", "lock", "held", "_pending", "_flushed_at")
 
     def __init__(self, path: Path) -> None:
         self.path = path
+        self.lock = threading.Lock()
+        #: Queued records their writers still update, by writer's key.
+        self.held: dict[Any, dict[str, Any]] = {}
         self._pending: list[dict[str, Any] | str] = []
         self._flushed_at = time.monotonic()
-        self._lock = threading.Lock()
 
     def add(self, record: dict[str, Any] | str) -> None:
-        pending = self._pending
-        pending.append(record)
-        if len(pending) >= FLUSH_RECORDS \
+        self._pending.append(record)
+        self.due()
+
+    def hold(self, key: Any, record: dict[str, Any]) -> None:
+        """Queue ``record`` and hold it under ``key``; call with
+        :attr:`lock` held, and :meth:`due` after releasing it."""
+        self.held[key] = record
+        self._pending.append(record)
+
+    def due(self) -> None:
+        """Flush if either bound is reached."""
+        if len(self._pending) >= FLUSH_RECORDS \
                 or time.monotonic() - self._flushed_at >= FLUSH_SECONDS:
             self.flush()
 
     def flush(self) -> None:
         """Write every pending record (no write when none is)."""
-        with self._lock:
+        with self.lock:
             self._flushed_at = time.monotonic()
+            self.held.clear()
             pending = self._pending
             n = len(pending)
             if not n:

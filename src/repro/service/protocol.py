@@ -57,6 +57,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro import jsonlog
 from repro.core.experiment import ExperimentConfig
 from repro.core.persistence import row_from_dict, row_to_dict
 from repro.core.runner import Row
@@ -76,9 +77,12 @@ OPS = ("submit", "watch", "jobs", "status", "cancel", "ping", "health",
 
 
 def encode_frame(frame: dict[str, Any]) -> bytes:
-    """Serialize one frame to its wire form (compact JSON + newline)."""
-    line = json.dumps(frame, sort_keys=True, separators=(",", ":"))
-    data = line.encode("utf-8") + b"\n"
+    """Serialize one frame to its wire form (compact JSON + newline):
+    the bytes ``json.dumps(frame, sort_keys=True, separators=(",",
+    ":"))`` gives, from the encoder every store shares
+    (:func:`repro.jsonlog.encode`, which skips the circular-reference
+    check: frames are trees)."""
+    data = jsonlog.encode(frame).encode("utf-8") + b"\n"
     if len(data) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(data)} bytes exceeds the "

@@ -21,8 +21,8 @@ so an uninstrumented path (``REPRO_TELEMETRY=off`` / ``--no-telemetry``
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator
+from contextlib import nullcontext
+from typing import Any, ContextManager
 
 from repro.telemetry.run import RunContext, run_scope
 from repro.telemetry.spans import Span
@@ -71,13 +71,13 @@ def observe(name: str, value: float, **labels: Any) -> None:
         run.metrics.observe(name, value, **labels)
 
 
-@contextmanager
-def span(name: str, **attrs: Any) -> Iterator[Span | None]:
+_NO_SPAN = nullcontext()
+
+
+def span(name: str, **attrs: Any) -> ContextManager[Span | None]:
     """Open an orchestration span on the active run (no-op without
     one — yields ``None`` so callers can guard attribute updates)."""
     run = current_run()
     if run is None:
-        yield None
-        return
-    with run.spans.span(name, **attrs) as sp:
-        yield sp
+        return _NO_SPAN
+    return run.spans.span(name, **attrs)

@@ -4,10 +4,23 @@ Metric names form a **stable vocabulary** (documented in DESIGN.md):
 reports, CI gates, and future dashboards key on them, so renaming one is
 a breaking change.  The registry updates an in-memory aggregate per
 event (so a live ``RunContext`` can summarize itself without re-reading
-its own records) and hands one record per event to the run's sink,
-which queues it as a ``metric`` record of the run log
-(:mod:`repro.telemetry.runlog`).  :func:`aggregate` rebuilds the
-aggregates from the records.
+its own records) and writes ``metric`` records to the run's log
+(:mod:`repro.telemetry.runlog`):
+
+* a counter's events fold into one record per name per flush of the
+  log, ``v`` their total, ``n`` their number and ``min``/``max``/``last``
+  as the aggregate keeps them.  The record is queued at the name's first
+  event after a flush and updated in place until the next flush writes
+  it, so an event reaches the disk when it would as a record of its own.
+  Only integral, non-negative increments fold, while the total stays
+  below 2**53: such sums are exact in any grouping.  Any other event of
+  the name (a fractional or negative increment, labels, a gauge or
+  histogram event) is written as its own record, and so is every later
+  event of that name, which keeps the records in event order;
+* a gauge or histogram event is one record, ``v`` its value.
+
+:func:`aggregate` rebuilds the aggregates from either kind of record,
+equal field for field to the live ones.
 """
 
 from __future__ import annotations
@@ -15,7 +28,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
+
+from repro.telemetry.runlog import LOG_FORMAT, RunLog
 
 #: Metric kinds (the ``kind`` field of every record).
 KINDS = ("counter", "gauge", "histogram")
@@ -44,6 +59,16 @@ class MetricAggregate:
         self.max = max(self.max, value)
         if self.kind == "histogram":
             self.values.append(value)
+
+    def merge(self, n: int, total: float, lo: float, hi: float,
+              last: float) -> None:
+        """Take in ``n`` counter events summing to ``total``, their
+        minimum ``lo``, maximum ``hi`` and last value ``last``."""
+        self.count += n
+        self.total += total
+        self.last = last
+        self.min = min(self.min, lo)
+        self.max = max(self.max, hi)
 
     @property
     def mean(self) -> float:
@@ -77,20 +102,27 @@ class MetricAggregate:
         return out
 
 
+#: A counter folds its increments while its total stays below this:
+#: every partial sum of non-negative integers under it is exact.
+_EXACT = float(2 ** 53)
+
+
 class MetricsRegistry:
     """Process-side metric sink for one run.
 
-    ``sink=None`` keeps the registry memory-only (tests, dry contexts);
-    otherwise every event's record is handed to ``sink``.
+    ``log=None`` keeps the registry memory-only (tests, dry contexts);
+    otherwise its events become ``metric`` records of run ``run_id`` in
+    ``log``.
     """
 
-    __slots__ = ("_aggregates", "_sink")
+    __slots__ = ("_aggregates", "_log", "_run_id", "_loose")
 
-    def __init__(self,
-                 sink: Callable[[dict[str, Any]], None] | None = None,
-                 ) -> None:
+    def __init__(self, log: RunLog | None = None, run_id: str = "") -> None:
         self._aggregates: dict[str, MetricAggregate] = {}
-        self._sink = sink
+        self._log = log
+        self._run_id = run_id
+        #: Names whose events are written one record each from now on.
+        self._loose: set[str] = set()
 
     # ------------------------------------------------------------------
     def _record(self, name: str, kind: str, value: float,
@@ -99,19 +131,57 @@ class MetricsRegistry:
         if agg is None:
             agg = self._aggregates[name] = MetricAggregate(name, kind)
         agg.update(value)
-        if self._sink is None:
+        log = self._log
+        if log is None:
             return
-        rec: dict[str, Any] = {"t": time.time(), "name": name,
-                               "kind": kind, "v": value}
+        self._loose.add(name)
+        rec: dict[str, Any] = {"t": time.time(), "name": name, "kind": kind,
+                               "v": value, "format": LOG_FORMAT,
+                               "metric": self._run_id}
         if labels:
             rec["labels"] = labels
-        self._sink(rec)
+        log.add(rec)
+
+    def _fold(self, log: RunLog, name: str, value: float) -> bool:
+        """Fold one counter increment into the name's held record (call
+        with ``log.lock`` held); ``False`` when it may not fold."""
+        agg = self._aggregates.get(name)
+        if agg is None:
+            agg = self._aggregates[name] = MetricAggregate(name, "counter")
+        elif agg.kind != "counter" or agg.total + value >= _EXACT:
+            return False
+        agg.update(value)
+        key = (self, name)
+        rec = log.held.get(key)
+        if rec is None:
+            log.hold(key, {"t": time.time(), "name": name, "kind": "counter",
+                           "v": value, "n": 1, "min": value, "max": value,
+                           "last": value, "format": LOG_FORMAT,
+                           "metric": self._run_id})
+            return True
+        rec["v"] += value
+        rec["n"] += 1
+        rec["last"] = value
+        if value < rec["min"]:
+            rec["min"] = value
+        if value > rec["max"]:
+            rec["max"] = value
+        return True
 
     # ------------------------------------------------------------------
     def count(self, name: str, n: float = 1,
               **labels: Any) -> None:
         """Increment a monotonically accumulating counter by ``n``."""
-        self._record(name, "counter", float(n), labels or None)
+        value = float(n)
+        log = self._log
+        if log is not None and not labels and name not in self._loose \
+                and value >= 0 and value.is_integer():
+            with log.lock:
+                folded = self._fold(log, name, value)
+            if folded:
+                log.due()
+                return
+        self._record(name, "counter", value, labels or None)
 
     def gauge(self, name: str, value: float, **labels: Any) -> None:
         """Set a point-in-time value (readers keep the last one)."""
@@ -137,20 +207,35 @@ class MetricsRegistry:
 
 def aggregate(records: Iterable[dict[str, Any]],
               ) -> tuple[dict[str, MetricAggregate], int]:
-    """Rebuild per-name aggregates from metric records.
+    """Rebuild per-name aggregates from metric records, folded counter
+    records and per-event records alike.
 
     Returns ``(aggregates, malformed count)``: a record missing its
-    name, kind or numeric value is skipped and counted.
+    name, kind or numeric value, or a folded record that is not a
+    counter's or lacks a positive ``n`` or a numeric ``min``, ``max``
+    or ``last``, is skipped and counted.
     """
-    registry = MetricsRegistry()
+    aggregates: dict[str, MetricAggregate] = {}
     torn = 0
     for rec in records:
         try:
             name, kind, value = str(rec["name"]), rec["kind"], float(rec["v"])
+            folded = "n" in rec
+            if folded:
+                n, lo, hi, last = (rec["n"], float(rec["min"]),
+                                   float(rec["max"]), float(rec["last"]))
         except (ValueError, KeyError, TypeError):
-            kind = None
-        if kind in KINDS:
-            registry._record(name, kind, value, None)
-        else:
             torn += 1
-    return registry._aggregates, torn
+            continue
+        if kind not in KINDS or folded and (
+                kind != "counter" or type(n) is not int or n < 1):
+            torn += 1
+            continue
+        agg = aggregates.get(name)
+        if agg is None:
+            agg = aggregates[name] = MetricAggregate(name, kind)
+        if folded:
+            agg.merge(n, value, lo, hi, last)
+        else:
+            agg.update(value)
+    return aggregates, torn

@@ -1,16 +1,17 @@
 """The RunContext: one recorded run = records in its process's run log.
 
-A run appends a ``manifest`` (:mod:`.manifest`), ``metric`` events
-(:mod:`.metrics`), closed ``span`` records (:mod:`.spans`) and a
-``summary`` of its rows to the log :mod:`repro.telemetry.runlog` owns,
-with the ``config`` and ``session`` records that log does not hold yet.
-It pays two appends, not one per event: the opening manifest, with the
-config and session records it names, is flushed at
-:meth:`RunContext.open`; everything else waits in the process's
-buffered log (:class:`repro.jsonlog.Buffered`) and goes out in batches,
-the last with the summary and the closing manifest at
-:meth:`RunContext.finalize`.  A hard kill loses at most the unflushed
-tail, never the opening manifest or the configs it names.
+A run appends a ``manifest`` (:mod:`.manifest`), ``metric`` records
+(:mod:`.metrics`: its counters fold per flush), closed ``span`` records
+(:mod:`.spans`) and a ``summary`` of its rows to the log
+:mod:`repro.telemetry.runlog` owns, with the ``config`` and ``session``
+records that log does not hold yet.  It pays two appends, not one per
+event: the opening manifest, with the config and session records it
+names, is flushed at :meth:`RunContext.open`; everything else waits in
+the process's buffered log (:class:`repro.jsonlog.Buffered`) and goes
+out in batches, the last with the summary and the closing manifest at
+:meth:`RunContext.finalize`.  The summary names each row's config by
+the digest :meth:`RunContext.open` computed.  A hard kill loses at most
+the unflushed tail, never the opening manifest or the configs it names.
 
 :func:`run_scope` is the integration point the runner uses: it opens a
 context when telemetry is enabled and no run is active, degrades to a
@@ -25,7 +26,6 @@ from __future__ import annotations
 import time
 import uuid
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -59,15 +59,21 @@ class RunContext:
     """Live recording state for one run."""
 
     __slots__ = ("run_id", "manifest", "metrics", "spans", "log",
-                 "_opened", "_t0", "_summary_name", "_rows", "_errors")
+                 "_opened", "_configs", "_digests", "_t0", "_summary_name",
+                 "_rows", "_errors")
 
-    def __init__(self, log: runlog.RunLog, manifest: dict[str, Any]) -> None:
+    def __init__(self, log: runlog.RunLog, manifest: dict[str, Any],
+                 configs: list["ExperimentConfig"],
+                 digests: list[str]) -> None:
         self.manifest = manifest
         self.run_id: str = manifest["run_id"]
         self.log = log
-        self._opened = dict(manifest)
-        self.metrics = MetricsRegistry(partial(self._add, "metric"))
-        self.spans = SpanRecorder(partial(self._add, "span"))
+        #: The opening manifest record, as queued.
+        self._opened = runlog.record(self.run_id, "manifest", manifest)
+        self._configs = configs
+        self._digests = digests
+        self.metrics = MetricsRegistry(log, self.run_id)
+        self.spans = SpanRecorder(log.add, self.run_id)
         self._t0 = time.perf_counter()
         self._summary_name: str = manifest["name"]
         self._rows: list[Any] = []
@@ -104,8 +110,8 @@ class RunContext:
         log.add_session(manifest_mod.session_fields())
         for config, (digest, text) in zip(configs, snapshots):
             log.add_config(config, digest, text)
-        ctx = cls(log, manifest)
-        ctx._add("manifest", manifest)
+        ctx = cls(log, manifest, configs, manifest["configs"])
+        log.add(ctx._opened)
         log.flush()
         if manifest["resumed_from"]:
             ctx.metrics.count("run.resumed")
@@ -124,24 +130,33 @@ class RunContext:
         self._errors = list(errors or [])
 
     # ------------------------------------------------------------------
-    def _add(self, kind: str, payload: Any) -> None:
-        self.log.add(runlog.record(self.run_id, kind, payload))
+    def _row_digests(self) -> list[str]:
+        """The config digest of each attached row: the one :meth:`open`
+        computed for the config at the row's position, else (a sweep
+        that skipped a config) the config's own, with its record."""
+        from repro.core.cache import config_snapshot
+
+        configs, digests = self._configs, self._digests
+        out = []
+        for i, row in enumerate(self._rows):
+            config = row.config
+            if i < len(configs) and (configs[i] is config
+                                     or configs[i] == config):
+                out.append(digests[i])
+            else:
+                out.append(self.log.add_config(config,
+                                               *config_snapshot(config)))
+        return out
 
     def finalize(self, status: str = "completed",
                  error: BaseException | None = None) -> None:
         """Seal the run: closing metrics, then every queued record, the
         summary rows and the changed manifest fields in one append."""
-        from repro.core.cache import config_snapshot
-        from repro.core.persistence import sweep_to_payload
-        from repro.core.runner import SweepResult
-
         wall = time.perf_counter() - self._t0
         if wall > 0:
             self.metrics.gauge("sweep.rows_per_s", len(self._rows) / wall)
-        add_config = self.log.add_config
-        self._add("summary", sweep_to_payload(
-            SweepResult(self._summary_name, self._rows),
-            lambda config: add_config(config, *config_snapshot(config))))
+        self.log.add(runlog.summary_record(
+            self.run_id, self._summary_name, self._rows, self._row_digests()))
         if error is not None:
             self.manifest["error"] = f"{type(error).__name__}: {error}"
         self.manifest.update(
@@ -151,9 +166,9 @@ class RunContext:
             errors=[{"config": err.config.label(), "error": err.error,
                      "message": err.message} for err in self._errors])
         opened = self._opened
-        self._add("manifest", {
-            key: value for key, value in self.manifest.items()
-            if key not in opened or opened[key] != value})
+        closing = {key: value for key, value in self.manifest.items()
+                   if key not in opened or opened[key] != value}
+        self.log.add(runlog.record(self.run_id, "manifest", closing))
         self.log.flush()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
@@ -190,15 +205,18 @@ def run_scope(*, kind: str, name: str,
         workers=workers, resume=resume,
         cache_dir=str(directory) if directory is not None else None,
         advise=advise, fault_plan=fault_plan, reproduces=reproduces)
+    spans = ctx.spans
+    span = spans.open(kind, label=name, engine=engine, configs=len(configs))
     state.activate(ctx)
     try:
-        with ctx.spans.span(kind, label=name, engine=engine,
-                            configs=len(configs)):
-            yield ctx
+        yield ctx
     except BaseException as exc:
+        span.set(error=type(exc).__name__)
+        spans.close(span)
         ctx.finalize(status="failed", error=exc)
         raise
     else:
+        spans.close(span)
         ctx.finalize(status="completed")
     finally:
         state.deactivate(ctx)

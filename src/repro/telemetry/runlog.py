@@ -7,9 +7,12 @@ when the pid changes, and again when it resumes a run.  A record is its
 payload's fields plus ``"format": 1`` and one tag naming its kind and
 what it belongs to, ``<kind>: <id>``.  Run records name their run:
 ``manifest`` (all fields but the closing ones when the run opens, the
-fields that changed when it finalizes), ``metric``, ``span`` and
-``summary`` (the :func:`repro.core.persistence.save_sweep` payload,
-each row naming its config by digest).  Two kinds are content records
+fields that changed when it finalizes), ``metric`` (one per counter
+name per flush of the log, one per gauge or histogram event: see
+:mod:`repro.telemetry.metrics`), ``span`` and ``summary``.  A summary
+of :data:`SUMMARY_SCHEMA` holds its rows compact, each the list
+``[config digest, engine, elapsed, gflops, dram_gbytes_per_s,
+comm_fraction]`` (:data:`ROW_FIELDS`).  Two kinds are content records
 of the log, written before the first run record that needs them and in
 the same flush: ``config`` (tag: the
 :func:`~repro.core.cache.config_digest`; ``snapshot``: the config),
@@ -22,13 +25,18 @@ order.  A run's records sit in one log unless it was resumed, and a
 resume starts a new log, so this order is the order they were written
 in.  An opening manifest (one naming ``run_id``) takes the fields of
 its log's latest session record and replaces the run's manifest, and a
-closing one updates it; the last summary wins.  Digests in manifests
-and summaries resolve through every ``config`` record under the root.
-Logs written before these content records existed (configs inline,
-every field in each manifest, the ``run.opened``, ``run.wall_seconds``,
-``sweep.rows`` and ``sweep.errors`` metrics recorded) read unchanged;
-in a log with a session record, those four metrics are rebuilt from
-the manifests.  Per-run directories of the old layout
+closing one updates it; the last summary wins, and reads as the
+:func:`repro.core.persistence.save_sweep` payload, its rows expanded
+to dicts.  Digests in manifests and summaries resolve through every
+``config`` record under the root.
+
+Logs of older formats read unchanged: summaries of schema 1 (each row
+a dict naming its config by digest or holding it inline), a metric
+record per counter event, and logs from before the content records
+(configs inline, every field in each manifest, the ``run.opened``,
+``run.wall_seconds``, ``sweep.rows`` and ``sweep.errors`` metrics
+recorded); in a log with a session record, those four metrics are
+rebuilt from the manifests.  Per-run directories of the old layout
 (``<run_id>/manifest.json``, ``metrics.jsonl``, ``spans.jsonl``,
 ``summary.json``) are ignored.
 """
@@ -54,6 +62,12 @@ LOG_FORMAT = 1
 
 #: The record kinds: each record names what it belongs to under one.
 KINDS = ("manifest", "metric", "span", "summary", "config", "session")
+
+#: Schema of a summary record with compact rows; its rows hold
+#: :data:`ROW_FIELDS` in this order.
+SUMMARY_SCHEMA = 2
+ROW_FIELDS = ("config", "engine", "elapsed", "gflops", "dram_gbytes_per_s",
+              "comm_fraction")
 
 #: A log forgets which configs it holds past this many (a long-lived
 #: service scores without bound); it then writes some of them again,
@@ -120,6 +134,18 @@ def record(tag: str, kind: str, payload: dict[str, Any]
     """One log record of kind ``kind`` belonging to ``tag`` (a run id,
     for the run records); ``payload`` names no kind."""
     return {**payload, "format": LOG_FORMAT, kind: tag}
+
+
+def summary_record(run_id: str, name: str, rows: list[Any],
+                   digests: list[str]) -> dict[str, Any]:
+    """Run ``run_id``'s ``summary`` record of sweep ``name``: its rows,
+    compact, each naming its config by the digest at its position in
+    ``digests``."""
+    return {"schema": SUMMARY_SCHEMA, "name": name,
+            "rows": [[digest, row.engine, row.elapsed, row.gflops,
+                      row.dram_gbytes_per_s, row.comm_fraction]
+                     for digest, row in zip(digests, rows)],
+            "format": LOG_FORMAT, "summary": run_id}
 
 
 @dataclass
@@ -215,13 +241,25 @@ def scan(root: Path) -> dict[str, RunRecords]:
 
 def _resolve(run: RunRecords, configs: dict[str, Any]) -> None:
     """Put the configs a run's manifest and summary name by digest in
-    place; a digest no ``config`` record holds stays, for the checks."""
+    place, and expand compact summary rows to dicts (a malformed one to
+    an empty dict, which fails the row checks); a digest no ``config``
+    record holds stays, for the checks."""
     refs = run.manifest.get("configs")
     if isinstance(refs, list):
         run.manifest["configs"] = [
             configs.get(ref, ref) if isinstance(ref, str) else ref
             for ref in refs]
-    rows = run.summary.get("rows") if run.summary is not None else None
+    summary = run.summary
+    rows = summary.get("rows") if summary is not None else None
+    if summary is not None and summary.get("schema") == SUMMARY_SCHEMA \
+            and isinstance(rows, list):
+        from repro.core.persistence import SCHEMA_VERSION
+
+        summary["schema"] = SCHEMA_VERSION
+        summary["rows"] = rows = [
+            dict(zip(ROW_FIELDS, row))
+            if isinstance(row, list) and len(row) == len(ROW_FIELDS)
+            else {} for row in rows]
     for row in rows if isinstance(rows, list) else ():
         ref = row.get("config") if isinstance(row, dict) else None
         if isinstance(ref, str):

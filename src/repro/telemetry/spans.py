@@ -23,6 +23,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from repro.telemetry.runlog import LOG_FORMAT
+
 
 @dataclass
 class Span:
@@ -45,20 +47,23 @@ class Span:
 
 
 class SpanRecorder:
-    """Span recorder for one run; hands one record per closed span to
-    ``sink`` (``None`` keeps it memory-only).
+    """Span recorder for one run; hands one record per closed span,
+    tagged as a ``span`` record of run ``run_id``, to ``sink`` (the run
+    log's ``add``; ``None`` keeps it memory-only).
 
     A resumed run appends more spans under the same run id; ``session``
     (a per-recorder token baked into every span id) keeps ids from two
     process lifetimes distinct without re-reading the log.
     """
 
-    __slots__ = ("session", "_origin", "_next", "_stack", "_sink")
+    __slots__ = ("session", "_origin", "_next", "_stack", "_sink",
+                 "_run_id")
 
     def __init__(self,
                  sink: Callable[[dict[str, Any]], None] | None = None,
-                 ) -> None:
+                 run_id: str = "") -> None:
         self._sink = sink
+        self._run_id = run_id
         self.session = f"{os.getpid():x}-{time.time_ns() & 0xFFFFFF:06x}"
         self._origin = time.perf_counter()
         self._next = 0
@@ -98,6 +103,8 @@ class SpanRecorder:
             "name": span.name,
             "start_s": span.start_s,
             "dur_s": span.duration_s,
+            "format": LOG_FORMAT,
+            "span": self._run_id,
         }
         if span.attrs:
             rec["attrs"] = _json_safe(span.attrs)

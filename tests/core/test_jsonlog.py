@@ -93,7 +93,9 @@ def _run_log_sink(d, kind):
 
 
 def _metrics_write(d, i):
-    MetricsRegistry(_run_log_sink(d, "metric")).count(f"m{i}")
+    log = runlog.RunLog(d / RUN_LOG)
+    MetricsRegistry(log, "r").count(f"m{i}")
+    log.flush()
 
 
 def _metrics_read(d):

@@ -7,7 +7,7 @@ import pytest
 from repro import jsonlog
 from repro.core.experiment import ExperimentConfig
 from repro.core.persistence import config_to_dict
-from repro.core.runner import run_config
+from repro.core.runner import Row, run_config
 from repro.errors import ProtocolError
 from repro.service import protocol
 from repro.service.jobs import JobLedger, JobSpec
@@ -161,6 +161,27 @@ def test_submit_frame_bytes_are_pinned():
         b'{"client":"bench-7","configs":[' + _CONFIG_JSON + b'],'
         b'"deadline_s":12.5,"engine":"analytic","name":"f1","op":"submit",'
         b'"priority":"high","v":1,"watch":false}\n')
+
+
+def test_frames_encode_as_json_dumps_does():
+    """The shared encoder writes the bytes `json.dumps` wrote: submit,
+    result (row) and error frames, with non-ASCII text, float edge
+    values and NaN."""
+    config = ExperimentConfig(app="ffvc", n_ranks=2, n_threads=2)
+    frames = [
+        protocol.submit_frame("f1-\u00e9t\u00e9 \u2603", [config], "analytic",
+                              deadline_s=0.1 + 0.2, client="\U0001f680"),
+        protocol.row_frame(0, Row(config, 1.1e-7, float("nan"), 5e300,
+                                  1 / 3, "analytic"), "executed"),
+        protocol.row_frame(1, Row(config, 0.0, -0.0, float("inf"),
+                                  float("-inf")), "cache"),
+        protocol.error_frame("overloaded", "queue f\u00fcll \u2014 retry",
+                             queue_depth=7, retry_after_s=float("nan"),
+                             detail={"\u00fc": [1.5, None, True]}),
+    ]
+    for frame in frames:
+        assert protocol.encode_frame(frame) == (json.dumps(
+            frame, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def test_row_frame_is_bit_exact():

@@ -159,6 +159,49 @@ def test_runs_after_the_first_create_no_file(results_dir, monkeypatch,
         results_dir).rows) == 1
 
 
+def test_counters_write_one_record_per_name_per_flush(results_dir,
+                                                      monkeypatch, tmp_path):
+    """A store-session round in small: a sweep scored, cached and
+    journaled, then two passes through fresh caches.  Each counter
+    writes one record per name per flush, however many events it
+    counts; a flush in mid-sweep starts a second record."""
+    monkeypatch.setattr(jsonlog, "FLUSH_SECONDS", float("inf"))
+    real_put = ResultCache.put
+    stores = []
+
+    def put(cache, key, row):
+        real_put(cache, key, row)
+        stores.append(key)
+        if len(stores) == 5:
+            telemetry.current_run().log.flush()
+
+    monkeypatch.setattr(ResultCache, "put", put)
+    run_sweep("write", F1, ResultCache(tmp_path / "cache"), engine="analytic")
+    for p in range(2):
+        run_sweep(f"read-{p}", F1, ResultCache(tmp_path / "cache"),
+                  engine="analytic")
+    (log,) = log_files(results_dir)
+    written = {}
+    for line in log.read_text().splitlines():
+        rec = json.loads(line)
+        if rec.get("kind") == "counter":
+            written.setdefault(rec["metric"], []).append(
+                (rec["name"], rec["n"]))
+    runs = telemetry.runlog.scan(results_dir / "runs")
+    names = {run.checked_manifest()["name"]: run_id
+             for run_id, run in runs.items()}
+    # the flush after the fifth store splits the stores and the
+    # completions journaled after each of them, and nothing else
+    assert sorted(written[names["write"]]) == [
+        ("cache.miss", 9), ("cache.store", 4), ("cache.store", 5),
+        ("engine.pick.analytic", 1), ("journal.done", 4),
+        ("journal.done", 5)]
+    for p in range(2):
+        assert written[names[f"read-{p}"]] == [("cache.hit", 9)]
+    aggs, torn = aggregate(runs[names["write"]].metrics)
+    assert torn == 0 and aggs["cache.store"].total == len(F1)
+
+
 class TestFlushBounds:
     """Both bounds flush a long sweep before its finalize."""
 
@@ -183,8 +226,9 @@ class TestFlushBounds:
             path = run.log.path
             before = _lines(path)
             pending = len(run.log._pending)
+            # gauge events queue one record each (counter events fold)
             for _ in range(jsonlog.FLUSH_RECORDS - pending):
-                telemetry.count("test.event")
+                telemetry.gauge("test.event", 1)
             seen.append((before, _lines(path), pending))
 
         self._sweep_probing(monkeypatch, probe)

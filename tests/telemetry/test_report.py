@@ -1,10 +1,16 @@
 """Tests for `repro runs` / `repro report <run_id>` over recorded runs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+import repro
+from repro import jsonlog
+from repro.cli import EXIT_BROKEN_PIPE, main
 from repro.core.cache import ResultCache
 from repro.core.experiment import ExperimentConfig
 from repro.core.journal import SweepJournal
@@ -175,3 +181,33 @@ class TestCli:
         assert main(["runs", "--results-dir", str(tmp_path / "none"),
                      "--latest"]) == 1
         assert "no recorded runs" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_without_a_traceback(self, results_dir,
+                                                     warm_run):
+        """`repro report <id> | head -1` on a report far larger than a
+        pipe holds: the reader goes after one line, and the command
+        stops with status 141 and nothing on stderr."""
+        (log,) = log_files(results_dir)
+        errors = [{"config": f"cfg-{i}", "error": "SimulationError",
+                   "message": "x" * 100} for i in range(3000)]
+        jsonlog.append(log, runlog.record(warm_run.run_id, "manifest",
+                                          {"errors": errors}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1]),
+             *filter(None, [env.get("PYTHONPATH")])])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "report", warm_run.run_id,
+             "--results-dir", str(results_dir)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            first = child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            code = child.wait(timeout=120)
+        finally:
+            child.kill()
+            child.stderr.close()
+        assert first.startswith(f"run {warm_run.run_id}".encode())
+        assert err == ""
+        assert code == EXIT_BROKEN_PIPE

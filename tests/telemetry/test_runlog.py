@@ -70,7 +70,9 @@ class TestConfigRecords:
         opening = next(r for r in records if "manifest" in r)
         summary = next(r for r in records if "summary" in r)
         assert opening["configs"] == digests
-        assert [row["config"] for row in summary["rows"]] == digests
+        # compact rows: [digest, engine, elapsed, gflops, dram, comm]
+        assert summary["schema"] == runlog.SUMMARY_SCHEMA
+        assert [row[0] for row in summary["rows"]] == digests
         assert "python" not in opening and "argv" not in opening
         # the reader puts the configs and the session fields back
         run = only_run(results_dir)
@@ -147,15 +149,52 @@ class TestUnresolved:
         assert only_run(results_dir).rows() == sweep.rows[::-1]
 
 
-def _cli(results, *argv):
+def test_malformed_compact_row_fails_the_row_checks(results_dir):
+    sweep = run_sweep("compact", F1[:2], {}, engine="analytic")
+    (log,) = log_files(results_dir)
+    run_id = only_run(results_dir).run_id
+    record = runlog.summary_record(run_id, "compact", sweep.rows,
+                                   [config_digest(c) for c in F1[:2]])
+    assert only_run(results_dir).rows() == sweep.rows
+    record["rows"][1] = record["rows"][1][:5]
+    jsonlog.append(log, record)
+    with pytest.raises(ConfigurationError, match="malformed row record"):
+        only_run(results_dir).rows()
+
+
+def _cli(results, log, *argv):
     """(stdout, exit code) of one CLI call, with the temp paths as the
     fixture's expectations spell them."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([*argv, "--results-dir", str(results)])
-    log = results / "runs" / "runlog-v1.jsonl"
     return [out.getvalue().replace(str(log), "{log}")
             .replace(str(results.parent), "{tmp}"), code]
+
+
+def _reads_as_it_did(tmp_path, name):
+    """The fixture log ``name`` prints what the build that wrote it
+    printed (pinned in ``<name>.expected.json``)."""
+    expected = json.loads((DATA / f"{name}.expected.json").read_text())
+    results = tmp_path / "results"
+    (results / "runs").mkdir(parents=True)
+    log = results / "runs" / f"{name}.jsonl"
+    shutil.copy(DATA / log.name, log)
+    assert _cli(results, log, "runs") == expected["runs"]
+    assert _cli(results, log, "runs", "--json") == expected["runs_json"]
+    for run_id, (text, code, report_json) in expected["report"].items():
+        assert _cli(results, log, "report", run_id, "--json",
+                    str(tmp_path / "report.json")) == [text, code]
+        assert (tmp_path / "report.json").read_text() == report_json
+    for run_id, printed in expected.get("report_text", {}).items():
+        assert _cli(results, log, "report", run_id) == printed
+    # a replay runs the current model: its verdict on a log recorded
+    # under another model fingerprint says nothing about the reader
+    if model_fingerprint() == "cf6726edbec3fd97":
+        for run_id, printed in expected["reproduce"].items():
+            assert _cli(results, log, "reproduce", run_id, "--rtol", "0") \
+                == printed
+    return expected
 
 
 def test_v1_log_reads_as_it_did(tmp_path):
@@ -163,20 +202,20 @@ def test_v1_log_reads_as_it_did(tmp_path):
     inline, duplicate metrics) prints what the build that wrote it
     printed, for `repro runs`, `repro report --json` and `repro
     reproduce --rtol 0`."""
-    expected = json.loads((DATA / "runlog-v1.expected.json").read_text())
-    results = tmp_path / "results"
-    (results / "runs").mkdir(parents=True)
-    shutil.copy(DATA / "runlog-v1.jsonl", results / "runs")
-    assert _cli(results, "runs") == expected["runs"]
-    assert _cli(results, "runs", "--json") == expected["runs_json"]
+    expected = _reads_as_it_did(tmp_path, "runlog-v1")
     assert len(expected["report"]) == 2
-    for run_id, (text, code, report_json) in expected["report"].items():
-        assert _cli(results, "report", run_id, "--json",
-                    str(tmp_path / "report.json")) == [text, code]
-        assert (tmp_path / "report.json").read_text() == report_json
-    # a replay runs the current model: its verdict on a log recorded
-    # under another model fingerprint says nothing about the reader
-    if model_fingerprint() == "cf6726edbec3fd97":
-        for run_id, printed in expected["reproduce"].items():
-            assert _cli(results, "reproduce", run_id, "--rtol", "0") \
-                == printed
+
+
+def test_v2_log_reads_as_it_did(tmp_path):
+    """A log with config and session records, one metric record per
+    counter event and summary rows as dicts naming their configs by
+    digest (an analytic F1 sweep through a persistent cache, the same
+    sweep reversed and served from it, an event config run) prints what
+    the build that wrote it printed, `repro report` text included."""
+    raw = [json.loads(line) for line in
+           (DATA / "runlog-v2.jsonl").read_text().splitlines()]
+    assert sum(rec.get("name") == "cache.hit" for rec in raw) == len(F1)
+    assert all(isinstance(row, dict) for rec in raw if "summary" in rec
+               for row in rec["rows"])
+    expected = _reads_as_it_did(tmp_path, "runlog-v2")
+    assert len(expected["report"]) == len(expected["report_text"]) == 3
