@@ -27,10 +27,12 @@ A command whose standard output is closed before it finishes printing
 exits with status 141 (:data:`EXIT_BROKEN_PIPE`), the status a shell
 reports for a process that ``SIGPIPE`` ended.
 
-``run`` and ``profile`` accept the same app/placement flags (one shared
-wiring, :func:`_add_app_flags` / :func:`_add_placement_flags`), with
-forgiving spellings: ``--app ccs_qcd`` and ``--processor a64fx`` resolve
-to ``ccs-qcd`` / ``A64FX``.
+Each flag group is declared by one ``_add_*`` builder, with forgiving
+spellings: ``--app ccs_qcd`` and ``--processor a64fx`` resolve to
+``ccs-qcd`` / ``A64FX``.  The flags make one config (:func:`_config`);
+``run --breakdown`` and ``profile`` simulate the runner's own job for it
+(:func:`repro.core.runner.event_job`).  Every choice comes from
+:mod:`repro.names`, so ``repro --help`` loads none of the model.
 """
 
 from __future__ import annotations
@@ -40,9 +42,7 @@ import os
 import sys
 from typing import Sequence
 
-from repro.machine import catalog
-from repro.miniapps import SUITE, by_name
-from repro.names import ENGINES, PRIORITIES
+from repro import names
 from repro.units import fmt_bw, fmt_rate, fmt_time
 
 
@@ -58,70 +58,97 @@ def _app_name(value: str) -> str:
 
 def _processor_name(value: str) -> str:
     """Normalize a ``--processor`` spelling to the catalog's exact case."""
-    lookup = {name.lower(): name for name in catalog.PROCESSORS}
+    lookup = {name.lower(): name for name in names.PROCESSORS}
     return lookup.get(value.strip().lower(), value)
 
 
-def _add_app_flags(parser: argparse.ArgumentParser) -> None:
-    """``--app`` / ``--dataset`` / ``--processor`` — what to simulate."""
-    parser.add_argument("--app", required=True, type=_app_name,
-                        choices=sorted(SUITE))
-    parser.add_argument("--dataset", default="as-is")
+def _add_processor_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--processor", default="A64FX", type=_processor_name,
-                        choices=sorted(catalog.PROCESSORS))
+                        choices=names.PROCESSORS)
 
 
-def _add_placement_flags(parser: argparse.ArgumentParser) -> None:
-    """Placement/machine flags shared by ``run`` and ``profile``."""
-    parser.add_argument("--nodes", type=int, default=1)
-    parser.add_argument("--ranks", type=int, default=4)
-    parser.add_argument("--threads", type=int, default=12)
+def _add_app_flags(parser: argparse.ArgumentParser, suite: str | None = None,
+                   processor: bool = True) -> None:
+    """``--app`` / ``--dataset`` / ``--processor`` — what to simulate.
+    With ``suite`` (the command's verb) the app is an optional
+    positional that defaults to the whole suite."""
+    if suite is None:
+        parser.add_argument("--app", required=True, type=_app_name,
+                            choices=names.APPS)
+    else:
+        parser.add_argument("app", nargs="?", type=_app_name,
+                            choices=names.APPS,
+                            help=f"miniapp to {suite} (default: whole suite)")
+    parser.add_argument("--dataset", default="as-is")
+    if processor:
+        _add_processor_flag(parser)
+
+
+def _add_placement_flags(parser: argparse.ArgumentParser,
+                         grid: str | None = None, nodes: bool = True,
+                         axes: bool = True) -> None:
+    """``--nodes`` / ``--ranks`` / ``--threads``, then (``axes``) the
+    F2-F4 axis flags ``--stride`` / ``--allocation`` / ``--options`` /
+    ``--data-policy``.  With ``grid`` (the command's verb) ranks and
+    threads default to unset, and the command checks its default grid."""
+    if nodes:
+        parser.add_argument("--nodes", type=int, default=1)
+    parser.add_argument(
+        "--ranks", type=int, default=None if grid else 4,
+        help=grid and f"{grid} one placement instead of the default grid")
+    parser.add_argument("--threads", type=int, default=None if grid else 12)
+    if not axes:
+        return
     parser.add_argument("--stride", type=int, default=1,
                         help="thread-binding stride (1 = compact)")
     parser.add_argument("--allocation", default="block",
-                        choices=["block", "cyclic", "domain-pack", "spread"])
-    parser.add_argument("--options", default="kfast",
-                        choices=["as-is", "+simd", "+simd+sched", "tuned",
-                                 "kfast"])
+                        choices=names.ALLOCATIONS)
+    parser.add_argument("--options", default="kfast", choices=names.PRESETS)
     parser.add_argument("--data-policy", default="first-touch",
-                        choices=["first-touch", "serial-init"])
+                        choices=names.DATA_POLICIES)
 
 
-def _resolve_placement(args):
-    """(cluster, app, placement, binding, allocation) from the shared
-    flags — the one interpretation ``run`` and ``profile`` both use."""
-    from repro.runtime.affinity import ProcessAllocation, ThreadBinding
-    from repro.runtime.placement import JobPlacement
+def _add_cache_flags(parser: argparse.ArgumentParser,
+                     what: str = "result-cache directory",
+                     no_cache: str | None = None) -> None:
+    """``--cache-dir`` (``what`` it holds), and ``--no-cache`` when
+    ``no_cache`` says what it does."""
+    parser.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help=f"{what} (default: $REPRO_CACHE_DIR or ~/.cache/repro)")
+    if no_cache is not None:
+        parser.add_argument("--no-cache", action="store_true", help=no_cache)
 
-    cluster = catalog.by_name(args.processor, n_nodes=args.nodes)
-    app = by_name(args.app)
-    binding = (ThreadBinding("compact") if args.stride == 1
-               else ThreadBinding("stride", stride=args.stride))
-    allocation = ProcessAllocation(args.allocation)
-    placement = JobPlacement(
-        cluster, args.ranks, args.threads,
-        allocation=allocation,
-        binding=binding,
-    )
-    return cluster, app, placement, binding, allocation
+
+#: The cache flags of ``lint`` and ``advise``, which share their cache.
+_ANALYSIS_CACHE = dict(
+    what="analysis-cache directory, shared by lint and advise",
+    no_cache="re-analyze even if a cached verdict exists")
+
+
+def _add_results_dir_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--results-dir", default=None, metavar="DIR",
+        help="root for recorded runs (default: $REPRO_RESULTS_DIR or "
+             "./results; runs land in <DIR>/runs/<session>.jsonl)")
+
+
+def _add_json_flag(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--json", default=None, metavar="FILE", help=help)
 
 
 def _add_exec_flags(parser: argparse.ArgumentParser,
                     jobs: bool = True) -> None:
-    """``--jobs`` / ``--cache-dir`` / ``--no-cache`` on sweep-running
-    commands."""
+    """``--jobs`` / ``--cache-dir`` / ``--no-cache`` / the gates /
+    ``--engine`` / telemetry on sweep-running commands."""
     if jobs:
         parser.add_argument(
             "--jobs", type=int, default=1, metavar="N",
             help="simulate up to N sweep points in parallel "
                  "(process pool; 1 = serial)")
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent result cache for this invocation")
+    _add_cache_flags(
+        parser, no_cache="disable the persistent result cache for this "
+                         "invocation")
     parser.add_argument(
         "--no-lint", action="store_true",
         help="skip the static pre-flight lint (see `repro lint`)")
@@ -133,8 +160,7 @@ def _add_exec_flags(parser: argparse.ArgumentParser,
              "placements), 'error' blocks on warnings too "
              "(default: $REPRO_ADVISE or off)")
     parser.add_argument(
-        "--engine", default="event",
-        choices=ENGINES,
+        "--engine", default="event", choices=names.ENGINES,
         help="scoring engine: 'event' simulates, 'analytic' scores the "
              "sweep in closed form from memoized kernel and placement "
              "tables (~100x faster, no fault/protocol effects), 'auto' "
@@ -144,10 +170,45 @@ def _add_exec_flags(parser: argparse.ArgumentParser,
         "--no-telemetry", action="store_true",
         help="do not record this invocation as a run in the run log "
              "(equivalent to REPRO_TELEMETRY=off)")
+    _add_results_dir_flag(parser)
+
+
+def _add_service_client_flags(parser: argparse.ArgumentParser,
+                              client: bool = True) -> None:
+    """``--socket``, and for a client ``--timeout``."""
     parser.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help="root for recorded runs (default: $REPRO_RESULTS_DIR or "
-             "./results; runs land in <DIR>/runs/<session>.jsonl)")
+        "--socket", default=None, metavar="PATH",
+        help="the service's unix socket (default: $REPRO_SERVICE_SOCKET "
+             "or service.sock beside the default cache directory)")
+    if client:
+        parser.add_argument(
+            "--timeout", type=float, default=600.0, metavar="SECONDS",
+            help="give up if the service stays silent this long")
+
+
+#: ExperimentConfig fields the app and placement flags set, by dest.
+_CONFIG_FIELDS = {"app": "app", "dataset": "dataset",
+                  "processor": "processor", "nodes": "n_nodes",
+                  "ranks": "n_ranks", "threads": "n_threads",
+                  "options": "options_preset", "data_policy": "data_policy"}
+
+
+def _config(args, **fields):
+    """The :class:`~repro.core.experiment.ExperimentConfig` the app and
+    placement flags describe; ``fields`` override them (a lint or advise
+    grid point).  Flags a command lacks keep the config's defaults."""
+    from repro.core.experiment import ExperimentConfig
+    from repro.runtime.affinity import ProcessAllocation, ThreadBinding
+
+    flags = vars(args)
+    for dest, name in _CONFIG_FIELDS.items():
+        if dest in flags:
+            fields.setdefault(name, flags[dest])
+    if "stride" in flags:
+        fields.setdefault("binding", ThreadBinding.from_stride(args.stride))
+    if "allocation" in flags:
+        fields.setdefault("allocation", ProcessAllocation(args.allocation))
+    return ExperimentConfig(**fields)
 
 
 def _cache_from_args(args):
@@ -157,6 +218,16 @@ def _cache_from_args(args):
     from repro.core.cache import ResultCache
 
     return ResultCache(args.cache_dir)
+
+
+def _write_json(path: str, data, **dump) -> None:
+    """Write ``data`` to ``path`` as JSON (indented, keys sorted, unless
+    ``dump`` says otherwise) and say so."""
+    import json
+
+    with open(path, "w") as fh:
+        json.dump(data, fh, **{"indent": 2, "sort_keys": True, **dump})
+    print(f"wrote {path}")
 
 
 def _cmd_list_apps(_args) -> int:
@@ -173,9 +244,11 @@ def _cmd_list_processors(_args) -> int:
     return 0
 
 
-def _run_error(args, exc: Exception) -> int:
+def _run_error(args, exc: Exception, config=None) -> int:
     """Surface a failed ``repro run`` as a one-config sweep error:
-    class, message, originating pid, and the full traceback."""
+    class, message, originating pid, and the full traceback.  It names
+    ``config``, the one the flags describe; when they describe none
+    (``--stride 0``), a config of the app and placement shape only."""
     import traceback
 
     from repro.core.experiment import ExperimentConfig
@@ -183,25 +256,27 @@ def _run_error(args, exc: Exception) -> int:
 
     setattr(exc, "_repro_traceback", traceback.format_exc())
     setattr(exc, "_repro_pid", os.getpid())
-    config = ExperimentConfig(
-        app=args.app, dataset=args.dataset, processor=args.processor,
-        n_nodes=args.nodes, n_ranks=args.ranks, n_threads=args.threads,
-    )
+    if config is None:
+        config = ExperimentConfig(
+            app=args.app, dataset=args.dataset, processor=args.processor,
+            n_nodes=args.nodes, n_ranks=args.ranks, n_threads=args.threads)
     print(f"error: {SweepError.from_exception(config, exc).details()}",
           file=sys.stderr)
     return 1
 
 
 def _cmd_run(args) -> int:
-    from repro.compile.options import PRESETS
+    from repro.core.runner import (event_job, event_placement, event_row,
+                                   run_config)
     from repro.errors import ReproError
 
+    config = None
     try:
-        cluster, app, placement, binding, allocation = \
-            _resolve_placement(args)
+        config = _config(args)
+        placement = event_placement(config)
     except ReproError as exc:
-        return _run_error(args, exc)
-    print(f"{app.name}/{args.dataset} on {cluster.name}: "
+        return _run_error(args, exc, config)
+    print(f"{config.app}/{config.dataset} on {placement.cluster.name}: "
           f"{placement.describe()}")
     if args.breakdown and args.engine != "event":
         print("error: --breakdown needs the event executor's traces; "
@@ -212,39 +287,20 @@ def _cmd_run(args) -> int:
         # rows don't carry — simulate directly
         from repro.runtime.executor import run_job
 
-        job = app.build_job(cluster, placement, dataset=args.dataset,
-                            options=PRESETS[args.options],
-                            data_policy=args.data_policy)
-        result = run_job(job)
-        elapsed = result.elapsed
-        flops_per_s = result.achieved_flops_per_s
-        dram_bw = result.dram_bandwidth
-        comm = result.communication_fraction()
+        result = run_job(event_job(config))
+        row = event_row(config, result)
     else:
-        from repro.core.experiment import ExperimentConfig
-        from repro.core.runner import run_config
-
-        config = ExperimentConfig(
-            app=args.app, dataset=args.dataset, processor=args.processor,
-            n_nodes=args.nodes, n_ranks=args.ranks, n_threads=args.threads,
-            binding=binding, allocation=allocation,
-            options_preset=args.options, data_policy=args.data_policy,
-        )
         try:
             row = run_config(config, _cache_from_args(args),
                              engine=args.engine)
         except Exception as exc:  # noqa: BLE001 - CLI error surface
-            return _run_error(args, exc)
-        elapsed = row.elapsed
-        flops_per_s = row.gflops * 1e9
-        dram_bw = row.dram_gbytes_per_s * 1e9
-        comm = row.comm_fraction
+            return _run_error(args, exc, config)
         if row.engine != "event":
             print(f"  engine         {row.engine}")
-    print(f"  elapsed        {fmt_time(elapsed)}")
-    print(f"  performance    {fmt_rate(flops_per_s)}")
-    print(f"  DRAM traffic   {fmt_bw(dram_bw)}")
-    print(f"  communication  {comm:.1%}")
+    print(f"  elapsed        {fmt_time(row.elapsed)}")
+    print(f"  performance    {fmt_rate(row.gflops * 1e9)}")
+    print(f"  DRAM traffic   {fmt_bw(row.dram_gbytes_per_s * 1e9)}")
+    print(f"  communication  {row.comm_fraction:.1%}")
     if args.breakdown:
         for cat, t in sorted(result.breakdown().items()):
             print(f"    {cat:<12} {fmt_time(t)}")
@@ -252,9 +308,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    import json
-
-    from repro.compile.options import PRESETS
+    from repro.core.runner import event_job
+    from repro.miniapps import by_name
     from repro.perf import (
         cycle_accounting_table,
         profile_job,
@@ -262,22 +317,18 @@ def _cmd_profile(args) -> int:
         roofline_crosscheck_table,
     )
 
-    cluster, app, placement, _, _ = _resolve_placement(args)
-    job = app.build_job(cluster, placement, dataset=args.dataset,
-                        options=PRESETS[args.options],
-                        data_policy=args.data_policy)
+    config = _config(args)
+    job = event_job(config)
     result, profile = profile_job(job)
     print(region_table(profile, top=args.top).render())
     print()
     print(cycle_accounting_table(profile).render())
     print()
     print(roofline_crosscheck_table(
-        profile, cluster, app, dataset=args.dataset,
-        options=PRESETS[args.options]).render())
+        profile, job.cluster, by_name(config.app), dataset=config.dataset,
+        options=config.options).render())
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(profile.to_json(), fh, indent=2)
-        print(f"wrote {args.json}")
+        _write_json(args.json, profile.to_json(), sort_keys=False)
     if args.trace:
         from repro.runtime.timeline import write_chrome_trace
 
@@ -308,52 +359,42 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_chaos(args) -> int:
     from repro.errors import ConfigurationError
-    from repro.faults import run_campaign
 
     if args.service:
         from repro.faults.service import run_service_campaign
 
         report = run_service_campaign(seed=args.seed)
-        print(report.render())
-        if args.json:
-            import json
+    else:
+        from repro.faults import run_campaign
 
-            with open(args.json, "w") as fh:
-                json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            print(f"wrote {args.json}")
-        return 0 if report.ok else 1
-
-    apps = tuple(_app_name(a) for a in args.apps.split(",")) \
-        if args.apps else None
-    try:
-        report = run_campaign(seed=args.seed, apps=apps, quick=args.quick,
-                              processor=args.processor, engine=args.engine)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        apps = tuple(_app_name(a) for a in args.apps.split(",")) \
+            if args.apps else None
+        try:
+            report = run_campaign(seed=args.seed, apps=apps,
+                                  quick=args.quick, processor=args.processor,
+                                  engine=args.engine)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     print(report.render())
     if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
+        _write_json(args.json, report.to_json())
     return 0 if report.ok else 1
 
 
 _FIGURES = {
-    "t1": ("t1_processor_specs", {}),
-    "t2": ("t2_miniapp_table", {}),
-    "f1": ("f1_mpi_omp_sweep", {}),
-    "f2": ("f2_thread_stride", {}),
-    "f3": ("f3_process_allocation", {}),
-    "f4": ("f4_compiler_tuning", {}),
-    "f5": ("f5_processor_comparison", {}),
-    "f6": ("f6_roofline", {}),
-    "f7": ("f7_stream_scaling", {}),
-    "f8": ("f8_multinode_scaling", {}),
-    "f9": ("f9_weak_scaling", {}),
-    "f10": ("f10_time_breakdown", {}),
+    "t1": "t1_processor_specs",
+    "t2": "t2_miniapp_table",
+    "f1": "f1_mpi_omp_sweep",
+    "f2": "f2_thread_stride",
+    "f3": "f3_process_allocation",
+    "f4": "f4_compiler_tuning",
+    "f5": "f5_processor_comparison",
+    "f6": "f6_roofline",
+    "f7": "f7_stream_scaling",
+    "f8": "f8_multinode_scaling",
+    "f9": "f9_weak_scaling",
+    "f10": "f10_time_breakdown",
 }
 
 _ABLATIONS = {
@@ -370,25 +411,25 @@ def _cmd_figure(args) -> int:
 
     from repro.core import ablations, figures, projection
 
-    def _call(fn, kwargs):
+    def _call(fn):
         # pass the cache/worker context only to builders that take it
         params = inspect.signature(fn).parameters
+        kwargs = {}
         if "cache" in params:
-            kwargs = {**kwargs, "cache": _cache_from_args(args)}
+            kwargs["cache"] = _cache_from_args(args)
         if "workers" in params:
-            kwargs = {**kwargs, "workers": args.jobs}
+            kwargs["workers"] = args.jobs
         if "engine" in params and args.engine != "event":
-            kwargs = {**kwargs, "engine": args.engine}
+            kwargs["engine"] = args.engine
         return fn(**kwargs)
 
     fid = args.id.lower()
     if fid in _FIGURES:
-        name, kwargs = _FIGURES[fid]
-        out = _call(getattr(figures, name), kwargs)
+        out = _call(getattr(figures, _FIGURES[fid]))
     elif fid == "a4":
         out = projection.a4_sssp_projection()
     elif fid in _ABLATIONS:
-        out = _call(getattr(ablations, _ABLATIONS[fid]), {})
+        out = _call(getattr(ablations, _ABLATIONS[fid]))
     else:
         print(f"unknown figure id {args.id!r}; "
               f"available: {sorted(_FIGURES) + sorted(_ABLATIONS) + ['a4']}",
@@ -429,35 +470,38 @@ def _cmd_energy(args) -> int:
 _LINT_GRID = [(1, 48), (4, 12), (48, 1)]
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis import analyze_config
-    from repro.core.experiment import ExperimentConfig
-
-    apps = [args.app] if args.app else sorted(SUITE)
+def _grid_configs(args, grid):
+    """What ``lint`` / ``advise`` check: the named app, or every app,
+    at the ``--ranks`` / ``--threads`` placement, or at each point of
+    ``grid`` when neither is given."""
     if args.ranks is not None or args.threads is not None:
         grid = [(args.ranks or 4, args.threads or 12)]
-    else:
-        grid = _LINT_GRID
+    return (_config(args, app=app, n_ranks=n_ranks, n_threads=n_threads)
+            for app in ([args.app] if args.app else names.APPS)
+            for n_ranks, n_threads in grid)
 
-    cache = None
-    if not args.no_cache:
-        from repro.analysis.cache import lint_cache_for
 
-        cache = lint_cache_for(args.cache_dir)
+def _lint_cache(args):
+    """The lint/advise verdict cache per the flags, or None."""
+    if args.no_cache:
+        return None
+    from repro.analysis.cache import lint_cache_for
 
+    return lint_cache_for(args.cache_dir)
+
+
+def _cmd_lint(args) -> int:
+    from repro.analysis import analyze_config
+
+    cache = _lint_cache(args)
     n_errors = 0
-    for app in apps:
-        for n_ranks, n_threads in grid:
-            config = ExperimentConfig(
-                app=app, dataset=args.dataset, processor=args.processor,
-                n_nodes=args.nodes, n_ranks=n_ranks, n_threads=n_threads,
-            )
-            report = analyze_config(config, cache=cache)
-            if report.ok:
-                print(report.summary())
-            else:
-                print(report.render())
-                n_errors += len(report.errors)
+    for config in _grid_configs(args, _LINT_GRID):
+        report = analyze_config(config, cache=cache)
+        if report.ok:
+            print(report.summary())
+        else:
+            print(report.render())
+            n_errors += len(report.errors)
     if n_errors:
         print(f"lint: {n_errors} error(s)", file=sys.stderr)
         return 1
@@ -466,59 +510,33 @@ def _cmd_lint(args) -> int:
 
 def _cmd_advise(args) -> int:
     from repro.analysis import advise_config
-    from repro.core.experiment import ExperimentConfig
-    from repro.runtime.affinity import ProcessAllocation, ThreadBinding
+    from repro.machine import catalog
 
-    apps = [args.app] if args.app else sorted(SUITE)
+    # machine-sized default grid: both corners plus one rank per NUMA
+    # domain (4x12 on A64FX), the paper's sweet spot
     cluster = catalog.by_name(args.processor, n_nodes=args.nodes)
-    if args.ranks is not None or args.threads is not None:
-        grid = [(args.ranks or 4, args.threads or 12)]
-    else:
-        # machine-sized default grid: both corners plus one rank per
-        # NUMA domain (4x12 on A64FX), the paper's sweet spot
-        cores = cluster.cores_per_node
-        n_dom = cluster.node.n_domains
-        grid = [(1, cores)]
-        if cores % n_dom == 0 and 1 < n_dom < cores:
-            grid.append((n_dom, cores // n_dom))
-        grid.append((cores, 1))
+    cores = cluster.cores_per_node
+    n_dom = cluster.node.n_domains
+    grid = [(1, cores)]
+    if cores % n_dom == 0 and 1 < n_dom < cores:
+        grid.append((n_dom, cores // n_dom))
+    grid.append((cores, 1))
 
-    cache = None
-    if not args.no_cache:
-        from repro.analysis.cache import lint_cache_for
-
-        cache = lint_cache_for(args.cache_dir)
-
-    binding = (ThreadBinding("compact") if args.stride == 1
-               else ThreadBinding("stride", stride=args.stride))
+    cache = _lint_cache(args)
     reports = []
     n_errors = 0
-    for app in apps:
-        for n_ranks, n_threads in grid:
-            config = ExperimentConfig(
-                app=app, dataset=args.dataset, processor=args.processor,
-                n_nodes=args.nodes, n_ranks=n_ranks, n_threads=n_threads,
-                binding=binding,
-                allocation=ProcessAllocation(args.allocation),
-                options_preset=args.options,
-                data_policy=args.data_policy,
-            )
-            report = advise_config(config, cache=cache)
-            reports.append(report)
-            n_errors += len(report.errors)
-            shown = report.at_least(args.min_severity)
-            if not shown:
-                print(f"{report.subject}: clean at severity >= "
-                      f"{args.min_severity}")
-            else:
-                print(report.render(args.min_severity))
+    for config in _grid_configs(args, grid):
+        report = advise_config(config, cache=cache)
+        reports.append(report)
+        n_errors += len(report.errors)
+        shown = report.at_least(args.min_severity)
+        if not shown:
+            print(f"{report.subject}: clean at severity >= "
+                  f"{args.min_severity}")
+        else:
+            print(report.render(args.min_severity))
     if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump({"reports": [r.to_dict() for r in reports]},
-                      fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
+        _write_json(args.json, {"reports": [r.to_dict() for r in reports]})
     if n_errors:
         print(f"advise: {n_errors} error(s)", file=sys.stderr)
         return 1
@@ -526,29 +544,18 @@ def _cmd_advise(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if getattr(args, "engines", False):
-        from repro.validate import validate_engines
-
-        report = validate_engines()
-    elif getattr(args, "counters", False):
-        from repro.perf import validate_counters
-
-        report = validate_counters()
-    elif getattr(args, "advise", False):
-        from repro.validate import validate_advise
-
-        report = validate_advise()
+    if args.engines:
+        from repro.validate import validate_engines as check
+    elif args.counters:
+        from repro.perf import validate_counters as check
+    elif args.advise_clean:
+        from repro.validate import validate_advise as check
     else:
-        from repro.validate import validate_diagnostics
-
-        report = validate_diagnostics()
-    if getattr(args, "json", None):
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    if getattr(args, "advise", False):
+        from repro.validate import validate_diagnostics as check
+    report = check()
+    if args.json:
+        _write_json(args.json, report.to_dict())
+    if args.advise_clean:
         # the advise-clean gate: errors fail, warnings/infos are the
         # recorded-but-expected model observations
         errors = report.errors
@@ -590,10 +597,21 @@ def _cmd_runs(args) -> int:
     return 0
 
 
-def _report_run(args) -> int:
-    """``repro report <run_id>``: summarize one recorded run."""
-    import json
+def _cmd_report(args) -> int:
+    if args.run_id is None:
+        from repro.core.reportgen import write_report
 
+        path = write_report(
+            args.output,
+            include_sweeps=not args.quick,
+            include_ablations=not args.quick,
+            progress=lambda aid: print(f"  {aid} done"),
+            cache=_cache_from_args(args),
+            workers=args.jobs,
+        )
+        print(f"wrote {path}")
+        return 0
+    # with a run id: summarize that recorded run
     from repro.errors import ConfigurationError
     from repro.telemetry.report import RunReport
 
@@ -603,14 +621,10 @@ def _report_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.trace:
-        with open(args.trace, "w") as fh:
-            json.dump(rep.chrome_trace(), fh)
-        print(f"wrote {args.trace}")
+        _write_json(args.trace, rep.chrome_trace(), indent=None,
+                    sort_keys=False)
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(rep.to_dict(), fh, indent=2, sort_keys=True,
-                      default=str)
-        print(f"wrote {args.json}")
+        _write_json(args.json, rep.to_dict(), default=str)
     print(rep.render())
     return 0
 
@@ -627,44 +641,9 @@ def _cmd_reproduce(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
+        _write_json(args.json, report.to_dict())
     print(report.render())
     return 0 if report.ok else 1
-
-
-def _cmd_report(args) -> int:
-    if args.run_id is not None:
-        return _report_run(args)
-
-    from repro.core.reportgen import write_report
-
-    path = write_report(
-        args.output,
-        include_sweeps=not args.quick,
-        include_ablations=not args.quick,
-        progress=lambda aid: print(f"  {aid} done"),
-        cache=_cache_from_args(args),
-        workers=args.jobs,
-    )
-    print(f"wrote {path}")
-    return 0
-
-
-def _f1_configs(args) -> list:
-    """The F1 MPI x OpenMP grid for the app flags — the same config
-    list ``repro sweep`` runs, so service jobs dedup against sweeps."""
-    from repro.core.experiment import MPI_OMP_CONFIGS, ExperimentConfig
-
-    return [
-        ExperimentConfig(app=args.app, dataset=args.dataset,
-                         processor=args.processor,
-                         n_ranks=n_ranks, n_threads=n_threads)
-        for n_ranks, n_threads in MPI_OMP_CONFIGS
-    ]
 
 
 def _print_stream(frames, *, quiet: bool = False) -> int:
@@ -705,20 +684,23 @@ def _print_stream(frames, *, quiet: bool = False) -> int:
                  and not final.get("n_failed")) else 1
 
 
-def _service_error(exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    from repro.errors import ServiceUnavailable
+def _service_command(fn):
+    """``fn(args, client)`` as a command, ``client`` connected to the
+    service at ``--socket``: a service error prints and exits 1."""
+    def command(args) -> int:
+        from repro.errors import ServiceError, ServiceUnavailable
+        from repro.service.client import ServiceClient
 
-    if isinstance(exc, ServiceUnavailable):
-        print("is a server running?  start one with: repro serve",
-              file=sys.stderr)
-    return 1
-
-
-def _service_client(args):
-    from repro.service.client import ServiceClient
-
-    return ServiceClient(args.socket, timeout_s=args.timeout)
+        try:
+            with ServiceClient(args.socket, timeout_s=args.timeout) as client:
+                return fn(args, client)
+        except ServiceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            if isinstance(exc, ServiceUnavailable):
+                print("is a server running?  start one with: repro serve",
+                      file=sys.stderr)
+            return 1
+    return command
 
 
 def _cmd_serve(args) -> int:
@@ -743,14 +725,9 @@ def _cmd_serve(args) -> int:
     return service.run()
 
 
-def _cmd_health(args) -> int:
-    from repro.errors import ServiceError
-
-    try:
-        with _service_client(args) as client:
-            health = client.health()
-    except ServiceError as exc:
-        return _service_error(exc)
+@_service_command
+def _cmd_health(args, client) -> int:
+    health = client.health()
     if args.json:
         import json
 
@@ -779,36 +756,26 @@ def _cmd_health(args) -> int:
     return 0 if health.get("status") == "ok" else 1
 
 
-def _cmd_submit(args) -> int:
-    from repro.errors import ServiceError
+@_service_command
+def _cmd_submit(args, client) -> int:
+    from repro.core.experiment import f1_configs
 
-    configs = _f1_configs(args)
+    configs = f1_configs(args.app, args.dataset, args.processor)
     name = f"f1-{args.app}"
-    try:
-        with _service_client(args) as client:
-            if args.detach:
-                job = client.submit(name, configs, engine=args.engine,
-                                    priority=args.priority,
-                                    deadline_s=args.deadline)
-                print(job.get("job_id", ""))
-                return 0
-            return _print_stream(
-                client.stream(name, configs, engine=args.engine,
-                              priority=args.priority,
-                              deadline_s=args.deadline))
-    except ServiceError as exc:
-        return _service_error(exc)
+    if args.detach:
+        job = client.submit(name, configs, engine=args.engine,
+                            priority=args.priority, deadline_s=args.deadline)
+        print(job.get("job_id", ""))
+        return 0
+    return _print_stream(
+        client.stream(name, configs, engine=args.engine,
+                      priority=args.priority, deadline_s=args.deadline))
 
 
-def _cmd_jobs(args) -> int:
-    from repro.errors import ServiceError
-
-    try:
-        with _service_client(args) as client:
-            jobs = client.jobs()
-            stats = client.status() if args.stats else None
-    except ServiceError as exc:
-        return _service_error(exc)
+@_service_command
+def _cmd_jobs(args, client) -> int:
+    jobs = client.jobs()
+    stats = client.status() if args.stats else None
     if args.json:
         import json
 
@@ -834,24 +801,14 @@ def _cmd_jobs(args) -> int:
     return 0
 
 
-def _cmd_watch(args) -> int:
-    from repro.errors import ServiceError
-
-    try:
-        with _service_client(args) as client:
-            return _print_stream(client.watch(args.job_id))
-    except ServiceError as exc:
-        return _service_error(exc)
+@_service_command
+def _cmd_watch(args, client) -> int:
+    return _print_stream(client.watch(args.job_id))
 
 
-def _cmd_cancel(args) -> int:
-    from repro.errors import ServiceError
-
-    try:
-        with _service_client(args) as client:
-            job = client.cancel(args.job_id)
-    except ServiceError as exc:
-        return _service_error(exc)
+@_service_command
+def _cmd_cancel(args, client) -> int:
+    job = client.cancel(args.job_id)
     print(f"job {job.get('job_id')} {job.get('state')}")
     return 0
 
@@ -871,16 +828,6 @@ def _cmd_cache(args) -> int:
     print(f"{cache.path}: {len(cache)} usable record(s), "
           f"{cache.torn_lines} torn line(s)")
     return 0
-
-
-def _add_service_client_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="service socket (default: $REPRO_SERVICE_SOCKET or "
-             "service.sock beside the default cache directory)")
-    parser.add_argument(
-        "--timeout", type=float, default=600.0, metavar="SECONDS",
-        help="give up if the service stays silent this long")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -912,8 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_placement_flags(prof)
     prof.add_argument("--top", type=int, default=None, metavar="N",
                       help="show only the N hottest regions")
-    prof.add_argument("--json", default=None, metavar="FILE",
-                      help="also write the profile as JSON")
+    _add_json_flag(prof, "also write the profile as JSON")
     prof.add_argument("--trace", default=None, metavar="FILE",
                       help="also write a Chrome trace with counter tracks")
     prof.set_defaults(func=_cmd_profile)
@@ -940,20 +886,16 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--apps", default=None, metavar="A,B,...",
                        help="comma-separated app subset (default: full "
                             "suite, or the smoke subset with --quick)")
-    chaos.add_argument("--processor", default="A64FX",
-                       type=_processor_name,
-                       choices=sorted(catalog.PROCESSORS))
+    _add_processor_flag(chaos)
     chaos.add_argument(
         "--service", action="store_true",
         help="run the sweep-service crash-consistency campaign instead "
              "(torn ledger writes, kills at journaled transitions, torn "
              "frames, hung workers, lapsed deadlines): no accepted job "
              "may be lost or duplicated across crash/restart")
-    chaos.add_argument("--json", default=None, metavar="FILE",
-                       help="write the campaign report as JSON")
+    _add_json_flag(chaos, "write the campaign report as JSON")
     chaos.add_argument(
-        "--engine", default="event",
-        choices=ENGINES,
+        "--engine", default="event", choices=names.ENGINES,
         help="must be 'event': fault injection needs the event executor "
              "(anything else is rejected rather than silently ignoring "
              "the fault plans)")
@@ -970,32 +912,16 @@ def build_parser() -> argparse.ArgumentParser:
     roof.set_defaults(func=_cmd_roofline)
 
     energy = sub.add_parser("energy", help="power-mode study for one app")
-    energy.add_argument("--app", required=True, type=_app_name,
-                        choices=sorted(SUITE))
-    energy.add_argument("--dataset", default="as-is")
-    energy.add_argument("--ranks", type=int, default=4)
-    energy.add_argument("--threads", type=int, default=12)
+    _add_app_flags(energy, processor=False)
+    _add_placement_flags(energy, nodes=False, axes=False)
     energy.set_defaults(func=_cmd_energy)
 
     lint = sub.add_parser(
         "lint",
         help="static pre-flight analysis of rank programs and placements")
-    lint.add_argument("app", nargs="?", type=_app_name,
-                      choices=sorted(SUITE),
-                      help="miniapp to lint (default: whole suite)")
-    lint.add_argument("--dataset", default="as-is")
-    lint.add_argument("--processor", default="A64FX", type=_processor_name,
-                      choices=sorted(catalog.PROCESSORS))
-    lint.add_argument("--nodes", type=int, default=1)
-    lint.add_argument("--ranks", type=int, default=None,
-                      help="lint one placement instead of the default grid")
-    lint.add_argument("--threads", type=int, default=None)
-    lint.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="lint-cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="re-analyze even if a cached verdict exists")
+    _add_app_flags(lint, suite="lint")
+    _add_placement_flags(lint, grid="lint", axes=False)
+    _add_cache_flags(lint, **_ANALYSIS_CACHE)
     lint.set_defaults(func=_cmd_lint)
 
     advise = sub.add_parser(
@@ -1003,40 +929,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="static performance analysis: where does the model say the "
              "time goes, and which placement choices leave performance "
              "on the table")
-    advise.add_argument("app", nargs="?", type=_app_name,
-                        choices=sorted(SUITE),
-                        help="miniapp to advise on (default: whole suite)")
-    advise.add_argument("--dataset", default="as-is")
-    advise.add_argument("--processor", default="A64FX",
-                        type=_processor_name,
-                        choices=sorted(catalog.PROCESSORS))
-    advise.add_argument("--nodes", type=int, default=1)
-    advise.add_argument("--ranks", type=int, default=None,
-                        help="advise one placement instead of the "
-                             "default grid")
-    advise.add_argument("--threads", type=int, default=None)
-    advise.add_argument("--stride", type=int, default=1,
-                        help="thread-binding stride (1 = compact)")
-    advise.add_argument("--allocation", default="block",
-                        choices=["block", "cyclic", "domain-pack",
-                                 "spread"])
-    advise.add_argument("--options", default="kfast",
-                        choices=["as-is", "+simd", "+simd+sched", "tuned",
-                                 "kfast"])
-    advise.add_argument("--data-policy", default="first-touch",
-                        choices=["first-touch", "serial-init"])
+    _add_app_flags(advise, suite="advise on")
+    _add_placement_flags(advise, grid="advise")
     advise.add_argument("--min-severity", default="info",
                         choices=["error", "warning", "info"],
                         help="hide findings below this severity "
                              "(default: show everything)")
-    advise.add_argument("--json", default=None, metavar="FILE",
-                        help="also write every report as JSON")
-    advise.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="advise-cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro; shared with the lint cache)")
-    advise.add_argument("--no-cache", action="store_true",
-                        help="re-analyze even if a cached verdict exists")
+    _add_json_flag(advise, "also write every report as JSON")
+    _add_cache_flags(advise, **_ANALYSIS_CACHE)
     advise.set_defaults(func=_cmd_advise)
 
     validate = sub.add_parser(
@@ -1053,13 +953,12 @@ def build_parser() -> argparse.ArgumentParser:
              "deterministic sample with the event executor (the CI "
              "analytic-agreement gate)")
     validate.add_argument(
-        "--advise", action="store_true",
+        "--advise", action="store_true", dest="advise_clean",
         help="advisor cleanliness over every catalog machine x miniapp "
              "F1 grid: fails only on error-severity perf findings (the "
              "CI advise-clean gate)")
-    validate.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="also write the report as JSON (the CI warning artifact)")
+    _add_json_flag(validate,
+                   "also write the report as JSON (the CI warning artifact)")
     validate.set_defaults(func=_cmd_validate)
 
     report = sub.add_parser(
@@ -1074,9 +973,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("-o", "--output", default="REPORT.md")
     report.add_argument("--quick", action="store_true",
                         help="skip the slow sweep artifacts")
-    report.add_argument("--json", default=None, metavar="FILE",
-                        help="with a run id: also write the full report "
-                             "as JSON")
+    _add_json_flag(report, "with a run id: also write the full report as "
+                           "JSON")
     report.add_argument("--trace", default=None, metavar="FILE",
                         help="with a run id: write the run's spans as a "
                              "Chrome trace (chrome://tracing, Perfetto)")
@@ -1089,10 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
              "sweep submissions from many concurrent clients over a "
              "unix socket, with fleet-wide dedup against the shared "
              "result cache")
-    serve.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="unix socket to listen on (default: $REPRO_SERVICE_SOCKET "
-             "or service.sock beside the default cache directory)")
+    _add_service_client_flags(serve, client=False)
     serve.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="event-engine worker processes")
     serve.add_argument("--max-jobs", type=int, default=4, metavar="N",
@@ -1116,16 +1011,11 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="on shutdown, wait at most this long for "
                             "running jobs (default: wait indefinitely)")
-    serve.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result-cache directory; also hosts the job ledger, so "
-             "jobs survive a server restart (default: $REPRO_CACHE_DIR "
-             "or ~/.cache/repro)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="serve from memory only (jobs do not "
-                            "survive the process)")
-    serve.add_argument("--results-dir", default=None, metavar="DIR",
-                       help="telemetry root for per-job runs")
+    _add_cache_flags(
+        serve, what="result-cache directory; also hosts the job ledger, "
+                    "so jobs survive a server restart",
+        no_cache="serve from memory only (jobs do not survive the process)")
+    _add_results_dir_flag(serve)
     serve.set_defaults(func=_cmd_serve)
 
     submit = sub.add_parser(
@@ -1134,13 +1024,12 @@ def build_parser() -> argparse.ArgumentParser:
              "service and stream its rows")
     _add_app_flags(submit)
     _add_service_client_flags(submit)
-    submit.add_argument("--engine", default="event",
-                        choices=ENGINES)
+    submit.add_argument("--engine", default="event", choices=names.ENGINES)
     submit.add_argument("--detach", action="store_true",
                         help="print the job id and return immediately "
                              "(reattach with `repro watch <id>`)")
     submit.add_argument("--priority", default="normal",
-                        choices=PRIORITIES,
+                        choices=names.PRIORITIES,
                         help="fair-share weight class (high is picked "
                              "earlier but never starves others)")
     submit.add_argument("--deadline", type=float, default=None,
@@ -1187,25 +1076,17 @@ def build_parser() -> argparse.ArgumentParser:
         "compact",
         help="rewrite the cache JSONL without torn or duplicate lines "
              "(atomic replace; safe beside a running service)")
-    compact.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)")
+    _add_cache_flags(compact, what="cache directory")
     compact.add_argument(
         "--drop-stale", action="store_true",
         help="also drop records from other model fingerprints "
              "(older package versions / changed hardware catalogs)")
-    cache.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)")
+    _add_cache_flags(cache, what="cache directory")
     cache.set_defaults(func=_cmd_cache)
 
     runs = sub.add_parser(
         "runs", help="list recorded runs (see `repro report <run_id>`)")
-    runs.add_argument("--results-dir", default=None, metavar="DIR",
-                      help="results root (default: $REPRO_RESULTS_DIR "
-                           "or ./results)")
+    _add_results_dir_flag(runs)
     runs.add_argument("--kind", default=None,
                       choices=["sweep", "config", "service-job"],
                       help="only runs of this kind")
@@ -1228,9 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
              "replay against the recorded rows (non-zero exit on drift)")
     reproduce.add_argument("run_id",
                            help="recorded run id (or unique prefix)")
-    reproduce.add_argument("--results-dir", default=None, metavar="DIR",
-                           help="results root (default: "
-                                "$REPRO_RESULTS_DIR or ./results)")
+    _add_results_dir_flag(reproduce)
     reproduce.add_argument("--rtol", type=float, default=1e-9,
                            help="relative tolerance per compared field "
                                 "(default 1e-9; 0 = bit-for-bit)")
@@ -1238,8 +1117,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="absolute tolerance per compared field")
     reproduce.add_argument("--jobs", type=int, default=1, metavar="N",
                            help="replay up to N sweep points in parallel")
-    reproduce.add_argument("--json", default=None, metavar="FILE",
-                           help="also write the drift report as JSON")
+    _add_json_flag(reproduce, "also write the drift report as JSON")
     reproduce.set_defaults(func=_cmd_reproduce)
 
     return parser
@@ -1263,13 +1141,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro import telemetry
 
         telemetry.set_results_dir(args.results_dir)
-    # exec-flags --advise carries a mode string; validate's --advise is a
-    # boolean gate selector — only the former sets the global gate mode
-    mode = getattr(args, "advise", None)
-    if isinstance(mode, str):
+    if getattr(args, "advise", None) is not None:
         from repro.analysis import set_advise_mode
 
-        set_advise_mode(mode)
+        set_advise_mode(args.advise)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit

@@ -37,9 +37,7 @@ def a1_vector_length(
     apps: list[str] | None = None,
     dataset: str = "as-is",
     cache=None,
-    _cache=None,
 ) -> tuple[Table, dict[str, dict[int, float]]]:
-    cache = cache if cache is not None else _cache
     apps = apps if apps is not None else ["ntchem", "ccs-qcd", "ffvc", "mvmc"]
     t = Table(
         "A1: A64FX speedup vs SVE vector length (VL-128 = 1.0)",
@@ -68,7 +66,7 @@ def _run_with_vl(cfg: ExperimentConfig, vl: int, cache):
     ResultCache` digests the extra element alongside the config.  The
     job and row are the runner's own; ablation runs are not linted.
     """
-    from repro.core.runner import _event_job, _event_row
+    from repro.core.runner import event_job, event_row
     from repro.runtime.executor import run_job
 
     key = (cfg, vl)
@@ -77,7 +75,7 @@ def _run_with_vl(cfg: ExperimentConfig, vl: int, cache):
         if hit is not None:
             return hit
     options = cfg.options.with_(simd_width_bits=vl)
-    row = _event_row(cfg, run_job(_event_job(cfg, options)))
+    row = event_row(cfg, run_job(event_job(cfg, options)))
     if cache is not None:
         cache[key] = row
     return row

@@ -52,10 +52,8 @@ def compare_processors(
     options_preset: str = "kfast",
     cache=None,
     workers: int = 1,
-    _cache=None,
 ) -> Comparison:
     """Best-of-node comparison of one miniapp across processors."""
-    cache = cache if cache is not None else _cache
     procs = processors if processors is not None else list(catalog.PROCESSORS)
     best: dict[str, Row] = {}
     for proc in procs:

@@ -107,3 +107,15 @@ class ExperimentConfig:
         if self.options_preset != "kfast":
             parts.append(self.options_preset)
         return " ".join(parts)
+
+
+def f1_configs(app: str, dataset: str = "as-is", processor: str = "A64FX",
+               grid: list[tuple[int, int]] | None = None,
+               ) -> list[ExperimentConfig]:
+    """One app's F1 MPI x OpenMP sweep (``grid`` defaults to
+    :data:`MPI_OMP_CONFIGS`): what ``repro sweep`` runs and ``repro
+    submit`` sends, so service jobs dedup against sweeps."""
+    return [ExperimentConfig(app=app, dataset=dataset, processor=processor,
+                             n_ranks=n_ranks, n_threads=n_threads)
+            for n_ranks, n_threads in (MPI_OMP_CONFIGS if grid is None
+                                       else grid)]

@@ -20,6 +20,7 @@ from repro.core.experiment import (
     MPI_OMP_CONFIGS,
     STRIDE_SWEEP,
     ExperimentConfig,
+    f1_configs,
 )
 from repro.core.metrics import spread
 from repro.core.report import Table
@@ -89,9 +90,7 @@ def f1_mpi_omp_sweep(
     workers: int = 1,
     resume: bool = False,
     engine: str = "event",
-    _cache=None,
 ) -> tuple[Table, dict[str, SweepResult]]:
-    cache = cache if cache is not None else _cache
     apps = apps if apps is not None else list(SUITE)
     grid = configs if configs is not None else MPI_OMP_CONFIGS
     tag = "" if engine == "event" else f", {engine} engine"
@@ -102,11 +101,7 @@ def f1_mpi_omp_sweep(
     )
     sweeps: dict[str, SweepResult] = {}
     for app in apps:
-        cfgs = [
-            ExperimentConfig(app=app, dataset=dataset, processor=processor,
-                             n_ranks=nr, n_threads=nt)
-            for nr, nt in grid
-        ]
+        cfgs = f1_configs(app, dataset, processor, grid)
         sweep = run_sweep(f"f1-{app}", cfgs, cache, workers=workers,
                           resume=resume, engine=engine)
         sweeps[app] = sweep
@@ -154,7 +149,6 @@ def f2_thread_stride(
     data_policy: str = "serial-init",
     cache=None,
     workers: int = 1,
-    _cache=None,
 ) -> tuple[Table, dict[str, SweepResult]]:
     """Stride 1 (compact) vs longer strides at a fixed rank/thread shape.
 
@@ -162,7 +156,6 @@ def f2_thread_stride(
     arrays are touched by the master thread first — the situation in which
     thread placement interacts with NUMA locality.
     """
-    cache = cache if cache is not None else _cache
     apps = apps if apps is not None else list(SUITE)
     t = Table(
         f"F2: time [ms] vs thread stride ({n_ranks}x{n_threads}, {dataset})",
@@ -175,8 +168,7 @@ def f2_thread_stride(
             ExperimentConfig(
                 app=app, dataset=dataset, n_ranks=n_ranks,
                 n_threads=n_threads,
-                binding=(ThreadBinding("compact") if s == 1
-                         else ThreadBinding("stride", stride=s)),
+                binding=ThreadBinding.from_stride(s),
                 data_policy=data_policy,
             )
             for s in STRIDE_SWEEP
@@ -200,9 +192,7 @@ def f3_process_allocation(
     n_threads: int = 12,
     cache=None,
     workers: int = 1,
-    _cache=None,
 ) -> tuple[Table, dict[str, SweepResult]]:
-    cache = cache if cache is not None else _cache
     apps = apps if apps is not None else list(SUITE)
     t = Table(
         f"F3: time [ms] vs process allocation "
@@ -237,9 +227,7 @@ def f4_compiler_tuning(
     n_threads: int = 12,
     cache=None,
     workers: int = 1,
-    _cache=None,
 ) -> tuple[Table, dict[str, SweepResult]]:
-    cache = cache if cache is not None else _cache
     apps = apps if apps is not None else TUNING_APPS
     t = Table(
         f"F4: A64FX time [ms] vs compiler options ({dataset})",
@@ -270,9 +258,7 @@ def f5_processor_comparison(
     processors: list[str] | None = None,
     cache=None,
     workers: int = 1,
-    _cache=None,
 ) -> Table:
-    cache = cache if cache is not None else _cache
     apps = apps if apps is not None else list(SUITE)
     procs = processors if processors is not None else list(catalog.PROCESSORS)
     t = Table(
@@ -321,7 +307,6 @@ def f6_roofline(apps: list[str] | None = None,
 def f7_stream_scaling(
     processor: str = "A64FX",
     thread_counts: list[int] | None = None,
-    _cache: dict | None = None,
 ) -> tuple[Table, dict]:
     """Aggregate triad bandwidth vs thread count for compact vs scatter."""
     from repro.compile.compiler import Compiler
@@ -473,9 +458,7 @@ def f8_multinode_scaling(
     n_threads: int = 12,
     cache=None,
     workers: int = 1,
-    _cache=None,
 ) -> tuple[Table, dict[str, SweepResult]]:
-    cache = cache if cache is not None else _cache
     apps = apps if apps is not None else ["ccs-qcd", "ffvc"]
     nodes = node_counts if node_counts is not None else [1, 2, 4, 8]
     t = Table(

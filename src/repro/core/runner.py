@@ -278,20 +278,24 @@ def run_config(config: ExperimentConfig, cache=None, *,
         return row
 
 
-def _event_job(config: ExperimentConfig, options=None) -> Job:
+def event_placement(config: ExperimentConfig) -> JobPlacement:
+    """Where ``config`` puts its ranks and threads, on its own cluster."""
+    cluster = catalog.by_name(config.processor, n_nodes=config.n_nodes)
+    return JobPlacement(cluster, config.n_ranks, config.n_threads,
+                        allocation=config.allocation, binding=config.binding)
+
+
+def event_job(config: ExperimentConfig, options=None) -> Job:
     """The event-engine job for ``config``; ``options`` overrides the
     config's compiler preset (the vector-length ablation)."""
-    cluster = catalog.by_name(config.processor, n_nodes=config.n_nodes)
-    placement = JobPlacement(cluster, config.n_ranks, config.n_threads,
-                             allocation=config.allocation,
-                             binding=config.binding)
+    placement = event_placement(config)
     return by_name(config.app).build_job(
-        cluster, placement, dataset=config.dataset,
+        placement.cluster, placement, dataset=config.dataset,
         options=config.options if options is None else options,
         data_policy=config.data_policy)
 
 
-def _event_row(config: ExperimentConfig, result: RunResult) -> Row:
+def event_row(config: ExperimentConfig, result: RunResult) -> Row:
     """The sweep row of one event-engine run of ``config``."""
     return Row(
         config=config,
@@ -318,7 +322,7 @@ def _simulate(config: ExperimentConfig, fault_plan=None) -> Row:
     (:func:`repro.core.parallel.simulate_config`) and faulted
     :func:`run_config` calls alike.
     """
-    job, traces = _gate("lint", config, None) or (_event_job(config), None)
+    job, traces = _gate("lint", config, None) or (event_job(config), None)
     if fault_plan is not None:
         job = dataclasses.replace(job, fault_plan=fault_plan)
         telemetry.count("faults.runs")
@@ -328,7 +332,7 @@ def _simulate(config: ExperimentConfig, fault_plan=None) -> Row:
         for stat, value in result.fault_stats.to_dict().items():
             if value:
                 telemetry.count(f"faults.{stat}", value)
-    return _event_row(config, result)
+    return event_row(config, result)
 
 
 #: Journal failure count at which ``resume`` quarantines a config.

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, PlacementError
+from repro.names import ALLOCATIONS
 
 
 def strided_order(n: int, stride: int) -> list[int]:
@@ -70,6 +71,12 @@ class ThreadBinding:
         if self.policy == "compact" and self.stride != 1:
             raise ConfigurationError("compact binding implies stride 1")
 
+    @classmethod
+    def from_stride(cls, stride: int) -> "ThreadBinding":
+        """The binding of a thread-stride sweep point: stride 1 is
+        ``compact``, any other an explicit ``stride``."""
+        return cls() if stride == 1 else cls("stride", stride=stride)
+
     def effective_stride(self, cores_per_domain: int) -> int:
         if self.policy == "compact":
             return 1
@@ -98,7 +105,7 @@ class ProcessAllocation:
 
     method: str = "block"
 
-    METHODS = ("block", "cyclic", "domain-pack", "spread")
+    METHODS = ALLOCATIONS
 
     def __post_init__(self) -> None:
         if self.method not in self.METHODS:

@@ -27,14 +27,12 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigurationError
 from repro.kernels.timing import PhaseTiming, phase_time
 from repro.machine.topology import Cluster, CoreAddress
+from repro.names import DATA_POLICIES
 from repro.units import US
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compile.compiler import CompiledKernel
     from repro.runtime.program import Compute
-
-#: Data-placement policies.
-DATA_POLICIES = ("first-touch", "serial-init")
 
 _FORK_BASE_S = 0.5 * US
 _FORK_PER_THREAD_S = 0.04 * US

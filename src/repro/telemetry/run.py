@@ -150,11 +150,10 @@ class RunContext:
 
     def finalize(self, status: str = "completed",
                  error: BaseException | None = None) -> None:
-        """Seal the run: closing metrics, then every queued record, the
-        summary rows and the changed manifest fields in one append."""
+        """Seal the run: every queued record, the summary rows and the
+        changed manifest fields (whose ``n_rows`` and ``wall_seconds``
+        readers rebuild ``sweep.rows_per_s`` from) in one append."""
         wall = time.perf_counter() - self._t0
-        if wall > 0:
-            self.metrics.gauge("sweep.rows_per_s", len(self._rows) / wall)
         self.log.add(runlog.summary_record(
             self.run_id, self._summary_name, self._rows, self._row_digests()))
         if error is not None:

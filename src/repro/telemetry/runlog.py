@@ -36,7 +36,9 @@ record per counter event, and logs from before the content records
 (configs inline, every field in each manifest, the ``run.opened``,
 ``run.wall_seconds``, ``sweep.rows`` and ``sweep.errors`` metrics
 recorded); in a log with a session record, those four metrics are
-rebuilt from the manifests.  Per-run directories of the old layout
+rebuilt from the manifests, and so is ``sweep.rows_per_s`` (``n_rows /
+wall_seconds`` of each closing manifest) for a run whose log does not
+record it.  Per-run directories of the old layout
 (``<run_id>/manifest.json``, ``metrics.jsonl``, ``spans.jsonl``,
 ``summary.json``) are ignored.
 """
@@ -185,6 +187,19 @@ def _metric(name: str, kind: str, value: Any) -> dict[str, Any]:
     return {"name": name, "kind": kind, "v": value}
 
 
+def _rows_per_s(run: RunRecords, closing: dict[str, Any]) -> float | None:
+    """The ``sweep.rows_per_s`` gauge a closing manifest implies, unless
+    the run's log recorded that gauge itself (logs written before it was
+    rebuilt) or the run took no measurable time."""
+    if any(m.get("name") == "sweep.rows_per_s" for m in run.metrics):
+        return None
+    rows, wall = closing.get("n_rows"), closing.get("wall_seconds")
+    if isinstance(rows, (int, float)) and isinstance(wall, (int, float)) \
+            and wall > 0:
+        return rows / wall
+    return None
+
+
 def scan(root: Path) -> dict[str, RunRecords]:
     """Every run recorded under ``root``, keyed by run id."""
     runs: dict[str, RunRecords] = {}
@@ -230,6 +245,10 @@ def scan(root: Path) -> dict[str, RunRecords]:
                                              "wall_seconds"),
                                             ("sweep.rows", "n_rows"),
                                             ("sweep.errors", "n_errors"))]
+                    rate = _rows_per_s(run, rec)
+                    if rate is not None:
+                        run.metrics.append(
+                            _metric("sweep.rows_per_s", "gauge", rate))
             else:
                 (run.metrics if kind == "metric" else run.spans).append(rec)
         for run in held.values():

@@ -8,12 +8,12 @@ from repro.core import ablations
 
 class TestVectorLength:
     def test_vl_monotone_for_compute_bound(self):
-        _, data = ablations.a1_vector_length(apps=["ntchem"], _cache={})
+        _, data = ablations.a1_vector_length(apps=["ntchem"], cache={})
         times = data["ntchem"]
         assert times[512] < times[256] < times[128]
 
     def test_table_has_unit_baseline(self):
-        table, _ = ablations.a1_vector_length(apps=["ffvc"], _cache={})
+        table, _ = ablations.a1_vector_length(apps=["ffvc"], cache={})
         assert table.column("VL-128") == ["1.000"]
 
 

@@ -68,12 +68,12 @@ class TestCacheSharing:
     def test_shared_cache_avoids_recomputation(self):
         cache = {}
         t1, _ = figures.f1_mpi_omp_sweep(apps=["mvmc"],
-                                         configs=[(4, 12)], _cache=cache)
+                                         configs=[(4, 12)], cache=cache)
         n_after_first = len(cache)
-        t2, _ = figures.f2_thread_stride(apps=["mvmc"], _cache=cache)
+        t2, _ = figures.f2_thread_stride(apps=["mvmc"], cache=cache)
         # the stride-1 compact point is NOT shared (different data policy),
         # but repeating f1 itself is fully cached
         figures.f1_mpi_omp_sweep(apps=["mvmc"], configs=[(4, 12)],
-                                 _cache=cache)
+                                 cache=cache)
         assert len(cache) >= n_after_first
         assert t1.rows == t1.rows

@@ -94,6 +94,17 @@ class TestConfigRecords:
         assert report.metric("run.wall_seconds") \
             == report.manifest["wall_seconds"]
 
+    def test_rows_per_s_is_rebuilt_from_the_closing_manifest(self,
+                                                            results_dir):
+        run_sweep("rate", F1, {}, engine="analytic")
+        names = {r["name"] for r in _raw(results_dir) if "metric" in r}
+        assert "sweep.rows_per_s" not in names
+        report = RunReport.load(only_run(results_dir).run_id, results_dir)
+        rate = report.aggregates["sweep.rows_per_s"]
+        assert rate.count == 1
+        assert rate.last == len(F1) / report.manifest["wall_seconds"]
+        assert f"throughput: {rate.last:.1f} rows/s" in report.render()
+
     def test_changed_session_fields_are_written_again(self, results_dir,
                                                       monkeypatch):
         import sys

@@ -49,6 +49,24 @@ class TestCommands:
         assert rc == 0
         assert "stride-12" in capsys.readouterr().out
 
+    def test_run_error_names_the_config_the_flags_describe(self, capsys):
+        rc = main(["run", "--app", "mvmc", "--ranks", "8", "--threads", "12",
+                   "--stride", "2", "--allocation", "cyclic", "--no-cache"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: mvmc/as-is A64FX 8x12 stride-2 cyclic [pid ")
+        assert "PlacementError: 96 threads exceed the cluster's 48 cores" \
+            in err
+
+    def test_run_error_without_a_config_names_the_shape(self, capsys):
+        rc = main(["run", "--app", "mvmc", "--stride", "0", "--options",
+                   "tuned", "--no-cache"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mvmc/as-is A64FX 4x12 [pid ")
+        assert "ConfigurationError: stride must be positive" in err
+
     def test_figure_t1(self, capsys):
         assert main(["figure", "t1"]) == 0
         assert "A64FX" in capsys.readouterr().out
