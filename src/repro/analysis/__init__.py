@@ -38,7 +38,8 @@ gates by ``run_config``/``run_sweep``
 :func:`~repro.analysis.advisor.advise_gate`, opt-in), with verdicts
 memoized by config digest and invalidated by model- or
 analyzer-fingerprint changes; ``repro lint``/``repro advise`` and the
-advise gate also keep them next to the sweep result cache.
+advise gate also keep them as records of the result cache's log
+(:meth:`repro.core.cache.ResultCache.verdict`).
 """
 
 from repro.analysis.advisor import (
@@ -57,7 +58,6 @@ from repro.analysis.analyzer import (
     preflight_enabled,
     set_preflight,
 )
-from repro.analysis.cache import LintCache, lint_cache_for
 from repro.analysis.diagnostics import SEVERITIES, SEVERITY_RANK, \
     Diagnostic, DiagnosticReport
 from repro.analysis.rules import (
@@ -76,7 +76,6 @@ __all__ = [
     "SEVERITY_RANK",
     "Diagnostic",
     "DiagnosticReport",
-    "LintCache",
     "advise_config",
     "advise_gate",
     "advise_mode",
@@ -85,7 +84,6 @@ __all__ = [
     "analyze_program",
     "analyzer_fingerprint",
     "is_feasible",
-    "lint_cache_for",
     "preflight",
     "preflight_enabled",
     "set_advise_mode",

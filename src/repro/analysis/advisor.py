@@ -41,10 +41,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 
 if TYPE_CHECKING:
-    from repro.analysis.cache import LintCache
     from repro.analytic.engine import ConfigBreakdown, GroupCost
     from repro.analytic.profile import AppProfile
     from repro.compile.compiler import CompiledKernel
+    from repro.core.cache import ResultCache
     from repro.core.experiment import ExperimentConfig
     from repro.machine.topology import Cluster
     from repro.runtime.placement import JobPlacement
@@ -451,43 +451,47 @@ def clear_memos() -> None:
     _memo.clear()
 
 
+def _advise_key(config: ExperimentConfig) -> tuple[ExperimentConfig, str]:
+    # Tagged so advise reports can never alias lint reports for the same
+    # config inside one cache log.
+    return (config, "advise")
+
+
 def _advise_digest(config: ExperimentConfig) -> str:
     from repro.core.cache import config_digest
 
-    # Tagged so advise reports can never alias lint reports for the same
-    # config inside one LintCache file.
-    return config_digest((config, "advise"))
+    return config_digest(_advise_key(config))
 
 
 def advise_config(config: ExperimentConfig,
-                  cache: LintCache | None = None) -> DiagnosticReport:
+                  cache: ResultCache | None = None) -> DiagnosticReport:
     """Statically analyze one config's predicted performance.
 
-    ``cache`` is an optional :class:`~repro.analysis.cache.LintCache`;
-    advise reports share its file with lint reports under distinct
-    digests, and both are invalidated by model-fingerprint or
-    analyzer-fingerprint changes.  Verdicts are additionally memoized
-    per process, so the autotuner can call :func:`is_feasible` in a
-    tight loop.
+    ``cache`` is an optional persistent
+    :class:`~repro.core.cache.ResultCache`; advise reports are verdict
+    records of its log beside lint reports, under distinct keys, and
+    both are invalidated by model-fingerprint or analyzer-fingerprint
+    changes.  Verdicts are additionally memoized per process, so the
+    autotuner can call :func:`is_feasible` in a tight loop.
     """
     digest = _advise_digest(config)
     report = _memo.get(digest)
     if report is not None:
         return report
     if cache is not None:
-        report = cache.get(digest)
+        report = cache.verdict(_advise_key(config))
         if report is not None:
             _memo[digest] = report
             return report
     report = _advise_fresh(config)
     _memo[digest] = report
     if cache is not None:
-        cache.put(digest, report)
+        cache.put_verdict(_advise_key(config), report)
     return report
 
 
 def is_feasible(config: ExperimentConfig,
-                cache: LintCache | None = None) -> Diagnostic | None:
+                cache: ResultCache | None = None) -> Diagnostic | None:
     """The autotuner's pruning predicate.
 
     Returns ``None`` when the config can execute, else the first
@@ -501,7 +505,7 @@ def is_feasible(config: ExperimentConfig,
 
 
 def advise_gate(config: ExperimentConfig,
-                lint_cache: LintCache | None = None,
+                cache: ResultCache | None = None,
                 mode: str | None = None) -> None:
     """Pre-flight gate for ``run_config``/``run_sweep``.
 
@@ -513,7 +517,7 @@ def advise_gate(config: ExperimentConfig,
     mode = advise_mode() if mode is None else check_mode(mode)
     if mode == "off":
         return
-    report = advise_config(config, cache=lint_cache)
+    report = advise_config(config, cache=cache)
     cut = "error" if mode == "warn" else "warning"
     blocking = report.at_least(cut)
     if blocking:

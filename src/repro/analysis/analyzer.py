@@ -17,7 +17,8 @@ Three entry points at increasing altitude:
 simulating: it memoizes verdicts per config digest in-process and
 raises :class:`~repro.errors.LintError` when the report contains
 error-severity findings (``repro lint`` calls :func:`analyze_config`
-instead, with a persistent :class:`~repro.analysis.cache.LintCache`).
+instead, keeping verdicts in a persistent
+:class:`~repro.core.cache.ResultCache`).
 Below the verdicts, :func:`analyze_config` memoizes the program
 analysis per *program shape* — everything ``analyze_job``'s findings
 depend on — so configs that differ only in threads, binding,
@@ -42,7 +43,7 @@ from repro.runtime.executor import Job
 from repro.runtime.replay import collector_paused, trace_program
 
 if TYPE_CHECKING:
-    from repro.analysis.cache import LintCache
+    from repro.core.cache import ResultCache
     from repro.core.experiment import ExperimentConfig
 
 #: Environment switch: set to any non-empty value to skip the pre-flight.
@@ -120,24 +121,21 @@ def analyze_job(job: Job, keep: Traces | None = None) -> DiagnosticReport:
 
 
 def analyze_config(config: ExperimentConfig,
-                   cache: LintCache | None = None) -> DiagnosticReport:
+                   cache: ResultCache | None = None) -> DiagnosticReport:
     """Full pre-flight of one :class:`ExperimentConfig`.
 
     Placement feasibility reuses the runtime's own
     :class:`~repro.runtime.placement.JobPlacement` validation; any
     :class:`~repro.errors.ReproError` raised while assembling the
     cluster, placement, or job becomes a diagnostic.  ``cache`` is an
-    optional :class:`~repro.analysis.cache.LintCache`.
+    optional persistent :class:`~repro.core.cache.ResultCache` whose
+    log keeps the verdict under the config's own key.
     """
-    if cache is None:
-        return _analyze_config_fresh(config, None)[0]
-    from repro.core.cache import config_digest
-
-    digest = config_digest(config)
-    report = cache.get(digest)
+    report = cache.verdict(config) if cache is not None else None
     if report is None:
         report = _analyze_config_fresh(config, None)[0]
-        cache.put(digest, report)
+        if cache is not None:
+            cache.put_verdict(config, report)
     return report
 
 

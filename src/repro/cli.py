@@ -6,7 +6,7 @@ Commands mirror what a user of the original study's scripts would run:
 * ``run`` — simulate one configuration and print the report;
 * ``profile`` — simulate with the PMU on and print the fapp-style report;
 * ``sweep`` — the MPI x OpenMP grid for one app (``--resume`` restarts
-  an interrupted run from the persistent cache + journal);
+  an interrupted run from the persistent cache's rows and strikes);
 * ``chaos`` — deterministic fault-injection campaigns with invariant
   checks (the CI resilience gate);
 * ``figure`` — regenerate one paper artifact (t1..t2, f1..f10, a1..a5);
@@ -122,7 +122,8 @@ def _add_cache_flags(parser: argparse.ArgumentParser,
 
 #: The cache flags of ``lint`` and ``advise``, which share their cache.
 _ANALYSIS_CACHE = dict(
-    what="analysis-cache directory, shared by lint and advise",
+    what="result-cache directory, whose log keeps the lint and advise "
+         "verdicts",
     no_cache="re-analyze even if a cached verdict exists")
 
 
@@ -245,23 +246,21 @@ def _cmd_list_processors(_args) -> int:
 
 
 def _run_error(args, exc: Exception, config=None) -> int:
-    """Surface a failed ``repro run`` as a one-config sweep error:
-    class, message, originating pid, and the full traceback.  It names
-    ``config``, the one the flags describe; when they describe none
-    (``--stride 0``), a config of the app and placement shape only."""
+    """Surface a failed ``repro run`` as a one-config sweep error would
+    read: label, pid, class, message, and the full traceback.  The label
+    is the one of ``config``, the config the flags describe; when they
+    describe none (``--stride 0``, ``--ranks 0``), it is built from the
+    app and placement flags alone."""
     import traceback
 
-    from repro.core.experiment import ExperimentConfig
-    from repro.core.parallel import SweepError
-
-    setattr(exc, "_repro_traceback", traceback.format_exc())
-    setattr(exc, "_repro_pid", os.getpid())
-    if config is None:
-        config = ExperimentConfig(
-            app=args.app, dataset=args.dataset, processor=args.processor,
-            n_nodes=args.nodes, n_ranks=args.ranks, n_threads=args.threads)
-    print(f"error: {SweepError.from_exception(config, exc).details()}",
-          file=sys.stderr)
+    if config is not None:
+        label = config.label()
+    else:
+        label = (f"{args.app}/{args.dataset} {args.processor} "
+                 f"{args.ranks}x{args.threads}"
+                 + (f" {args.nodes}nodes" if args.nodes != 1 else ""))
+    print(f"error: {label} [pid {os.getpid()}]: {type(exc).__name__}: "
+          f"{exc}\n{traceback.format_exc().rstrip()}", file=sys.stderr)
     return 1
 
 
@@ -481,19 +480,10 @@ def _grid_configs(args, grid):
             for n_ranks, n_threads in grid)
 
 
-def _lint_cache(args):
-    """The lint/advise verdict cache per the flags, or None."""
-    if args.no_cache:
-        return None
-    from repro.analysis.cache import lint_cache_for
-
-    return lint_cache_for(args.cache_dir)
-
-
 def _cmd_lint(args) -> int:
     from repro.analysis import analyze_config
 
-    cache = _lint_cache(args)
+    cache = _cache_from_args(args)
     n_errors = 0
     for config in _grid_configs(args, _LINT_GRID):
         report = analyze_config(config, cache=cache)
@@ -522,7 +512,7 @@ def _cmd_advise(args) -> int:
         grid.append((n_dom, cores // n_dom))
     grid.append((cores, 1))
 
-    cache = _lint_cache(args)
+    cache = _cache_from_args(args)
     reports = []
     n_errors = 0
     for config in _grid_configs(args, grid):

@@ -14,7 +14,24 @@ two components:
   results from an older model.
 
 Storage is an append-only JSONL log (:mod:`repro.jsonlog`), fronted by
-an LRU-bounded in-memory dict.
+an LRU-bounded in-memory dict.  It is the only store of a cache
+directory, and holds three kinds of record:
+
+* a **row**: ``fp``, ``key`` (the digest above) and ``row``;
+* a **failure strike**: ``sweep``, ``key`` (the digest the config's row
+  would be stored under), ``error``, ``message`` and ``pid``, appended
+  when a sweep's fresh completion fails.  It has no ``fp``.  A row
+  appended later under the same key clears the key's strikes.  The
+  strikes are what ``resume`` and the sweep service quarantine on
+  (:mod:`repro.core.journal`);
+* a **verdict**: ``fp``, ``analyzer`` (see
+  :func:`repro.analysis.rules.analyzer_fingerprint`), ``key`` and
+  ``report``, a lint or advise report of one config.  A model change
+  invalidates it because the subject changed, an analyzer upgrade
+  because the checks did.
+
+Files the older builds kept beside the log (``sweep-journal.jsonl``,
+``lint.jsonl``) are ignored.
 
 The cache duck-types the plain-``dict`` protocol the runner always used
 (``cache.get(config)`` / ``cache[config] = row``), so every ``cache=``
@@ -28,13 +45,16 @@ import hashlib
 import os
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import jsonlog, telemetry
 from repro.core.experiment import ExperimentConfig
 from repro.core.persistence import config_to_dict, row_from_dict, row_to_dict
 from repro.core.runner import Row
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.analysis.diagnostics import DiagnosticReport
 
 #: Environment variable overriding the default cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -187,8 +207,25 @@ def config_snapshot(config: ExperimentConfig) -> tuple[str, str | None]:
     return digest, text
 
 
+#: The strike entry of a key whose row cleared its strikes.
+_DONE = {"done": True, "fails": 0, "error": "", "message": "", "pid": None}
+
+
+def _add_strike(strikes: dict[str, dict[str, dict[str, Any]]],
+                rec: dict[str, Any]) -> None:
+    """Count strike record ``rec`` into ``strikes`` (digest -> sweep ->
+    entry)."""
+    entry = strikes.setdefault(rec["key"], {}).setdefault(
+        str(rec["sweep"]), {"done": False, "fails": 0})
+    entry["fails"] += 1
+    entry["error"] = str(rec.get("error", ""))
+    entry["message"] = str(rec.get("message", ""))
+    entry["pid"] = rec.get("pid")
+
+
 class ResultCache:
-    """Persistent content-addressed cache of sweep :class:`Row` objects.
+    """Persistent content-addressed cache of sweep :class:`Row` objects,
+    and of the failure strikes and lint/advise verdicts of their configs.
 
     Parameters
     ----------
@@ -196,11 +233,12 @@ class ResultCache:
         Where the JSONL file lives (created on first write).  ``None``
         selects :func:`default_cache_dir`.
     max_memory_entries:
-        LRU bound on the in-memory layer; the disk file is unbounded.
+        LRU bound on the in-memory rows; the disk file is unbounded.
     """
 
     __slots__ = ("directory", "max_memory_entries", "hits", "misses",
-                 "torn_lines", "_mem", "_loaded", "_fingerprint")
+                 "torn_lines", "_mem", "_verdicts", "_strikes", "_loaded",
+                 "_fingerprint", "_analyzer")
 
     FILENAME = "results.jsonl"
 
@@ -215,8 +253,13 @@ class ResultCache:
         self.misses = 0
         self.torn_lines = 0
         self._mem: OrderedDict[str, Row] = OrderedDict()
+        self._verdicts: dict[str, DiagnosticReport] = {}
+        #: digest -> sweep -> strike entry (``{}`` once a row cleared the
+        #: digest's strikes); ``None`` until the strikes are read.
+        self._strikes: dict[str, dict[str, dict[str, Any]]] | None = None
         self._loaded = False
         self._fingerprint: str | None = None
+        self._analyzer: str | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -229,6 +272,15 @@ class ResultCache:
             self._fingerprint = model_fingerprint()
         return self._fingerprint
 
+    @property
+    def analyzer(self) -> str:
+        """The analyzer fingerprint the verdicts are kept under."""
+        if self._analyzer is None:
+            from repro.analysis.rules import analyzer_fingerprint
+
+            self._analyzer = analyzer_fingerprint()
+        return self._analyzer
+
     # ------------------------------------------------------------------
     def _remember(self, digest: str, row: Row) -> None:
         mem = self._mem
@@ -238,38 +290,63 @@ class ResultCache:
         while len(mem) > self.max_memory_entries:
             mem.popitem(last=False)
 
-    def _load(self) -> None:
-        """Read the JSONL file, keeping current-fingerprint rows.
+    def _load(self, strikes: bool = False) -> None:
+        """Read the log: its rows and verdicts on the first read, and
+        with ``strikes=True`` its failure strikes as the file now stands.
 
-        Records of another fingerprint are expected invalidation and
-        skipped silently; current records whose row no longer decodes
-        (e.g. a preset that was since removed) count as torn.
+        Rows and verdicts of another fingerprint, and verdicts of
+        another analyzer, are expected invalidation and skipped
+        silently.  A current record that no longer decodes (e.g. a
+        preset that was since removed), or a strike without its key,
+        counts as torn, on the first read only.
         """
+        first = not self._loaded
         self._loaded = True
         fp = self.fingerprint
+        struck: dict[str, dict[str, dict[str, Any]]] | None = \
+            {} if strikes else None
         records, corrupt = jsonlog.read(self.path, CACHE_FORMAT)
         records.reverse()
         while records:
             # pop, not iterate: each parsed record is freed as its row
             # is decoded, so records and rows are never all alive at once
             rec = records.pop()
+            if "sweep" in rec:
+                if type(rec.get("key")) is not str:
+                    corrupt += 1
+                elif struck is not None:
+                    _add_strike(struck, rec)
+                continue
             if rec.get("fp") != fp:
                 continue  # expected invalidation, not corruption
-            try:
-                digest = str(rec["key"])
-                row = row_from_dict(rec["row"])
-            except (ValueError, KeyError, TypeError, ConfigurationError,
-                    AttributeError):
-                corrupt += 1
-                continue
-            self._remember(digest, row)
-        if corrupt:
+            if struck is not None and "row" in rec and "key" in rec:
+                struck[str(rec["key"])] = {}  # a later row clears strikes
+            if first:
+                try:
+                    self._decode(rec)
+                except (ValueError, KeyError, TypeError, ConfigurationError,
+                        AttributeError):
+                    corrupt += 1
+        if first and corrupt:
             # Surface through telemetry rather than a one-shot
             # warnings.warn: the count lands in the run's metrics and shows
             # up as a `repro report` line item, and stays inspectable on
             # the cache object itself.
             self.torn_lines += corrupt
             telemetry.count("cache.torn_lines", corrupt)
+        if struck is not None:
+            self._strikes = struck
+
+    def _decode(self, rec: dict[str, Any]) -> None:
+        """Keep one current row or verdict record in memory."""
+        digest = str(rec["key"])
+        if "analyzer" not in rec:
+            self._remember(digest, row_from_dict(rec["row"]))
+        elif rec["analyzer"] == self.analyzer:
+            from repro.analysis.diagnostics import DiagnosticReport
+
+            self._verdicts[digest] = DiagnosticReport.from_dict(
+                rec["report"])
 
     def _append(self, digest: str, row: Row) -> None:
         jsonlog.append(self.path, {"format": CACHE_FORMAT,
@@ -300,6 +377,8 @@ class ResultCache:
             return
         self._remember(digest, row)
         self._append(digest, row)
+        if self._strikes is not None:
+            self._strikes[digest] = {}  # the appended row clears strikes
         telemetry.count("cache.store")
 
     # dict-protocol aliases so ResultCache drops in wherever a plain
@@ -323,19 +402,85 @@ class ResultCache:
             self._load()
         return len(self._mem)
 
+    # -- failure strikes: the state of repro.core.journal's view --------
+    def strike(self, sweep: str, key: Any,
+               exc: BaseException | None) -> None:
+        """Append a failure strike against ``key``'s row for ``sweep``:
+        the exception's class and message, and the pid that raised it
+        when known."""
+        rec: dict[str, Any] = {
+            "format": CACHE_FORMAT, "sweep": sweep,
+            "key": config_digest(key),
+            "error": type(exc).__name__ if exc is not None else "",
+            "message": str(exc) if exc is not None else "",
+        }
+        pid = getattr(exc, "_repro_pid", None)
+        if pid is not None:
+            rec["pid"] = pid
+        telemetry.count("journal.failed")
+        if self._strikes is not None:
+            _add_strike(self._strikes, rec)
+        jsonlog.append(self.path, rec)
+
+    def read_strikes(self) -> None:
+        """Read the strikes as the log stands now, other processes'
+        appends included; this cache's later puts and strikes update
+        them."""
+        self._load(strikes=True)
+
+    def strike_status(self, sweep: str, key: Any) -> dict[str, Any] | None:
+        """The strikes against ``key``'s row for ``sweep`` (keys: done,
+        fails, error, message, pid): ``done`` once a row cleared them,
+        ``None`` when the log holds neither."""
+        if self._strikes is None:
+            self.read_strikes()
+        sweeps = (self._strikes or {}).get(config_digest(key))
+        if sweeps is None:
+            return None
+        entry = sweeps.get(sweep)
+        if entry is not None:
+            return dict(entry)
+        return None if sweeps else dict(_DONE)
+
+    # -- lint and advise verdicts ---------------------------------------
+    def verdict(self, key: Any) -> DiagnosticReport | None:
+        """The :class:`~repro.analysis.diagnostics.DiagnosticReport`
+        this analyzer stored under ``key``, or ``None``."""
+        if not self._loaded:
+            self._load()
+        return self._verdicts.get(config_digest(key))
+
+    def put_verdict(self, key: Any, report: DiagnosticReport) -> None:
+        if not self._loaded:
+            self._load()
+        digest = config_digest(key)
+        known = digest in self._verdicts
+        self._verdicts[digest] = report
+        if not known:
+            jsonlog.append(self.path, {
+                "format": CACHE_FORMAT, "fp": self.fingerprint,
+                "analyzer": self.analyzer, "key": digest,
+                "report": report.to_dict()})
+
+    # ------------------------------------------------------------------
     def compact(self, *, keep_stale: bool = True) -> dict[str, int]:
-        """Rewrite the JSONL file without torn or duplicate lines.
+        """Rewrite the JSONL file without torn, superseded or cleared
+        records, keeping what every lookup answers.
 
         The append-only write path never rewrites history, so a
         long-lived cache accumulates garbage: truncated lines from
-        killed processes, and superseded records when a key was stored
-        more than once (every ``put`` appends).  ``compact`` rewrites
-        the file keeping only the **last** record per (fingerprint, key)
-        pair.  Torn lines and records missing a fingerprint, key or row
-        are dropped and counted as ``dropped_torn``; records of another
-        on-disk format are dropped uncounted.  With
-        ``keep_stale=False`` records from other model fingerprints are
-        dropped too (they can never be served by this build).
+        killed processes, superseded records (every ``put`` appends),
+        and strikes a later row cleared.  ``compact`` keeps the
+        **last** row per (fingerprint, key) and the last verdict per
+        (fingerprint, analyzer, key), in first-seen order, then every
+        strike no later row of its key cleared, in log order: after the
+        rows, so they clear as they did.  Torn lines and records missing
+        a fingerprint, key, row or report count as ``dropped_torn``;
+        records of another on-disk format are dropped uncounted;
+        superseded records and cleared strikes count as
+        ``dropped_duplicates``.  ``keep_stale=False`` also drops rows and
+        verdicts of other model fingerprints and verdicts of other
+        analyzers (this build can never serve them).
 
         The rewrite is atomic (:func:`repro.jsonlog.rewrite`), so a
         reader sees either the old file or the new one, never a
@@ -352,24 +497,44 @@ class ResultCache:
         records, stats["dropped_torn"] = jsonlog.read(self.path,
                                                       CACHE_FORMAT)
         fp = self.fingerprint
-        #: (fp, key) -> last record for it, in first-seen order.
-        latest: dict[tuple[str, str], dict[str, Any]] = {}
-        for rec in records:
-            if "fp" not in rec or "key" not in rec or "row" not in rec:
+        #: (fp, analyzer or None, key) -> last record for it, in
+        #: first-seen order.
+        latest: dict[tuple[str, Any, str], dict[str, Any]] = {}
+        #: current key -> position of its last row
+        last_row: dict[str, int] = {}
+        strikes: list[tuple[int, dict[str, Any]]] = []
+        for i, rec in enumerate(records):
+            if "sweep" in rec:
+                if type(rec.get("key")) is str:
+                    strikes.append((i, rec))
+                else:
+                    stats["dropped_torn"] += 1
+                continue
+            analyzer = rec.get("analyzer")
+            if analyzer is not None:
+                analyzer = str(analyzer)
+            if "fp" not in rec or "key" not in rec \
+                    or ("row" if analyzer is None else "report") not in rec:
                 stats["dropped_torn"] += 1
                 continue
             record_fp, key = str(rec["fp"]), str(rec["key"])
-            if not keep_stale and record_fp != fp:
+            if analyzer is None and record_fp == fp:
+                last_row[key] = i
+            if not keep_stale and (record_fp != fp or analyzer not in
+                                   (None, self.analyzer)):
                 stats["dropped_stale"] += 1
                 continue
-            if (record_fp, key) in latest:
+            if (record_fp, analyzer, key) in latest:
                 stats["dropped_duplicates"] += 1
-            latest[(record_fp, key)] = rec
-        stats["kept"] = len(latest)
-        jsonlog.rewrite(self.path, latest.values())
+            latest[(record_fp, analyzer, key)] = rec
+        kept = [rec for i, rec in strikes if i > last_row.get(rec["key"], -1)]
+        stats["dropped_duplicates"] += len(strikes) - len(kept)
+        stats["kept"] = len(latest) + len(kept)
+        jsonlog.rewrite(self.path, [*latest.values(), *kept])
         stats["bytes_after"] = self.path.stat().st_size
         # Reload so the memory layer reflects exactly what survived.
         self._mem.clear()
+        self._verdicts.clear()
         self._loaded = False
         telemetry.count("cache.compacted")
         return stats
@@ -377,6 +542,8 @@ class ResultCache:
     def clear(self) -> None:
         """Drop the in-memory layer and delete the on-disk file."""
         self._mem.clear()
+        self._verdicts.clear()
+        self._strikes = None
         self._loaded = True
         try:
             self.path.unlink()

@@ -76,8 +76,8 @@ class SweepError:
     @classmethod
     def from_quarantine(cls, config: ExperimentConfig,
                         entry: dict[str, Any]) -> "SweepError":
-        """The error for a config the sweep journal quarantined
-        (``entry`` as returned by :meth:`SweepJournal.quarantined
+        """The error for a config its strikes quarantined (``entry``
+        as returned by :meth:`SweepJournal.quarantined
         <repro.core.journal.SweepJournal.quarantined>`)."""
         return cls(
             config=config,
@@ -189,8 +189,7 @@ def run_configs(
     cache=None,
     retry: RetryPolicy | None = None,
     engine: str = "event",
-    journal=None,
-    sweep: str = "",
+    sweep: str | None = None,
 ) -> list[Row | Exception]:
     """Score ``configs``, returning one outcome per input, in order.
 
@@ -198,9 +197,10 @@ def run_configs(
     ``cache`` may be a plain dict or a
     :class:`~repro.core.cache.ResultCache`; hits (under the engine's
     :func:`~repro.core.runner.cache_key`) skip dispatch entirely.  Each
-    unique miss is scored once and checkpointed as it completes — its
-    row stored in ``cache``, then its outcome recorded in ``journal``
-    under ``sweep`` — in completion order.
+    unique miss is scored once and checkpointed as it completes, in
+    completion order: its row stored in ``cache``, or its failure struck
+    there under ``sweep`` (see
+    :func:`~repro.core.runner.record_completion`).
     ``engine="event"`` misses run serially or, with ``workers > 1``, on
     a process pool under ``retry`` (see :class:`RetryPolicy`); analytic
     and ``auto`` misses go to one batched scorer call.  One
@@ -231,7 +231,7 @@ def run_configs(
         if event:
             telemetry.count("sweep.rows_completed" if ok
                             else "sweep.rows_failed")
-        record_completion(cache, journal, sweep, config, engine, ok, value)
+        record_completion(cache, sweep, config, engine, ok, value)
         for i in pending[config]:
             outcomes[i] = value
 

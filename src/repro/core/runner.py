@@ -10,9 +10,11 @@ execution, :func:`_simulate`, whichever worker ran it; ``workers=N``
 runs the event-engine misses on the process pool of
 :class:`repro.core.scheduler.Scheduler`, with the exact serial row
 ordering and values.  :func:`record_completion` checkpoints every fresh
-completion, whichever path produced it, so with a persistent cache
-``run_sweep(..., resume=True)`` restarts an interrupted sweep where it
-stopped (see :mod:`repro.core.journal`).
+completion, whichever path produced it, into the cache's one log: a
+success as its row, a sweep's failure as a strike.  So with a
+persistent cache ``run_sweep(..., resume=True)`` restarts an
+interrupted sweep where it stopped, and quarantines the configs that
+keep failing (see :mod:`repro.core.journal`).
 """
 
 from __future__ import annotations
@@ -143,8 +145,8 @@ def _gate(kind: str, config: ExperimentConfig, cache,
 
     Both record a ``gate.<kind>`` span, a ``gate.<kind>.seconds``
     histogram and a ``gate.<kind>.blocked`` count.  When ``cache`` is
-    persistent, advise verdicts share its directory; lint verdicts are
-    memoized in-process only.
+    persistent, advise verdicts are records of its log; lint verdicts
+    are memoized in-process only.
     """
     if kind == "lint":
         from repro.analysis import analyzer
@@ -159,14 +161,9 @@ def _gate(kind: str, config: ExperimentConfig, cache,
             advisor.check_mode(advise)
         if mode == "off":
             return None
-        lint_cache = None
-        directory = getattr(cache, "directory", None)
-        if directory is not None:
-            from repro.analysis.cache import lint_cache_for
-
-            lint_cache = lint_cache_for(directory)
-        check = partial(advisor.advise_gate, lint_cache=lint_cache,
-                        mode=mode)
+        persistent = getattr(cache, "directory", None) is not None
+        check = partial(advisor.advise_gate,
+                        cache=cache if persistent else None, mode=mode)
         attrs = {"mode": mode}
     t0 = time.perf_counter()
     try:
@@ -192,19 +189,21 @@ def cache_key(config: ExperimentConfig, engine: str):
     return (config, "engine=analytic")
 
 
-def record_completion(cache, journal, sweep: str, config: ExperimentConfig,
+def record_completion(cache, sweep: str | None, config: ExperimentConfig,
                       engine: str, ok: bool, value) -> None:
     """Checkpoint one fresh completion, whichever path produced it.
 
-    A row is stored in ``cache`` under its :func:`cache_key`; the
-    outcome (success or the captured exception) is appended to the
-    sweep ``journal`` that ``resume`` and quarantine consult.  Either
-    may be ``None``.
+    A row is stored in ``cache`` under its :func:`cache_key`.  A
+    failure of a ``sweep`` is struck against that key in a persistent
+    cache's log, where ``resume`` and quarantine count it; ``sweep=None``
+    (a single ``run_config``) strikes nothing.  ``cache`` may be
+    ``None``.
     """
-    if ok and cache is not None:
-        cache[cache_key(config, engine)] = value
-    if journal is not None:
-        journal.record(sweep, config, ok, exc=None if ok else value)
+    if ok:
+        if cache is not None:
+            cache[cache_key(config, engine)] = value
+    elif sweep is not None and getattr(cache, "directory", None) is not None:
+        cache.strike(sweep, cache_key(config, engine), value)
 
 
 def run_config(config: ExperimentConfig, cache=None, *,
@@ -335,7 +334,7 @@ def _simulate(config: ExperimentConfig, fault_plan=None) -> Row:
     return event_row(config, result)
 
 
-#: Journal failure count at which ``resume`` quarantines a config.
+#: Strike count at which ``resume`` quarantines a config.
 QUARANTINE_AFTER = 2
 
 
@@ -365,9 +364,10 @@ def run_sweep(name: str, configs: list[ExperimentConfig],
         Pick up a previously interrupted run of this sweep.  Requires a
         persistent :class:`~repro.core.cache.ResultCache`: completed
         rows are served from the cache (they were checkpointed as they
-        finished) and only the remainder is simulated.  Configs the
-        sweep journal shows failing :data:`QUARANTINE_AFTER` or more
-        times are **quarantined** — recorded on ``SweepResult.errors``
+        finished) and only the remainder is simulated.  Configs whose
+        row under ``engine`` the cache's log shows failing for this
+        sweep :data:`QUARANTINE_AFTER` or more times are
+        **quarantined** — recorded on ``SweepResult.errors``
         without another attempt, whatever the ``errors`` mode, so one
         deterministically broken config cannot wedge the restart loop.
     retry:
@@ -393,9 +393,9 @@ def run_sweep(name: str, configs: list[ExperimentConfig],
         the sweep proceeds; under ``errors="raise"`` the first
         :class:`~repro.errors.AdviseError` propagates.
 
-    When the cache is persistent, every fresh completion (success or
-    failure) is also journaled next to the cache file — that journal is
-    what ``resume`` consults.
+    When the cache is persistent, every fresh failure is also struck in
+    its log (a success is its stored row) — that is what ``resume``
+    consults.
 
     With telemetry on (the default), the sweep records itself as a run
     in the process's log ``results/runs/<session>.jsonl`` (see
@@ -430,21 +430,21 @@ def _run_sweep_impl(name: str, configs: list[ExperimentConfig],
     from repro.core.parallel import SweepError, run_configs
     from repro.errors import AdviseError
 
-    journal = SweepJournal.for_cache(cache)
+    journal = SweepJournal.for_cache(cache) if resume else None
     if resume and journal is None:
         from repro.errors import ConfigurationError
 
         raise ConfigurationError(
             "resume requires a persistent ResultCache (completed rows and "
-            "the failure journal live in its directory)"
+            "failure strikes live in its log)"
         )
 
     quarantine: dict[ExperimentConfig, SweepError] = {}
     for config in configs:
         if config in quarantine:
             continue
-        entry = journal.quarantined(name, config, QUARANTINE_AFTER) \
-            if resume else None
+        entry = journal.quarantined(name, config, QUARANTINE_AFTER,
+                                    engine) if journal is not None else None
         if entry is not None:
             quarantine[config] = SweepError.from_quarantine(config, entry)
             continue
@@ -461,8 +461,7 @@ def _run_sweep_impl(name: str, configs: list[ExperimentConfig],
     with telemetry.span("dispatch", engine=engine, configs=len(to_run),
                         workers=workers):
         outcome_list = run_configs(to_run, workers=workers, cache=cache,
-                                   retry=retry, engine=engine,
-                                   journal=journal, sweep=name)
+                                   retry=retry, engine=engine, sweep=name)
     outcomes = iter(outcome_list)
     sweep = SweepResult(name)
     aligned: list = []

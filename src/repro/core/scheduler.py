@@ -17,9 +17,9 @@ execution per engine-tagged config digest** across every caller:
   call per config — the scorer is a pure-Python per-config loop, so a
   batch saves nothing and a worker thread would buy no parallelism;
 * fresh completions are checkpointed by
-  :func:`~repro.core.runner.record_completion` — cache plus journal
-  under the requesting sweep's name — so resume and quarantine see
-  every path alike.
+  :func:`~repro.core.runner.record_completion` — a row, or a strike
+  under the requesting sweep's name, in the cache's log — so resume and
+  quarantine see every path alike.
 
 Two callers drive it.  The sweep service's server keeps one for its
 lifetime and many concurrent jobs; ``run_sweep(..., workers=N)`` builds
@@ -38,7 +38,7 @@ last one leaves (:meth:`Scheduler.obtain`).
 per-execution **watchdog** (while it is armed, at most ``workers`` event
 executions are in flight, so its clock never runs while a config
 queues): an attempt exceeding it is abandoned and retried under the
-policy's bounded attempts and backoff, then failed (journaled, so the
+policy's bounded attempts and backoff, then failed (struck, so the
 quarantine threshold accrues).  A pool worker
 cannot be killed individually, so the watchdog recycles the pool.  A
 crashed or unusable pool is not rebuilt: every later execution runs on
@@ -98,6 +98,8 @@ class Scheduler:
         #: A custom fn runs on threads (closures don't pickle), which
         #: is exactly what the hung-worker chaos scenario needs.
         self._simulate_fn = simulate_fn
+        #: The quarantine view over the cache's log (``None`` without a
+        #: persistent cache); completions through the cache update it.
         self.journal: SweepJournal | None = SweepJournal.for_cache(cache)
         #: engine-tagged config digest -> the owning execution task.
         self._inflight: dict[str, asyncio.Task[tuple[bool, Any]]] = {}
@@ -114,14 +116,16 @@ class Scheduler:
         }
 
     # ------------------------------------------------------------------
-    def quarantined(self, sweep: str,
-                    config: ExperimentConfig) -> dict[str, Any] | None:
-        """The journal entry if ``config`` is quarantined for ``sweep``
-        (failed :data:`~repro.core.runner.QUARANTINE_AFTER`+ times),
-        else ``None``."""
+    def quarantined(self, sweep: str, config: ExperimentConfig,
+                    engine: str) -> dict[str, Any] | None:
+        """The strike entry if ``config``'s ``engine`` row is
+        quarantined for ``sweep`` (failed
+        :data:`~repro.core.runner.QUARANTINE_AFTER`+ times), else
+        ``None``."""
         if self.journal is None:
             return None
-        return self.journal.quarantined(sweep, config, QUARANTINE_AFTER)
+        return self.journal.quarantined(sweep, config, QUARANTINE_AFTER,
+                                        engine)
 
     # ------------------------------------------------------------------
     async def obtain(self, sweep: str, config: ExperimentConfig,
@@ -177,7 +181,7 @@ class Scheduler:
     async def _execute(self, sweep: str, config: ExperimentConfig,
                        engine: str) -> tuple[bool, Any]:
         """One fresh execution: dispatch, then checkpoint the completion
-        from this process (workers never touch the cache or journal)."""
+        from this process (workers never touch the cache)."""
         if engine == "event":
             ok, value = await self._execute_event(config)
         else:
@@ -185,8 +189,7 @@ class Scheduler:
         self.stats["executed"] += 1
         if not ok:
             self.stats["failed"] += 1
-        record_completion(self.cache, self.journal, sweep, config, engine,
-                          ok, value)
+        record_completion(self.cache, sweep, config, engine, ok, value)
         return ok, value
 
     # -- event engine: shard over the process pool ---------------------

@@ -1,9 +1,10 @@
 """Durable JSON-lines logs: one append, one tolerant read, one atomic
 replace.
 
-Every append-only store in the package — the result cache, the sweep
-journal, the lint cache, the service job ledger and each process's run
-log — is a file of JSON objects, one per line, each carrying a
+Every append-only store in the package — the result cache (rows,
+failure strikes and lint/advise verdicts, the one file of a cache
+directory), the service job ledger and each process's run log — is a
+file of JSON objects, one per line, each carrying a
 ``"format"`` version.  This module owns the whole on-disk discipline so
 the stores keep only their record semantics:
 
@@ -42,7 +43,7 @@ from typing import Any, Callable, Iterable
 
 # The one line encoding every store has always written (sorted keys,
 # compact separators).  Encoder and decoder are built once: every
-# cache put and every journaled completion is an append.
+# fresh completion is an append to the cache's log.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _DECODE = json.JSONDecoder().decode
 

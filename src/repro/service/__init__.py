@@ -18,8 +18,9 @@ sweep jobs over a local unix socket; the server
   ``run_sweep``;
 * **survives** — jobs are journaled in a ledger next to the cache;
   SIGTERM drains in-flight jobs and a restarted server resumes the
-  queued ones, while repeat-failing configs are quarantined per job via
-  the sweep journal.
+  queued ones, while configs that keep failing are quarantined per job
+  name and engine by the failure strikes in the cache's log
+  (:mod:`repro.core.journal`).
 
 Layers: :mod:`.protocol` (wire frames), :mod:`.jobs` (specs, state
 machine, ledger), :mod:`.fairshare` (weighted fair-share run-slot

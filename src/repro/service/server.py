@@ -95,7 +95,8 @@ class SweepService:
     cache:
         Shared result cache (a
         :class:`~repro.core.cache.ResultCache` makes jobs durable:
-        rows, journal, and ledger all live in its directory).  ``None``
+        the cache's log, with rows and failure strikes, and the job
+        ledger live in its directory).  ``None``
         serves from memory only.
     workers:
         Process-pool width for event-engine rows.
@@ -117,9 +118,9 @@ class SweepService:
         :class:`~repro.core.parallel.RetryPolicy` of the event
         executions.  Its ``timeout_s`` is the per-execution progress
         watchdog: a config attempt exceeding it is killed and retried
-        (``max_attempts``, ``backoff_s``), then failed and journaled so
-        quarantine accrues.  ``None`` (the default) serves with no
-        watchdog: one attempt per execution.
+        (``max_attempts``, ``backoff_s``), then failed and struck in the
+        cache's log so quarantine accrues.  ``None`` (the default)
+        serves with no watchdog: one attempt per execution.
     results_dir:
         Telemetry results root for per-job runs (default:
         the usual ``$REPRO_RESULTS_DIR`` / ``./results`` resolution).
@@ -549,7 +550,8 @@ class SweepService:
         errors: list[SweepError] = []
         runnable: list[tuple[int, ExperimentConfig]] = []
         for i, config in enumerate(configs):
-            entry = self.scheduler.quarantined(spec.name, config)
+            entry = self.scheduler.quarantined(spec.name, config,
+                                                 spec.engine)
             if entry is not None:
                 job.n_failed += 1
                 job.n_quarantined += 1

@@ -183,6 +183,7 @@ class RunReport:
         if torn:
             cache_line += f"; {torn:.0f} torn line(s) skipped on load"
         lines.append(cache_line)
+        # journal and lint: stores whose counts only older logs carry
         torn_bits = [f"{store} {self.metric(f'{store}.torn_lines'):.0f}"
                      for store in ("journal", "lint", "ledger")
                      if self.metric(f"{store}.torn_lines")]

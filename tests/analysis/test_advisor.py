@@ -13,8 +13,8 @@ from repro.analysis.advisor import (
     is_feasible,
     set_advise_mode,
 )
-from repro.analysis.cache import LintCache
 from repro.analysis.rules import PERF_RULES
+from repro.core.cache import ResultCache
 from repro.core.experiment import ExperimentConfig, single_node_configs
 from repro.core.runner import run_config, run_sweep
 from repro.errors import AdviseError, ConfigurationError
@@ -247,10 +247,10 @@ class TestAdviseCache:
 
     def test_persists_and_reloads(self, tmp_path):
         advisor.clear_memos()
-        cache = LintCache(tmp_path)
+        cache = ResultCache(tmp_path)
         fresh = advise_config(CFG, cache=cache)
         advisor.clear_memos()
-        again = advise_config(CFG, cache=LintCache(tmp_path))
+        again = advise_config(CFG, cache=ResultCache(tmp_path))
         assert again is not fresh
         # serialization canonicalizes the order (sort_key), not the set
         key = lambda d: d.sort_key()                          # noqa: E731
@@ -260,28 +260,27 @@ class TestAdviseCache:
     def test_distinct_digest_from_lint(self):
         from repro.core.cache import config_digest
 
-        # lint keys by config_digest(config); a shared LintCache file
-        # must never alias the two report kinds
+        # lint keys by config_digest(config); one cache log must never
+        # alias the two report kinds
         assert advisor._advise_digest(CFG) != config_digest(CFG)
 
     def test_analyzer_fingerprint_invalidates(self, tmp_path, monkeypatch):
-        from repro.analysis import cache as cache_mod
         from repro.analysis import rules
 
         advisor.clear_memos()
-        advise_config(CFG, cache=LintCache(tmp_path))
+        advise_config(CFG, cache=ResultCache(tmp_path))
         advisor.clear_memos()
         monkeypatch.setattr(rules, "ANALYZER_VERSION", 9999)
         rules.analyzer_fingerprint(refresh=True)
         try:
-            stale = LintCache(tmp_path)
-            assert stale.get(advisor._advise_digest(CFG)) is None
+            stale = ResultCache(tmp_path)
+            assert stale.verdict(advisor._advise_key(CFG)) is None
         finally:
             monkeypatch.undo()
             rules.analyzer_fingerprint(refresh=True)
         # sanity: the record is served again once the version matches
-        warm = LintCache(tmp_path)
-        assert warm.get(advisor._advise_digest(CFG)) is not None
+        warm = ResultCache(tmp_path)
+        assert warm.verdict(advisor._advise_key(CFG)) is not None
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.analysis import (
-    LintCache,
     analyze_config,
     analyze_job,
-    lint_cache_for,
     preflight,
     preflight_enabled,
     set_preflight,
@@ -15,6 +13,7 @@ from repro.analysis import analyzer
 from repro.analysis.analyzer import ENV_NO_LINT
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 from repro.compile import PRESETS
+from repro.core.cache import ResultCache
 from repro.core.experiment import ExperimentConfig
 from repro.core.runner import run_config
 from repro.errors import LintError, PlacementError
@@ -106,49 +105,66 @@ class TestAnalyzeConfig:
         assert diags[0].hint        # actionable
 
     def test_cache_round_trip(self, tmp_path):
-        cache = LintCache(tmp_path)
+        cache = ResultCache(tmp_path)
         report = analyze_config(config(), cache=cache)
         assert report.ok
-        assert len(cache) == 1
+        assert cache.verdict(config()) is report
         # a fresh instance must serve the verdict from disk
-        again = LintCache(tmp_path)
+        again = ResultCache(tmp_path)
         hit = analyze_config(config(), cache=again)
         assert hit.subject == report.subject
         assert hit.diagnostics == report.diagnostics
 
 
 class TestLintCache:
+    """Verdicts as records of the result cache's log."""
+
     def report(self):
         return DiagnosticReport("subj", [Diagnostic(
             check="deadlock", severity="error", message="m",
             rank=1, op_index=2, op="Send(...)", hint="h")])
 
     def test_put_get_persists(self, tmp_path):
-        cache = LintCache(tmp_path)
-        cache.put("digest-a", self.report())
-        again = LintCache(tmp_path).get("digest-a")
+        cache = ResultCache(tmp_path)
+        cache.put_verdict(config(), self.report())
+        again = ResultCache(tmp_path).verdict(config())
         assert again is not None
         assert again.diagnostics == self.report().diagnostics
 
     def test_miss_returns_none(self, tmp_path):
-        assert LintCache(tmp_path).get("nope") is None
+        assert ResultCache(tmp_path).verdict(config()) is None
 
     def test_fingerprint_mismatch_invalidates(self, tmp_path, monkeypatch):
-        cache = LintCache(tmp_path)
-        cache.put("digest-a", self.report())
-        stale = LintCache(tmp_path)
+        cache = ResultCache(tmp_path)
+        cache.put_verdict(config(), self.report())
+        stale = ResultCache(tmp_path)
         monkeypatch.setattr(stale, "_fingerprint", "different")
-        assert stale.get("digest-a") is None
+        assert stale.verdict(config()) is None
 
     def test_clear(self, tmp_path):
-        cache = LintCache(tmp_path)
-        cache.put("digest-a", self.report())
+        cache = ResultCache(tmp_path)
+        cache.put_verdict(config(), self.report())
         cache.clear()
-        assert cache.get("digest-a") is None
+        assert cache.verdict(config()) is None
         assert not cache.path.exists()
 
-    def test_shared_instance_per_directory(self, tmp_path):
-        assert lint_cache_for(tmp_path) is lint_cache_for(tmp_path)
+    def test_verdicts_and_rows_do_not_alias(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        row = run_config(config(), cache)
+        cache.put_verdict(config(), self.report())
+        again = ResultCache(tmp_path)
+        assert again.get(config()) == row and len(again) == 1
+        assert again.verdict(config()).diagnostics \
+            == self.report().diagnostics
+
+    def test_undecodable_verdict_is_torn(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put_verdict(config(), self.report())
+        line = cache.path.read_text().replace('"severity":"error"',
+                                              '"severity":"loud"')
+        cache.path.write_text(line)
+        again = ResultCache(tmp_path)
+        assert again.verdict(config()) is None and again.torn_lines == 1
 
 
 class TestPreflight:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import repro.core.cache as cache_mod
+from repro import jsonlog
 from repro.core.cache import (
     ResultCache,
     config_digest,
@@ -339,3 +340,61 @@ class TestCompact:
         cache.compact()
         for config, row in rows.items():
             assert cache.get(config) == row
+
+    def test_compact_keeps_quarantine_and_verdict_answers(self, tmp_path,
+                                                          capsys):
+        from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
+        from repro.cli import main
+        from repro.core.journal import SweepJournal
+        from repro.core.runner import QUARANTINE_AFTER
+
+        cache = ResultCache(tmp_path)
+        rows = self._rows(cache)
+        configs = list(rows)
+        journal = SweepJournal(cache)
+        boom = RuntimeError("boom")
+        # configs[0]: struck, then cleared by its row stored again
+        journal.record("s", configs[0], ok=False, exc=boom)
+        cache._append(config_digest(configs[0]), rows[configs[0]])
+        # configs[1]: quarantined after its row; configs[2]: one strike
+        # in each of two sweeps, and one on the analytic engine
+        for _ in range(QUARANTINE_AFTER):
+            journal.record("s", configs[1], ok=False, exc=boom)
+        for sweep in ("s", "t"):
+            journal.record(sweep, configs[2], ok=False, exc=boom)
+        journal.record("s", configs[2], ok=False, exc=boom,
+                       engine="analytic")
+        # verdicts: one superseded, one of another analyzer
+        for text in ("first", "last"):
+            cache._verdicts.clear()
+            cache.put_verdict(configs[0], DiagnosticReport(text, [Diagnostic(
+                check="deadlock", severity="error", message=text)]))
+        cache.put_verdict((configs[1], "advise"), DiagnosticReport("adv"))
+        cache._analyzer = "0" * 16
+        cache.put_verdict(configs[2], DiagnosticReport("other analyzer"))
+
+        def answers():
+            fresh = ResultCache(tmp_path)
+            view = SweepJournal(fresh)
+            return ([(view.status(sweep, c, engine),
+                      view.quarantined(sweep, c, QUARANTINE_AFTER, engine))
+                     for c in configs for sweep in ("s", "t")
+                     for engine in ("event", "analytic")],
+                    [fresh.verdict(key) for key in
+                     (*configs, *((c, "advise") for c in configs))],
+                    [fresh.get(c) for c in configs])
+
+        before = answers()
+        assert before[0][2][1] is None and before[0][4][1] is not None
+        assert before[1][0].subject == "last"
+        assert main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 0
+        assert "dropped 0 torn, 3 duplicate(s), 0 stale" \
+            in capsys.readouterr().out
+        assert answers() == before
+        # stale: the other analyzer's verdict goes
+        stats = ResultCache(tmp_path).compact(keep_stale=False)
+        assert stats["dropped_stale"] == 1
+        assert answers() == before
+        records = jsonlog.read(ResultCache(tmp_path).path, 1)[0]
+        assert {rec.get("analyzer") for rec in records} \
+            == {None, ResultCache(tmp_path).analyzer}

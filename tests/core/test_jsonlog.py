@@ -3,7 +3,9 @@
 One torn-input policy for all eight readers: a line that fails to
 decode, fails to parse, or is not a JSON object is skipped and counted;
 an object of another format is skipped silently; every intact record
-survives; nothing raises.
+survives; nothing raises.  Four of the readers read the result cache's
+log, one per record kind it holds (rows, failure strikes, verdicts) and
+its compaction over all three.
 """
 
 import json
@@ -13,7 +15,6 @@ import threading
 import pytest
 
 from repro import jsonlog
-from repro.analysis.cache import LintCache
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.core.cache import ResultCache, config_snapshot
 from repro.core.experiment import ExperimentConfig
@@ -42,32 +43,43 @@ def _cache_read(d):
     return {i for i in range(3) if _config(i) in cache}, cache.torn_lines
 
 
-def _compact_read(d):
-    stats = ResultCache(d).compact()
-    survived, torn_after = _cache_read(d)
-    assert torn_after == 0  # the rewritten file is clean
-    return survived, stats["dropped_torn"]
-
-
+# strike records, read through the quarantine view
 def _journal_write(d, i):
-    SweepJournal(d / SweepJournal.FILENAME).record("s", _config(i), ok=True)
+    SweepJournal(ResultCache(d)).record("s", _config(i), ok=False)
 
 
 def _journal_read(d):
-    journal = SweepJournal(d / SweepJournal.FILENAME)
+    cache = ResultCache(d)
+    journal = SweepJournal(cache)
     survived = {i for i in range(3)
                 if journal.status("s", _config(i)) is not None}
-    return survived, journal.torn_lines
+    return survived, cache.torn_lines
 
 
+# lint verdict records
 def _lint_write(d, i):
-    LintCache(d).put(f"digest-{i}", DiagnosticReport(subject=f"s{i}"))
+    ResultCache(d).put_verdict(_config(i), DiagnosticReport(subject=f"s{i}"))
 
 
 def _lint_read(d):
-    cache = LintCache(d)
-    survived = {i for i in range(3) if cache.get(f"digest-{i}") is not None}
+    cache = ResultCache(d)
+    survived = {i for i in range(3) if cache.verdict(_config(i)) is not None}
     return survived, cache.torn_lines
+
+
+def _mixed_write(d, i):
+    # all three kinds; the strike follows the row, so no row clears it
+    _cache_write(d, i)
+    _lint_write(d, i)
+    _journal_write(d, i)
+
+
+def _compact_read(d):
+    stats = ResultCache(d).compact()
+    rows, torn_after = _cache_read(d)
+    assert torn_after == 0  # the rewritten file is clean
+    strikes, verdicts = _journal_read(d)[0], _lint_read(d)[0]
+    return rows & strikes & verdicts, stats["dropped_torn"]
 
 
 def _ledger_write(d, i):
@@ -141,9 +153,9 @@ def _resolves(run, config):
 
 READERS = {
     "cache-load": (ResultCache.FILENAME, _cache_write, _cache_read),
-    "cache-compact": (ResultCache.FILENAME, _cache_write, _compact_read),
-    "journal": (SweepJournal.FILENAME, _journal_write, _journal_read),
-    "lint-cache": (LintCache.FILENAME, _lint_write, _lint_read),
+    "cache-compact": (ResultCache.FILENAME, _mixed_write, _compact_read),
+    "journal": (ResultCache.FILENAME, _journal_write, _journal_read),
+    "lint-cache": (ResultCache.FILENAME, _lint_write, _lint_read),
     "ledger-replay": (JobLedger.FILENAME, _ledger_write, _ledger_read),
     "read_metrics": (RUN_LOG, _metrics_write, _metrics_read),
     "read_spans": (RUN_LOG, _spans_write, _spans_read),

@@ -1,4 +1,4 @@
-"""Resilient sweep execution: retries, crash recovery, journal, resume.
+"""Resilient sweep execution: retries, crash recovery, strikes, resume.
 
 The acceptance property for resume: a sweep killed mid-run and
 restarted with ``resume=True`` produces a SweepResult row-for-row
@@ -11,9 +11,10 @@ import time
 
 import pytest
 
-import repro.core.journal as journal_mod
+import repro.core.cache as cache_mod
 import repro.core.parallel as par
-from repro.core.cache import ResultCache
+from repro import jsonlog
+from repro.core.cache import ResultCache, config_digest
 from repro.core.experiment import ExperimentConfig
 from repro.core.journal import SweepJournal
 from repro.core.parallel import RetryPolicy, SweepError, run_configs
@@ -88,42 +89,46 @@ class TestErrorDiagnostics:
         assert err.details() == str(err)
 
 
-class _RecordingJournal:
-    """Stands in for a SweepJournal: remembers each recorded completion."""
+class _RecordingCache(dict):
+    """A memo dict that remembers each row stored in it."""
 
-    def __init__(self, on_record=None):
+    def __init__(self, *args):
+        super().__init__(*args)
         self.seen = []
-        self.on_record = on_record
 
-    def record(self, sweep, config, ok, exc=None):
-        self.seen.append((config, ok))
-        if self.on_record is not None:
-            self.on_record()
+    def __setitem__(self, key, row):
+        self.seen.append(row.config)
+        super().__setitem__(key, row)
 
 
 class TestOnResultCallback:
     """Every fresh completion is checkpointed, in completion order."""
 
     def test_fresh_completions_reported_in_completion_order(self):
-        journal = _RecordingJournal()
-        run_configs(CONFIGS[:3], cache=None, journal=journal)
-        assert [c for c, _ in journal.seen] == CONFIGS[:3]
-        assert all(ok for _, ok in journal.seen)
+        cache = _RecordingCache()
+        run_configs(CONFIGS[:3], cache=cache)
+        assert cache.seen == CONFIGS[:3]
 
     def test_cache_hits_not_reported(self):
         memo = {}
         run_configs(CONFIGS[:2], cache=memo)
-        journal = _RecordingJournal()
-        run_configs(CONFIGS[:2], cache=memo, journal=journal)
-        assert journal.seen == []
+        cache = _RecordingCache(memo)
+        run_configs(CONFIGS[:2], cache=cache)
+        assert cache.seen == []
 
-    def test_rows_checkpointed_into_cache_at_completion(self):
+    def test_rows_checkpointed_into_cache_at_completion(self, monkeypatch):
         memo = {}
         sizes = []
-        run_configs(CONFIGS[:3], cache=memo, journal=_RecordingJournal(
-            on_record=lambda: sizes.append(len(memo))))
-        # by the time each completion is journaled, its row is cached
-        assert sizes == [1, 2, 3]
+        real = par._simulate
+
+        def sizing(config):
+            sizes.append(len(memo))
+            return real(config)
+
+        monkeypatch.setattr(par, "_simulate", sizing)
+        run_configs(CONFIGS[:3], cache=memo)
+        # each row is cached before the next config starts
+        assert sizes == [0, 1, 2] and len(memo) == 3
 
 
 class TestWorkerCrashRecovery:
@@ -213,12 +218,17 @@ class TestWorkerCrashRecovery:
         assert [c in survivors for c in CONFIGS] == [True] * 3 + [False]
 
 
+def _row(config):
+    return Row(config, 1.0, 2.0, 3.0, 0.1)
+
+
 class TestJournal:
     def test_round_trip(self, tmp_path):
-        j = SweepJournal(tmp_path / "j.jsonl")
-        j.record("s", CONFIGS[0], ok=True)
-        j.record("s", CONFIGS[1], ok=False, exc=ValueError("boom"))
-        j2 = SweepJournal(tmp_path / "j.jsonl")
+        cache = ResultCache(tmp_path)
+        cache[CONFIGS[0]] = _row(CONFIGS[0])
+        SweepJournal(cache).record("s", CONFIGS[1], ok=False,
+                                   exc=ValueError("boom"))
+        j2 = SweepJournal(ResultCache(tmp_path))
         assert j2.status("s", CONFIGS[0])["done"]
         bad = j2.status("s", CONFIGS[1])
         assert bad["fails"] == 1
@@ -227,61 +237,80 @@ class TestJournal:
         assert j2.failures("s", CONFIGS[2]) == 0
 
     def test_success_clears_strikes(self, tmp_path):
-        j = SweepJournal(tmp_path / "j.jsonl")
+        cache = ResultCache(tmp_path)
+        j = SweepJournal(cache)
         j.record("s", CONFIGS[0], ok=False, exc=ValueError("x"))
         j.record("s", CONFIGS[0], ok=False, exc=ValueError("x"))
-        j.record("s", CONFIGS[0], ok=True)
-        assert SweepJournal(tmp_path / "j.jsonl") \
+        cache[CONFIGS[0]] = _row(CONFIGS[0])
+        assert SweepJournal(ResultCache(tmp_path)) \
             .failures("s", CONFIGS[0]) == 0
 
+    def test_a_row_clears_strikes_in_every_sweep(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        j = SweepJournal(cache)
+        for sweep in ("a", "b"):
+            j.record(sweep, CONFIGS[0], ok=False, exc=ValueError("x"))
+        run_sweep("a", [CONFIGS[0]], cache)
+        again = SweepJournal(ResultCache(tmp_path))
+        assert again.failures("b", CONFIGS[0]) == 0
+        assert again.status("b", CONFIGS[0])["done"]
+
+    def test_strikes_are_per_engine(self, tmp_path):
+        j = SweepJournal(ResultCache(tmp_path))
+        j.record("s", CONFIGS[0], ok=False, exc=ValueError("x"),
+                 engine="analytic")
+        assert j.failures("s", CONFIGS[0], engine="analytic") == 1
+        assert j.failures("s", CONFIGS[0], engine="auto") == 1
+        assert j.failures("s", CONFIGS[0]) == 0
+
     def test_torn_line_tolerated(self, tmp_path):
-        j = SweepJournal(tmp_path / "j.jsonl")
-        j.record("s", CONFIGS[0], ok=True)
-        with open(j.path, "a") as fh:
+        cache = ResultCache(tmp_path)
+        cache[CONFIGS[0]] = _row(CONFIGS[0])
+        with open(cache.path, "a") as fh:
             fh.write('{"format": 1, "sweep": "s"')   # torn
-        j2 = SweepJournal(j.path)
+        j2 = SweepJournal(ResultCache(tmp_path))
         assert j2.status("s", CONFIGS[0])["done"]
 
-    def test_unknown_status_is_torn(self, tmp_path):
-        j = SweepJournal(tmp_path / "j.jsonl")
-        j.record("s", CONFIGS[0], ok=True)
-        with open(j.path, "a") as fh:
-            fh.write('{"format": 1, "sweep": "s", "key": "%s", '
-                     '"status": "paused"}\n'
-                     % journal_mod.config_digest(CONFIGS[1]))
-        j2 = SweepJournal(j.path)
+    def test_strike_without_key_is_torn(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache[CONFIGS[0]] = _row(CONFIGS[0])
+        with open(cache.path, "a") as fh:
+            fh.write('{"format": 1, "sweep": "s", "error": "X"}\n')
+        again = ResultCache(tmp_path)
+        j2 = SweepJournal(again)
         assert j2.status("s", CONFIGS[1]) is None
         assert j2.status("s", CONFIGS[0])["done"]
-        assert j2.torn_lines == 1
+        assert again.torn_lines == 1
 
     def test_sweeps_are_namespaced(self, tmp_path):
-        j = SweepJournal(tmp_path / "j.jsonl")
+        j = SweepJournal(ResultCache(tmp_path))
         j.record("a", CONFIGS[0], ok=False, exc=ValueError("x"))
         assert j.failures("b", CONFIGS[0]) == 0
 
     def test_for_cache_needs_directory(self, tmp_path):
         assert SweepJournal.for_cache({}) is None
         assert SweepJournal.for_cache(None) is None
-        j = SweepJournal.for_cache(ResultCache(tmp_path))
-        assert j is not None and j.path.parent == tmp_path
+        cache = ResultCache(tmp_path)
+        j = SweepJournal.for_cache(cache)
+        assert j is not None and j.cache is cache
 
 
 class TestJournalReads:
-    """A write never reads the journal; a quarantine query reads it
-    once, as the file stands, whoever appended to it."""
+    """A write never reads the log for strikes; a quarantine query reads
+    it once, as the file stands, whoever appended to it."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        """Paths of journal files read through :mod:`repro.jsonlog`."""
+        """Paths of cache logs read through :mod:`repro.jsonlog`."""
         seen = []
-        real = journal_mod.jsonlog.read
+        real = cache_mod.jsonlog.read
 
         def counting(path, fmt):
-            if os.path.basename(path) == SweepJournal.FILENAME:
+            if os.path.basename(path) == ResultCache.FILENAME:
                 seen.append(path)
             return real(path, fmt)
 
-        monkeypatch.setattr(journal_mod.jsonlog, "read", counting)
+        monkeypatch.setattr(cache_mod.jsonlog, "read", counting)
         return seen
 
     def test_write_sweeps_never_read_and_resume_reads_once(self, tmp_path,
@@ -292,21 +321,26 @@ class TestJournalReads:
                                       n_threads=threads)
             run_sweep("w", [config], cache, engine="analytic")
         assert cache.misses == 20
-        assert len(SweepJournal.for_cache(cache).path.read_bytes()
-                   .splitlines()) == 20
-        assert reads == []
+        # one append per completion: its row
+        assert len(cache.path.read_bytes().splitlines()) == 20
+        assert len(reads) == 1  # the rows, loaded at the first lookup
 
         resumed = run_sweep("w", list(CONFIGS), cache, engine="analytic",
                             resume=True)
-        assert resumed.errors == [] and len(reads) == 1
+        assert resumed.errors == [] and len(reads) == 2
+        # a fresh cache's first quarantine query loads its rows too
+        run_sweep("w", list(CONFIGS), ResultCache(tmp_path),
+                  engine="analytic", resume=True)
+        assert len(reads) == 3
 
     def test_records_after_a_query_update_the_loaded_state(self, tmp_path,
                                                           reads):
-        j = SweepJournal(tmp_path / SweepJournal.FILENAME)
+        cache = ResultCache(tmp_path)
+        j = SweepJournal(cache)
         assert j.failures("s", CONFIGS[0]) == 0
         j.record("s", CONFIGS[0], ok=False, exc=ValueError("x"))
         assert j.failures("s", CONFIGS[0]) == 1
-        j.record("s", CONFIGS[0], ok=True)
+        cache[CONFIGS[0]] = _row(CONFIGS[0])
         assert j.status("s", CONFIGS[0])["done"]
         assert len(reads) == 1
 
@@ -326,7 +360,7 @@ class TestJournalReads:
         assert err.config == BAD_CONFIG
         assert "quarantined" in err.message
 
-        SweepJournal.for_cache(second).record("q", BAD_CONFIG, ok=True)
+        second[BAD_CONFIG] = _row(BAD_CONFIG)
         assert SweepJournal.for_cache(first).failures("q", BAD_CONFIG) == 0
         retried = run_sweep("q", [BAD_CONFIG], first, errors="capture",
                             resume=True)
@@ -407,7 +441,7 @@ class TestResume:
         cache = ResultCache(tmp_path)
         run_sweep("jz", CONFIGS[:2], cache)
         journal = SweepJournal.for_cache(ResultCache(tmp_path))
-        assert journal.path.exists()
+        assert [p.name for p in tmp_path.iterdir()] == [cache.FILENAME]
         for config in CONFIGS[:2]:
             assert journal.status("jz", config)["done"]
 
@@ -438,3 +472,67 @@ class TestFigurePassthrough:
         assert len(sweeps["ffvc"].errors) == 1
         # the rendered row keeps both columns (nan cell, not a shift)
         assert len(table.rows[0]) == 1 + len(grid)
+
+
+class TestOneStore:
+    """A cache directory holds one store, ``results.jsonl``: a completion
+    is one append to it, and the files older builds kept beside it are
+    ignored."""
+
+    @pytest.fixture
+    def appends(self, monkeypatch, tmp_path):
+        """Names of the files under ``tmp_path`` each append went to."""
+        seen = []
+        real = jsonlog.append
+
+        def counting(path, record, **kwargs):
+            if tmp_path in path.parents:
+                seen.append(path.name)
+            return real(path, record, **kwargs)
+
+        monkeypatch.setattr(jsonlog, "append", counting)
+        return seen
+
+    def test_a_completion_is_one_append(self, tmp_path, appends, no_lint):
+        cache = ResultCache(tmp_path)
+        run_sweep("one", [CONFIGS[0]], cache)
+        assert appends == [cache.FILENAME]
+        run_sweep("one", [BAD_CONFIG], cache, errors="capture")
+        assert appends == [cache.FILENAME] * 2
+
+    def test_sweeps_resume_lint_and_advise_keep_one_file(self, tmp_path,
+                                                         capsys):
+        from repro.cli import main
+
+        cache = ResultCache(tmp_path)
+        run_sweep("s", list(CONFIGS), cache, advise="warn")
+        run_sweep("s", list(CONFIGS), ResultCache(tmp_path), resume=True)
+        for cmd in ("lint", "advise"):
+            main([cmd, "ffvc", "--ranks", "1", "--threads", "4",
+                  "--cache-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert [p.name for p in tmp_path.iterdir()] == [cache.FILENAME]
+
+    def test_old_journal_and_lint_files_are_ignored(self, tmp_path):
+        from repro.analysis import analyze_config
+        from repro.analysis.rules import analyzer_fingerprint
+        from repro.core.cache import model_fingerprint
+
+        bad = CONFIGS[1]
+        strike = {"format": 1, "sweep": "q", "key": config_digest(bad),
+                  "status": "failed", "error": "RuntimeError",
+                  "message": "boom"}
+        for _ in range(2):
+            jsonlog.append(tmp_path / "sweep-journal.jsonl", strike)
+        jsonlog.append(tmp_path / "lint.jsonl", {
+            "format": 1, "fp": model_fingerprint(),
+            "analyzer": analyzer_fingerprint(), "key": config_digest(bad),
+            "report": {"subject": "old", "diagnostics": [
+                {"check": "deadlock", "severity": "error",
+                 "message": "stale"}]}})
+
+        cache = ResultCache(tmp_path)
+        sweep = run_sweep("q", list(CONFIGS), cache, resume=True)
+        assert sweep.errors == [] and len(sweep.rows) == len(CONFIGS)
+        assert analyze_config(bad, cache=cache).ok
+        assert cache.torn_lines == 0

@@ -118,7 +118,7 @@ def test_overlapping_analytic_jobs_score_each_config_once(client):
 def test_quarantined_configs_reported_per_job(service, client, cache_dir):
     configs = tiny_configs(n=3)
     poisoned = configs[1]
-    journal = SweepJournal(cache_dir / SweepJournal.FILENAME)
+    journal = SweepJournal(ResultCache(cache_dir))
     for _ in range(QUARANTINE_AFTER):
         journal.record("quar", poisoned, ok=False,
                        exc=RuntimeError("synthetic crash"))

@@ -161,8 +161,8 @@ def test_runs_after_the_first_create_no_file(results_dir, monkeypatch,
 
 def test_counters_write_one_record_per_name_per_flush(results_dir,
                                                       monkeypatch, tmp_path):
-    """A store-session round in small: a sweep scored, cached and
-    journaled, then two passes through fresh caches.  Each counter
+    """A store-session round in small: a sweep scored and cached, then
+    two passes through fresh caches.  Each counter
     writes one record per name per flush, however many events it
     counts; a flush in mid-sweep starts a second record."""
     monkeypatch.setattr(jsonlog, "FLUSH_SECONDS", float("inf"))
@@ -190,12 +190,11 @@ def test_counters_write_one_record_per_name_per_flush(results_dir,
     runs = telemetry.runlog.scan(results_dir / "runs")
     names = {run.checked_manifest()["name"]: run_id
              for run_id, run in runs.items()}
-    # the flush after the fifth store splits the stores and the
-    # completions journaled after each of them, and nothing else
+    # the flush after the fifth store splits the stores, and nothing
+    # else; a success counts no journal event besides its store
     assert sorted(written[names["write"]]) == [
         ("cache.miss", 9), ("cache.store", 4), ("cache.store", 5),
-        ("engine.pick.analytic", 1), ("journal.done", 4),
-        ("journal.done", 5)]
+        ("engine.pick.analytic", 1)]
     for p in range(2):
         assert written[names[f"read-{p}"]] == [("cache.hit", 9)]
     aggs, torn = aggregate(runs[names["write"]].metrics)

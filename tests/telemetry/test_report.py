@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import jsonlog
+from repro import jsonlog, telemetry
 from repro.cli import EXIT_BROKEN_PIPE, main
 from repro.core.cache import ResultCache
 from repro.core.experiment import ExperimentConfig
-from repro.core.journal import SweepJournal
 from repro.core.runner import run_sweep
 from repro.errors import ConfigurationError
+from repro.service.jobs import JobLedger
 from repro.telemetry import runlog
 from repro.telemetry.report import RunReport, list_runs, render_runs
 
@@ -125,21 +125,21 @@ class TestRunReport:
 
     def test_torn_store_and_telemetry_lines_surface_in_report(
             self, results_dir, tmp_path):
-        journal = tmp_path / "cache" / SweepJournal.FILENAME
-        journal.parent.mkdir()
-        journal.write_bytes(b"7\n")  # not a record: torn
-        # only a sweep that reads the journal (a resume) meets the line
-        run_sweep("torn-journal", CFGS, ResultCache(tmp_path / "cache"),
-                  engine="analytic", resume=True)
-        entry = list_runs(results_dir, name="torn-journal")[0]
+        ledger = tmp_path / JobLedger.FILENAME
+        ledger.write_bytes(b"7\n")  # not a record: torn
+        # a ledger replayed inside a run counts the line in that run
+        with telemetry.run_scope(kind="sweep", name="torn-ledger",
+                                 configs=CFGS, engine="analytic"):
+            JobLedger(ledger).replay()
+        entry = list_runs(results_dir, name="torn-ledger")[0]
         (log,) = log_files(results_dir)
         with open(log, "ab") as fh:
             fh.write(b"[1]\n")
         rep = RunReport.load(entry.run_id, results_dir)
-        assert rep.metric("journal.torn_lines") == 1
+        assert rep.metric("ledger.torn_lines") == 1
         assert rep.torn_lines == 1 and rep.to_dict()["torn_lines"] == 1
         text = rep.render()
-        assert "torn lines skipped: journal 1, telemetry 1" in text
+        assert "torn lines skipped: ledger 1, telemetry 1" in text
         assert f"artifacts: {log}" in text
 
 

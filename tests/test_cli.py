@@ -67,6 +67,19 @@ class TestCommands:
         assert err.startswith("error: mvmc/as-is A64FX 4x12 [pid ")
         assert "ConfigurationError: stride must be positive" in err
 
+    @pytest.mark.parametrize("flags, shape", [
+        (["--ranks", "0"], "0x12"), (["--threads", "0"], "4x0"),
+        (["--nodes", "0"], "4x12 0nodes")])
+    def test_run_error_of_zero_counts_is_one_error(self, capsys, flags,
+                                                   shape):
+        rc = main(["run", "--app", "ffvc", *flags, "--no-cache"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ffvc/as-is A64FX {shape} [pid ")
+        assert err.count("error:") == 1 and err.count("Traceback") == 1
+        assert err.rstrip().endswith(
+            "ConfigurationError: counts must be positive")
+
     def test_figure_t1(self, capsys):
         assert main(["figure", "t1"]) == 0
         assert "A64FX" in capsys.readouterr().out
@@ -117,7 +130,8 @@ class TestLintCommand:
         rc = main(["lint", "mvmc", "--ranks", "4", "--threads", "12",
                    "--cache-dir", str(tmp_path)])
         assert rc == 0
-        assert (tmp_path / "lint.jsonl").exists()
+        # verdicts are records of the result cache's log
+        assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
 
     def test_no_lint_flag_disables_preflight(self):
         from repro.analysis import preflight_enabled, set_preflight
