@@ -9,7 +9,8 @@ Commands mirror what a user of the original study's scripts would run:
   an interrupted run from the persistent cache's rows and strikes);
 * ``chaos`` — deterministic fault-injection campaigns with invariant
   checks (the CI resilience gate);
-* ``figure`` — regenerate one paper artifact (t1..t2, f1..f10, a1..a5);
+* ``figure`` — regenerate one paper artifact (an id of
+  :data:`repro.artifacts.ARTIFACTS`);
 * ``roofline`` — per-kernel roofline placement for one app;
 * ``energy`` — the power-mode study for one app;
 * ``runs`` / ``report <run_id>`` / ``reproduce <run_id>`` — the
@@ -43,6 +44,7 @@ import sys
 from typing import Sequence
 
 from repro import names
+from repro.artifacts import ARTIFACTS
 from repro.units import fmt_bw, fmt_rate, fmt_time
 
 
@@ -381,60 +383,21 @@ def _cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-_FIGURES = {
-    "t1": "t1_processor_specs",
-    "t2": "t2_miniapp_table",
-    "f1": "f1_mpi_omp_sweep",
-    "f2": "f2_thread_stride",
-    "f3": "f3_process_allocation",
-    "f4": "f4_compiler_tuning",
-    "f5": "f5_processor_comparison",
-    "f6": "f6_roofline",
-    "f7": "f7_stream_scaling",
-    "f8": "f8_multinode_scaling",
-    "f9": "f9_weak_scaling",
-    "f10": "f10_time_breakdown",
-}
-
-_ABLATIONS = {
-    "a1": "a1_vector_length",
-    "a2": "a2_power_modes",
-    "a3": "a3_microarchitecture",
-    "a5": "a5_collective_algorithms",
-    "a6": "a6_mixed_precision",
-}
-
-
 def _cmd_figure(args) -> int:
-    import inspect
+    from repro.errors import ConfigurationError
 
-    from repro.core import ablations, figures, projection
-
-    def _call(fn):
-        # pass the cache/worker context only to builders that take it
-        params = inspect.signature(fn).parameters
-        kwargs = {}
-        if "cache" in params:
-            kwargs["cache"] = _cache_from_args(args)
-        if "workers" in params:
-            kwargs["workers"] = args.jobs
-        if "engine" in params and args.engine != "event":
-            kwargs["engine"] = args.engine
-        return fn(**kwargs)
-
-    fid = args.id.lower()
-    if fid in _FIGURES:
-        out = _call(getattr(figures, _FIGURES[fid]))
-    elif fid == "a4":
-        out = projection.a4_sssp_projection()
-    elif fid in _ABLATIONS:
-        out = _call(getattr(ablations, _ABLATIONS[fid]))
-    else:
+    by_id = {a.id.lower(): a for a in ARTIFACTS}
+    artifact = by_id.get(args.id.lower())
+    if artifact is None:
         print(f"unknown figure id {args.id!r}; "
-              f"available: {sorted(_FIGURES) + sorted(_ABLATIONS) + ['a4']}",
-              file=sys.stderr)
+              f"available: {', '.join(by_id)}", file=sys.stderr)
         return 2
-    table = out[0] if isinstance(out, tuple) else out
+    try:
+        table, _ = artifact.build(_cache_from_args(args), args.jobs,
+                                  args.engine)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(table.render())
     if args.csv:
         print(table.to_csv())
@@ -588,21 +551,23 @@ def _cmd_runs(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.run_id is None:
-        from repro.core.reportgen import write_report
+    from repro.errors import ConfigurationError
 
-        path = write_report(
-            args.output,
-            include_sweeps=not args.quick,
-            include_ablations=not args.quick,
-            progress=lambda aid: print(f"  {aid} done"),
-            cache=_cache_from_args(args),
-            workers=args.jobs,
-        )
+    if args.run_id is None:
+        from repro.artifacts import write_report
+
+        try:
+            path = write_report(
+                args.output, quick=args.quick,
+                progress=lambda aid: print(f"  {aid} done"),
+                cache=_cache_from_args(args), workers=args.jobs,
+                engine=args.engine)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {path}")
         return 0
     # with a run id: summarize that recorded run
-    from repro.errors import ConfigurationError
     from repro.telemetry.report import RunReport
 
     try:
@@ -892,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.set_defaults(func=_cmd_chaos)
 
     fig = sub.add_parser("figure", help="regenerate one paper artifact")
-    fig.add_argument("id", help="t1..t2, f1..f10, a1..a5")
+    fig.add_argument("id", help=", ".join(a.id.lower() for a in ARTIFACTS))
     fig.add_argument("--csv", action="store_true", help="also print CSV")
     _add_exec_flags(fig)
     fig.set_defaults(func=_cmd_figure)

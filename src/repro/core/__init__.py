@@ -16,7 +16,7 @@ Everything the paper's evaluation section does is a function here:
 * :mod:`~repro.core.report` — ASCII tables and CSV series;
 * :mod:`~repro.core.figures` — one entry point per paper table/figure
   (T1-T3, F1-F10; ablations A1-A6 live in sibling modules), used by
-  ``benchmarks/`` and the examples.
+  :mod:`repro.artifacts` and the examples.
 """
 
 from repro.core.cache import ResultCache, default_cache_dir, model_fingerprint

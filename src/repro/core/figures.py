@@ -1,8 +1,9 @@
 """One entry point per paper table/figure (see DESIGN.md experiment index).
 
 Every function regenerates one artifact as a :class:`~repro.core.report.Table`
-(plus, where useful, the raw sweep data).  The ``benchmarks/`` harness calls
-these and prints both the table and its CSV; the examples call a subset.
+(plus, where useful, the raw sweep data).  :data:`repro.artifacts.ARTIFACTS`
+names each one for ``repro figure`` and ``repro report``; the examples
+call a subset.
 
 The IDs are assigned by this project — the source text provided only the
 paper's abstract (DESIGN.md documents this), so these reconstruct the
@@ -119,7 +120,10 @@ def f1_mpi_omp_sweep(
 # ----------------------------------------------------------------------
 # T3 — best configuration per miniapp (derived from F1)
 # ----------------------------------------------------------------------
-def t3_best_config(sweeps: dict[str, SweepResult]) -> Table:
+def t3_best_config(sweeps: dict[str, SweepResult] | None = None,
+                   cache=None, workers: int = 1) -> Table:
+    if sweeps is None:
+        sweeps = f1_mpi_omp_sweep(cache=cache, workers=workers)[1]
     t = Table(
         "T3: best MPI x OpenMP configuration per miniapp",
         ["miniapp", "best config", "time ms", "GFLOP/s", "comm frac"],

@@ -1,35 +1,35 @@
-"""Tests for the full-report generator."""
+"""The quick report: ``write_report(quick=True)``, built once per module.
 
-from repro.core.reportgen import generate_report, write_report
+Its sections are compared with the artifacts built by
+``tests/test_artifacts.py`` (one shared build per test run).
+"""
+
+import pytest
+
+from repro.artifacts import ARTIFACTS, report_text, write_report
+from tests.test_artifacts import built
+
+QUICK = [a for a in ARTIFACTS if a.quick]
+
+
+@pytest.fixture(scope="module")
+def quick_report(tmp_path_factory):
+    """``(path, ids passed to progress)`` of one quick report."""
+    seen = []
+    path = write_report(tmp_path_factory.mktemp("report") / "quick.md",
+                        quick=True, progress=seen.append)
+    return path, seen
 
 
 class TestReport:
-    def test_quick_report_contains_fast_artifacts(self):
-        text = generate_report(include_sweeps=False, include_ablations=False)
-        for aid in ("T1", "T2", "F6", "F7", "P1"):
-            assert f"## {aid}" in text
-        assert "## F1" not in text
-        assert "A64FX" in text
+    def test_quick_report_contains_fast_artifacts(self, quick_report):
+        text = quick_report[0].read_text()
+        assert text == report_text(
+            [a.section(built(a.id)[0]) for a in QUICK])
+        assert "## F1 " not in text
 
-    def test_progress_callback_invoked(self):
-        seen = []
-        generate_report(include_sweeps=False, include_ablations=False,
-                        progress=seen.append)
-        assert sorted(seen) == ["F6", "F7", "P1", "T1", "T2"]
+    def test_progress_callback_invoked(self, quick_report):
+        assert quick_report[1] == [a.id for a in QUICK]
 
-    def test_profile_artifact_last_and_fapp_shaped(self):
-        text = generate_report(include_sweeps=False, include_ablations=False)
-        assert text.index("## P1") > text.index("## F7")
-        profile_section = text.split("## P1")[1]
-        assert "cycle" in profile_section or "GF/s" in profile_section
-
-    def test_write_report_roundtrip(self, tmp_path):
-        out = write_report(tmp_path / "r.md", include_sweeps=False,
-                           include_ablations=False)
-        assert out.exists()
-        assert out.read_text().startswith("# Reproduction report")
-
-    def test_tables_are_fenced(self):
-        text = generate_report(include_sweeps=False, include_ablations=False)
-        assert text.count("```") % 2 == 0
-        assert text.count("```") >= 8
+    def test_write_report_roundtrip(self, quick_report):
+        assert quick_report[0].read_text().startswith("# Reproduction report")

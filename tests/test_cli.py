@@ -90,8 +90,28 @@ class TestCommands:
         assert "miniapp,full name" in out
 
     def test_figure_unknown_id(self, capsys):
+        from repro.artifacts import ARTIFACTS
+
         assert main(["figure", "zz"]) == 2
-        assert "unknown figure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown figure" in err
+        assert err.rstrip().endswith(
+            ", ".join(a.id.lower() for a in ARTIFACTS))
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "f2", "--engine", "analytic"],
+        ["figure", "t1", "--engine", "auto"],
+        ["report", "--quick", "--engine", "analytic"],
+    ])
+    def test_engine_an_artifact_cannot_take_is_an_error(
+            self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where `report` writes REPORT.md
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not any(tmp_path.iterdir())
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "event engine only" in captured.err
 
     def test_roofline(self, capsys):
         assert main(["roofline", "--app", "ntchem"]) == 0
